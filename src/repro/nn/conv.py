@@ -1,60 +1,80 @@
-"""Convolution and pooling layers (im2col-based, NCHW layout).
+"""Convolution and pooling layers (NCHW layout).
 
-The im2col transform turns convolution into a single large GEMM — the
-canonical "vectorize the inner loop" move from the HPC guides.  Patch
-extraction itself is done with stride tricks (a view, not a copy) and a
-single reshape.
+``Conv2d`` lowers convolution to one GEMM over im2col rows.  The data
+movement on either side of that GEMM runs on two index plans that depend
+only on the layer geometry:
+
+* forward: ``x`` is copied into a zero-padded buffer with one slice
+  assignment, and one ``np.take`` over the gather plan lays out the
+  ``(n*oh*ow, c*kh*kw)`` column matrix;
+* backward: one ``np.bincount`` over the scatter plan sums the column
+  gradients back into image layout.  Entries that fall on padding go to a
+  dump bin past the end, so the unpadded ``dx`` comes back directly.
+
+``bincount`` adds its weights in array order, each bin starting from 0.0.
+The column gradients run over (sample, oy, ox, c, kh, kw) in flat order,
+and an input pixel in row y meets kernel row ``kh = y - s * oy``: a later
+``oy`` means an earlier ``kh``, and likewise for ``ox`` and ``kw``.  Fed
+reversed, ``bincount`` hands each pixel its (kh, kw) contributions in
+ascending order, starting from 0.0 -- the additions a kh x kw scatter loop
+makes, in the same sequence, hence the same bits.
+
+Both plans are read-only arrays in bounded module-level LRU caches: layers
+of one geometry share them, threads may read them concurrently, and they
+never travel with a pickled module.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from repro.nn import init as init_mod
 from repro.nn.module import Module
 
 __all__ = ["Conv2d", "MaxPool2d", "GlobalAvgPool2d", "AvgPool2d"]
 
+# plans a process keeps per kind: a ResNet-lite has 8 conv input geometries,
+# and scatter plans also key on the batch size (the full batch and each
+# client's remainder batch, which the LRU order lets go first)
+_PLAN_CACHE = 32
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Extract sliding patches from ``x`` (n, c, h, w) already padded.
 
-    Returns an array of shape ``(n, out_h, out_w, c, kh, kw)`` that is a
-    strided *view* of ``x`` — zero-copy until the caller reshapes.
+@lru_cache(maxsize=_PLAN_CACHE)
+def _gather_plan(c: int, hp: int, wp: int, k: int, s: int) -> np.ndarray:
+    """Flat indices into one padded sample ``(c, hp, wp)``.
+
+    Row ``oy * ow + ox`` lists the ``(c, kh, kw)`` patch under output pixel
+    ``(oy, ox)``, so ``np.take`` along a sample's flat axis yields its
+    im2col rows.
     """
-    n, c, h, w = x.shape
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-    sn, sc, sh, sw = x.strides
-    view = as_strided(
-        x,
-        shape=(n, out_h, out_w, c, kh, kw),
-        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
-        writeable=False,
-    )
-    return view
+    oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
+    patch = np.arange(c)[:, None, None] * (hp * wp) + np.arange(k)[:, None] * wp + np.arange(k)
+    origin = np.arange(oh)[:, None] * (s * wp) + np.arange(ow) * s
+    plan = origin.reshape(-1, 1) + patch.reshape(1, -1)
+    plan.flags.writeable = False
+    return plan
 
 
-def _col2im(
-    cols: np.ndarray,
-    x_shape: tuple[int, int, int, int],
-    kh: int,
-    kw: int,
-    stride: int,
-) -> np.ndarray:
-    """Scatter-add column gradients back to image layout (inverse of im2col)."""
-    n, c, h, w = x_shape
-    out_h = (h - kh) // stride + 1
-    out_w = (w - kw) // stride + 1
-    dx = np.zeros(x_shape, dtype=cols.dtype)
-    cols = cols.reshape(n, out_h, out_w, c, kh, kw)
-    for i in range(kh):
-        for j in range(kw):
-            dx[:, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += (
-                cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            )
-    return dx
+@lru_cache(maxsize=_PLAN_CACHE)
+def _scatter_plan(n: int, c: int, h: int, w: int, k: int, s: int, p: int) -> np.ndarray:
+    """Target bin of every column-gradient entry, in reversed flat order.
+
+    The bin is the entry's flat index into the unpadded ``(n, c, h, w)``
+    input, or the dump bin ``n * c * h * w`` when it lands on padding.
+    """
+    hp, wp = h + 2 * p, w + 2 * p
+    ci, pixel = np.divmod(_gather_plan(c, hp, wp, k, s), hp * wp)
+    y, x = np.divmod(pixel, wp)
+    y -= p
+    x -= p
+    inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+    target = (ci * h + y) * w + x + (np.arange(n) * (c * h * w))[:, None, None]
+    target[:, ~inside] = n * c * h * w
+    plan = np.ascontiguousarray(target.reshape(-1)[::-1])
+    plan.flags.writeable = False
+    return plan
 
 
 class Conv2d(Module):
@@ -97,53 +117,45 @@ class Conv2d(Module):
         self.init_grads()
         self._cache: tuple | None = None
 
-    def _pad(self, x: np.ndarray) -> np.ndarray:
-        if self.padding == 0:
-            return x
-        p = self.padding
-        return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv2d expected (n, {self.in_channels}, h, w), got {x.shape}"
             )
-        xp = self._pad(x)
-        k, s = self.kernel_size, self.stride
-        patches = _im2col(xp, k, k, s)  # (n, oh, ow, c, kh, kw)
-        n, oh, ow = patches.shape[:3]
-        cols = patches.reshape(n * oh * ow, -1)  # copy happens here
+        n, c, h, w = x.shape
+        k, s, p = self.kernel_size, self.stride, self.padding
+        hp, wp = h + 2 * p, w + 2 * p
+        if min(hp, wp) < k:
+            raise ValueError(f"Conv2d kernel {k} exceeds padded input {hp}x{wp}")
+        oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
+        xp = x
+        if p:
+            xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
+            xp[:, :, p : p + h, p : p + w] = x
+        plan = _gather_plan(c, hp, wp, k, s)
+        cols = np.take(xp.reshape(n, -1), plan, axis=1).reshape(n * oh * ow, -1)
         w_mat = self.params["W"].reshape(self.out_channels, -1)
         out = cols @ w_mat.T
         if self.use_bias:
             out += self.params["b"]
         out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        if train:
-            self._cache = (cols, xp.shape, (n, oh, ow))
+        self._cache = (cols, x.shape) if train else None
         return np.ascontiguousarray(out)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
-        cols, xp_shape, (n, oh, ow) = self._cache
-        k, s = self.kernel_size, self.stride
-        dout_mat = dout.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
+        cols, (n, c, h, w) = self._cache
+        dout_mat = dout.transpose(0, 2, 3, 1).reshape(cols.shape[0], self.out_channels)
         w_mat = self.params["W"].reshape(self.out_channels, -1)
         self.grads["W"] += (dout_mat.T @ cols).reshape(self.params["W"].shape)
         if self.use_bias:
             self.grads["b"] += dout_mat.sum(axis=0)
         dcols = dout_mat @ w_mat  # (n*oh*ow, c*k*k)
-        dxp = _col2im(
-            dcols.reshape(n, oh, ow, self.in_channels, k, k).reshape(n, oh, ow, -1),
-            xp_shape,
-            k,
-            k,
-            s,
-        )
-        if self.padding:
-            p = self.padding
-            return dxp[:, :, p:-p, p:-p]
-        return dxp
+        plan = _scatter_plan(n, c, h, w, self.kernel_size, self.stride, self.padding)
+        size = n * c * h * w
+        dx = np.bincount(plan, weights=dcols.reshape(-1)[::-1], minlength=size + 1)
+        return dx[:size].reshape(n, c, h, w)
 
 
 class MaxPool2d(Module):
@@ -163,10 +175,8 @@ class MaxPool2d(Module):
             raise ValueError(f"spatial dims {h}x{w} not divisible by pool {k}")
         xr = x.reshape(n, c, h // k, k, w // k, k)
         out = xr.max(axis=(3, 5))
-        if train:
-            # ties share the gradient equally (counts divisor in backward)
-            mask = xr == out[:, :, :, None, :, None]
-            self._cache = (mask, x.shape)
+        # ties share the gradient equally (counts divisor in backward)
+        self._cache = (xr == out[:, :, :, None, :, None], x.shape) if train else None
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -195,8 +205,7 @@ class AvgPool2d(Module):
         k = self.k
         if h % k or w % k:
             raise ValueError(f"spatial dims {h}x{w} not divisible by pool {k}")
-        if train:
-            self._shape = x.shape
+        self._shape = x.shape if train else None
         return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -220,8 +229,7 @@ class GlobalAvgPool2d(Module):
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"expected NCHW input, got shape {x.shape}")
-        if train:
-            self._shape = x.shape
+        self._shape = x.shape if train else None
         return x.mean(axis=(2, 3))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

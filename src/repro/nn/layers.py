@@ -70,8 +70,7 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         mask = x > 0
-        if train:
-            self._mask = mask
+        self._mask = mask if train else None
         return x * mask
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -88,8 +87,7 @@ class Flatten(Module):
         self._shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if train:
-            self._shape = x.shape
+        self._shape = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

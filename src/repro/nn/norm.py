@@ -44,13 +44,13 @@ class GroupNorm(Module):
             raise ValueError(f"GroupNorm expected (n, {self.c}, h, w), got {x.shape}")
         n, c, h, w = x.shape
         xg = x.reshape(n, self.g, -1)
-        mu = xg.mean(axis=2, keepdims=True)
-        var = xg.var(axis=2, keepdims=True)
-        xhat = ((xg - mu) / np.sqrt(var + _EPS)).reshape(n, c, h, w)
+        diff = xg - xg.mean(axis=2, keepdims=True)
+        # np.var's own formula on the centred tensor, so the bits match it
+        var = (diff * diff).sum(axis=2, keepdims=True) / xg.shape[2]
+        xhat = (diff / np.sqrt(var + _EPS)).reshape(n, c, h, w)
         out = xhat * self.params["gamma"][None, :, None, None]
         out += self.params["beta"][None, :, None, None]
-        if train:
-            self._cache = (xhat, var, x.shape)
+        self._cache = (xhat, var, x.shape) if train else None
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -104,8 +104,7 @@ class BatchNorm2d(Module):
         xhat = (x - mu[None, :, None, None]) / np.sqrt(var + _EPS)[None, :, None, None]
         out = xhat * self.params["gamma"][None, :, None, None]
         out += self.params["beta"][None, :, None, None]
-        if train:
-            self._cache = (xhat, var, x.shape)
+        self._cache = (xhat, var, x.shape) if train else None
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
@@ -140,8 +139,7 @@ class LayerNorm(Module):
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         xhat = (x - mu) / np.sqrt(var + _EPS)
-        if train:
-            self._cache = (xhat, var)
+        self._cache = (xhat, var) if train else None
         return xhat * self.params["gamma"] + self.params["beta"]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:

@@ -2,8 +2,8 @@
 implementations.
 
 The HPC guides' cardinal rule: a fast kernel is only trustworthy next to a
-slow, obviously-correct one.  These tests pin the im2col convolution and the
-NTT negacyclic product to schoolbook references.
+slow, obviously-correct one.  These tests pin the im2col convolution (forward
+and backward) and the NTT negacyclic product to schoolbook references.
 """
 
 from __future__ import annotations
@@ -37,6 +37,27 @@ def naive_conv2d(x, w, b, stride, padding):
     return out
 
 
+def naive_conv2d_backward(x, w, dout, stride, padding):
+    """Schoolbook gradients of :func:`naive_conv2d`: (dx, dW, db)."""
+    n, _, h, wd = x.shape
+    c_out, _, kh, kw = w.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    dxp = np.zeros_like(x)
+    dw = np.zeros_like(w)
+    oh, ow = dout.shape[2:]
+    for ni in range(n):
+        for co in range(c_out):
+            for i in range(oh):
+                for j in range(ow):
+                    rows = slice(i * stride, i * stride + kh)
+                    cols = slice(j * stride, j * stride + kw)
+                    dw[co] += dout[ni, co, i, j] * x[ni, :, rows, cols]
+                    dxp[ni, :, rows, cols] += dout[ni, co, i, j] * w[co]
+    db = dout.sum(axis=(0, 2, 3))
+    return dxp[:, :, padding : padding + h, padding : padding + wd], dw, db
+
+
 def naive_negacyclic(a, b, q):
     """Schoolbook product in Z_q[x]/(x^n + 1)."""
     n = len(a)
@@ -51,17 +72,40 @@ def naive_negacyclic(a, b, q):
     return out
 
 
+CONV_GEOMETRIES = [
+    (1, 1, 3, 1, 1, 5),
+    (2, 3, 3, 1, 0, 6),
+    (3, 2, 2, 2, 0, 6),
+    (2, 4, 3, 2, 1, 7),
+    (1, 1, 1, 1, 0, 4),
+]
+
+
+def random_conv_geometry(seed):
+    """(conv, x) of a small random geometry, one sample."""
+    rng = np.random.default_rng(seed)
+    cin = int(rng.integers(1, 4))
+    cout = int(rng.integers(1, 4))
+    k = int(rng.integers(1, 4))
+    stride = int(rng.integers(1, 3))
+    pad = int(rng.integers(0, 2))
+    size = int(rng.integers(k + stride, k + stride + 4))
+    conv = Conv2d(cin, cout, k, np.random.default_rng(seed), stride=stride, padding=pad)
+    return conv, rng.normal(size=(1, cin, size, size))
+
+
+def assert_backward_matches_naive(conv, x, rng):
+    dout = rng.normal(size=conv.forward(x, train=True).shape)
+    conv.zero_grad()
+    dx = conv.backward(dout)
+    ndx, ndw, ndb = naive_conv2d_backward(x, conv.params["W"], dout, conv.stride, conv.padding)
+    np.testing.assert_allclose(dx, ndx, atol=1e-10, err_msg="dx")
+    np.testing.assert_allclose(conv.grads["W"], ndw, atol=1e-10, err_msg="dW")
+    np.testing.assert_allclose(conv.grads["b"], ndb, atol=1e-10, err_msg="db")
+
+
 class TestConvCrossCheck:
-    @pytest.mark.parametrize(
-        "cin,cout,k,stride,pad,size",
-        [
-            (1, 1, 3, 1, 1, 5),
-            (2, 3, 3, 1, 0, 6),
-            (3, 2, 2, 2, 0, 6),
-            (2, 4, 3, 2, 1, 7),
-            (1, 1, 1, 1, 0, 4),
-        ],
-    )
+    @pytest.mark.parametrize("cin,cout,k,stride,pad,size", CONV_GEOMETRIES)
     def test_matches_naive(self, cin, cout, k, stride, pad, size):
         rng = np.random.default_rng(hash((cin, cout, k, stride, pad)) % 2**32)
         conv = Conv2d(cin, cout, k, np.random.default_rng(0), stride=stride, padding=pad)
@@ -73,18 +117,22 @@ class TestConvCrossCheck:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_matches_naive_random_geometry(self, seed):
-        rng = np.random.default_rng(seed)
-        cin = int(rng.integers(1, 4))
-        cout = int(rng.integers(1, 4))
-        k = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 3))
-        pad = int(rng.integers(0, 2))
-        size = int(rng.integers(k + stride, k + stride + 4))
-        conv = Conv2d(cin, cout, k, np.random.default_rng(seed), stride=stride, padding=pad)
-        x = rng.normal(size=(1, cin, size, size))
+        conv, x = random_conv_geometry(seed)
         fast = conv.forward(x, train=False)
-        slow = naive_conv2d(x, conv.params["W"], conv.params.get("b"), stride, pad)
+        slow = naive_conv2d(x, conv.params["W"], conv.params.get("b"), conv.stride, conv.padding)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
+
+    @pytest.mark.parametrize("cin,cout,k,stride,pad,size", CONV_GEOMETRIES)
+    def test_backward_matches_naive(self, cin, cout, k, stride, pad, size):
+        rng = np.random.default_rng([cin, cout, k, stride, pad, size])
+        conv = Conv2d(cin, cout, k, np.random.default_rng(0), stride=stride, padding=pad)
+        assert_backward_matches_naive(conv, rng.normal(size=(2, cin, size, size)), rng)
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_backward_matches_naive_random_geometry(self, seed):
+        conv, x = random_conv_geometry(seed)
+        assert_backward_matches_naive(conv, x, np.random.default_rng(seed + 1))
 
     def test_maxpool_matches_naive(self):
         rng = np.random.default_rng(0)

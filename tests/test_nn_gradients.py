@@ -114,6 +114,11 @@ class TestLayerGradients:
         m = Conv2d(2, 2, 2, np.random.default_rng(0), stride=2, padding=0)
         _check_module(m, RNG.normal(size=(2, 2, 4, 4)))
 
+    def test_conv2d_downsampling_block_geometry(self):
+        # BasicBlock's first conv when a stage halves the resolution
+        m = Conv2d(2, 3, 3, np.random.default_rng(0), stride=2, padding=1)
+        _check_module(m, RNG.normal(size=(2, 2, 4, 4)))
+
     def test_maxpool(self):
         x = RNG.normal(size=(2, 2, 4, 4)) * 3  # well-separated values: no ties
         _check_module(MaxPool2d(2), x)

@@ -6,13 +6,21 @@ import numpy as np
 import pytest
 
 from repro.nn import (
+    AvgPool2d,
+    BasicBlock,
     BatchNorm2d,
+    Conv2d,
     CrossEntropyLoss,
     Dense,
     Dropout,
+    Flatten,
+    GlobalAvgPool2d,
     GroupNorm,
+    LayerNorm,
+    MaxPool2d,
     MODEL_REGISTRY,
     MomentumInjectedSGD,
+    ReLU,
     SGD,
     Sequential,
     build_model,
@@ -28,6 +36,21 @@ from repro.nn.functional import accuracy, log_softmax, one_hot, per_class_accura
 from repro.utils import flatten_params, unflatten_params
 
 RNG = np.random.default_rng(0)
+
+# every module that caches for backward: (factory, input shape)
+CACHING_MODULES = {
+    "Dense": (lambda: Dense(3, 2, np.random.default_rng(0)), (4, 3)),
+    "ReLU": (ReLU, (4, 3)),
+    "Flatten": (Flatten, (4, 2, 3, 3)),
+    "Conv2d": (lambda: Conv2d(2, 3, 3, np.random.default_rng(0), padding=1), (4, 2, 5, 5)),
+    "MaxPool2d": (lambda: MaxPool2d(2), (4, 2, 4, 4)),
+    "AvgPool2d": (lambda: AvgPool2d(2), (4, 2, 4, 4)),
+    "GlobalAvgPool2d": (GlobalAvgPool2d, (4, 2, 4, 4)),
+    "GroupNorm": (lambda: GroupNorm(2, 4), (4, 4, 3, 3)),
+    "BatchNorm2d": (lambda: BatchNorm2d(2), (4, 2, 3, 3)),
+    "LayerNorm": (lambda: LayerNorm(5), (4, 5)),
+    "BasicBlock": (lambda: BasicBlock(2, 4, np.random.default_rng(0), stride=2), (4, 2, 4, 4)),
+}
 
 
 class TestFunctional:
@@ -105,6 +128,23 @@ class TestModuleStateManagement:
         m = Dense(3, 2, np.random.default_rng(0))
         with pytest.raises(RuntimeError):
             m.backward(np.zeros((1, 2)))
+
+    def test_conv_kernel_larger_than_padded_input_raises(self):
+        m = Conv2d(1, 1, 5, np.random.default_rng(0), padding=1)
+        with pytest.raises(ValueError, match="exceeds"):
+            m.forward(np.zeros((2, 1, 2, 6)))
+
+    @pytest.mark.parametrize("name", sorted(CACHING_MODULES))
+    def test_eval_forward_clears_backward_cache(self, name):
+        # an eval forward must not leave the previous train batch behind
+        # for backward to differentiate
+        make, shape = CACHING_MODULES[name]
+        m = make()
+        x = RNG.normal(size=shape)
+        out = m.forward(x, train=True)
+        m.forward(x, train=False)
+        with pytest.raises(RuntimeError):
+            m.backward(np.ones_like(out))
 
 
 class TestNorms:
