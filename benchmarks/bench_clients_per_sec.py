@@ -4,13 +4,12 @@ Two legs, one committed results file:
 
 **Event-core control plane** — real 1k/10k/100k-client populations driven
 end-to-end through :class:`~repro.runtime.AsyncFederatedSimulation` (one
-sample per client, a linear model, lognormal latencies), scalar
-per-dispatch planning vs the vectorized ``fast_path`` (incremental
-:class:`~repro.runtime.IdleTracker`, ``LatencyModel.sample_many`` batched
-draws, ``VirtualClock.push_many`` burst insertion).  A
-:class:`~repro.observe.HotPathProfiler` rides every run, and the committed
-results include its per-phase breakdown — *where* each dispatch's wall
-time went, not just how many happened per second.
+sample per client, a linear model, lognormal latencies) and its one
+dispatch planner (incremental :class:`~repro.runtime.IdleTracker`,
+``LatencyModel.sample_many`` batched draws, ``VirtualClock.push_many``
+burst insertion).  A :class:`~repro.observe.HotPathProfiler` rides every
+run, and the committed results include its per-phase breakdown — *where*
+each dispatch's wall time went, not just how many happened per second.
 
 **Transports** — the PR-9 leg, unchanged in shape: the same raw job
 stream pushed through each backend configuration (``serial``,
@@ -20,10 +19,8 @@ population-scale control-plane cost (which the first leg owns).
 
 PASS/FAIL verdicts (CI surfaces regressions):
 
-* control plane — ``fast_path`` >= scalar clients/s at every size, and
-  (full run) >= 2x the PR-9 serial baseline (3396/s) at 100k clients;
-* fast-vs-scalar bit-identity — identical histories and final params on a
-  mid-sized async population;
+* control plane (full run) — >= 2x the PR-9 serial baseline (3396/s) at
+  100k clients;
 * bit-identity — batched+shm pool history == serial history, exactly;
 * throughput — ``process+shm+batch`` >= the per-job ``process`` baseline.
 
@@ -106,13 +103,13 @@ def control_plane_dataset(population: int) -> FederatedDataset:
 
 
 def run_control_plane(
-    ds: FederatedDataset, max_updates: int, fast: bool
-) -> tuple[float, HotPathProfiler, object]:
-    """One async engine run over the population; returns (rate, profiler, result).
+    ds: FederatedDataset, max_updates: int
+) -> tuple[float, HotPathProfiler]:
+    """One async engine run over the population; returns (rate, profiler).
 
     ``jitter=0`` keeps the lognormal model draw-free per dispatch (device
     speeds are memoized per client), so the measured cost is planning, not
-    RNG construction; histories stay bit-identical to ``jitter=0`` scalar.
+    RNG construction.
     """
     sim = AsyncFederatedSimulation(
         make_method("fedasync").algorithm,
@@ -123,13 +120,11 @@ def run_control_plane(
         latency_model=LognormalLatency(sigma=0.5, jitter=0.0),
         concurrency=256,
         max_updates=max_updates,
-        fast_path=fast,
     )
     profiler = HotPathProfiler()
     t0 = time.perf_counter()
-    history = sim.run(profiler=profiler)
-    rate = max_updates / (time.perf_counter() - t0)
-    return rate, profiler, (history, sim.final_params)
+    sim.run(profiler=profiler)
+    return max_updates / (time.perf_counter() - t0), profiler
 
 
 def _breakdown(label: str, profiler: HotPathProfiler) -> str:
@@ -140,67 +135,35 @@ def _breakdown(label: str, profiler: HotPathProfiler) -> str:
 
 
 def bench_control_plane(sizes: list[int], smoke: bool) -> tuple[str, bool]:
-    """Scalar vs fast-path event-core throughput over real populations."""
+    """Event-core throughput over real populations."""
     rows = []
     breakdowns = []
     ok = True
-    fast_at_max = 0.0
+    rate = 0.0
+    updates = 4_000 if smoke else 20_000
     for n in sizes:
-        ds = control_plane_dataset(n)
-        fast_updates = 4_000 if smoke else 20_000
-        # the scalar path pays O(population) per dispatch; cap its updates
-        # so the row costs seconds, not minutes (clients/s is a rate)
-        scalar_updates = min(fast_updates, max(1_000, 200_000_000 // max(n, 1)))
-        r_scalar, p_scalar, _ = run_control_plane(ds, scalar_updates, fast=False)
-        r_fast, p_fast, _ = run_control_plane(ds, fast_updates, fast=True)
-        ok = ok and r_fast >= r_scalar
-        fast_at_max = r_fast
-        rows.append([n, scalar_updates, fast_updates, r_scalar, r_fast,
-                     r_fast / r_scalar])
-        breakdowns.append(_breakdown(f"scalar  n={n}", p_scalar))
-        breakdowns.append(_breakdown(f"fast    n={n}", p_fast))
+        rate, profiler = run_control_plane(control_plane_dataset(n), updates)
+        rows.append([n, updates, f"{rate:.0f}"])
+        breakdowns.append(_breakdown(f"n={n}", profiler))
 
     table = format_table(
         "event-core control plane (fedasync, linear model, 1 sample/client, "
         "concurrency=256)",
-        ["clients", "scalar_upd", "fast_upd", "scalar/s", "fast/s", "speedup"],
-        [[n, su, fu, f"{a:.0f}", f"{b:.0f}", f"{s:.1f}x"]
-         for n, su, fu, a, b, s in rows],
+        ["clients", "updates", "clients/s"],
+        rows,
     )
     lines = [table, "", "profile breakdown (per-phase share of wall time):"]
     lines += breakdowns
 
-    verdicts = [f"fast_path >= scalar clients/s at every size: "
-                f"{'PASS' if ok else 'FAIL'}"]
     if not smoke and sizes and sizes[-1] >= 100_000:
-        gate = fast_at_max >= 2.0 * PR9_SERIAL_BASELINE
-        ok = ok and gate
-        verdicts.append(
-            f"fast_path >= 2x PR-9 serial baseline "
+        ok = rate >= 2.0 * PR9_SERIAL_BASELINE
+        lines += [
+            "",
+            f"control plane >= 2x PR-9 serial baseline "
             f"({PR9_SERIAL_BASELINE:.0f}/s) at {sizes[-1]} clients: "
-            f"{'PASS' if gate else 'FAIL'} ({fast_at_max:.0f}/s)"
-        )
-    return "\n".join(lines + [""] + verdicts), ok
-
-
-def fast_scalar_identity_leg() -> tuple[str, bool]:
-    """fast_path histories == scalar histories on a mid-sized population."""
-    ds = control_plane_dataset(2_000)
-    _, _, (h_fast, x_fast) = run_control_plane(ds, 1_000, fast=True)
-    _, _, (h_scalar, x_scalar) = run_control_plane(ds, 1_000, fast=False)
-    same = bool(
-        np.array_equal(h_fast.accuracy, h_scalar.accuracy, equal_nan=True)
-        and np.array_equal(x_fast, x_scalar)
-        and [r.virtual_time for r in h_fast.records]
-        == [r.virtual_time for r in h_scalar.records]
-        and [r.staleness for r in h_fast.records]
-        == [r.staleness for r in h_scalar.records]
-    )
-    verdict = (
-        "fast_path vs scalar bit-identity (fedasync, 2k clients): "
-        f"{'PASS' if same else 'FAIL'}"
-    )
-    return verdict, same
+            f"{'PASS' if ok else 'FAIL'} ({rate:.0f}/s)",
+        ]
+    return "\n".join(lines), ok
 
 
 def problem_spec(seed: int = 0) -> ExperimentSpec:
@@ -402,7 +365,6 @@ def main(argv: list[str] | None = None) -> int:
     spec = problem_spec()
     sizes = [1_000] if args.smoke else [1_000, 10_000, 100_000]
     ctrl_text, ctrl_ok = bench_control_plane(sizes, smoke=args.smoke)
-    fast_verdict, fast_ok = fast_scalar_identity_leg()
     table, throughput_ok = bench_sizes(spec, sizes,
                                        include_remote=not args.smoke)
     identity_verdict, identity_ok = bit_identity_leg()
@@ -414,8 +376,7 @@ def main(argv: list[str] | None = None) -> int:
             "serial stays the throughput ceiling here by construction"
         )
     verdict = (
-        fast_verdict
-        + "\nbatched+shm pool >= per-job pool throughput: "
+        "batched+shm pool >= per-job pool throughput: "
         f"{'PASS' if throughput_ok else 'FAIL'}"
         "\n" + identity_verdict
     )
@@ -425,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         ctrl_text + "\n\n" + table + "\n\n"
         + ("\n".join(notes) + "\n\n" if notes else "") + verdict,
     )
-    return 0 if (ctrl_ok and fast_ok and throughput_ok and identity_ok) else 1
+    return 0 if (ctrl_ok and throughput_ok and identity_ok) else 1
 
 
 if __name__ == "__main__":

@@ -221,13 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "backend eagerly (default; overlaps compute with "
                             "event processing) or --no-streaming for lazy "
                             "batches — histories are bit-identical either way")
-        p.add_argument("--fast-path", action=argparse.BooleanOptionalAction,
-                       default=_SUPPRESS,
-                       help="async dispatch planning: vectorized control plane "
-                            "(default; incremental idle tracking, batched "
-                            "latency draws and heap inserts) or "
-                            "--no-fast-path for the scalar per-dispatch loop "
-                            "— histories are bit-identical either way")
 
     def add_outputs(p: argparse.ArgumentParser, timed: bool) -> None:
         if timed:
@@ -393,7 +386,6 @@ _ASYNC_MAP = (
     ("shared_memory", "runtime.shared_memory"),
     ("buffer_ema", "runtime.buffer_ema"),
     ("streaming", "runtime.streaming"),
-    ("fast_path", "runtime.fast_path"),
     ("sampler", "runtime.sampler"),
 )
 

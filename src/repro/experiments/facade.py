@@ -41,7 +41,6 @@ from repro.runtime import (
     TimeAwareSampler,
     make_latency_model,
     make_sampler,
-    resolve_fast_path,
 )
 from repro.simulation import FLConfig, FederatedSimulation, History
 
@@ -315,10 +314,9 @@ def build(spec: ExperimentSpec):
         algo_builder=algo_builder,
         sampler=_build_sampler(spec, timed=True),
         buffer_ema=rt.buffer_ema,
-        # spec-driven runs opt into the REPRO_STREAMING / REPRO_FAST_PATH
-        # environment defaults, mirroring the backend resolution above
+        # spec-driven runs opt into the REPRO_STREAMING environment
+        # default, mirroring the backend resolution above
         streaming=resolve_streaming(rt.streaming, env=True),
-        fast_path=resolve_fast_path(rt.fast_path, env=True),
         loss_builder=loss_builder,
         sampler_builder=sampler_builder,
     )
@@ -382,6 +380,11 @@ def resume_run(
     event loop; determinism makes the final history bit-identical to the
     uninterrupted run.  With ``record=True`` (default) the resumed leg
     appends to the same journal.
+
+    Raises:
+        FileNotFoundError: the run directory holds no snapshot.
+        ValueError: the snapshot was written under another
+            ``SNAPSHOT_SCHEMA_VERSION``; the run directory is left untouched.
     """
     import os
 
@@ -392,14 +395,17 @@ def resume_run(
         load_snapshot,
     )
 
-    spec = ExperimentSpec.load(os.path.join(run_dir, "spec.json"))
     snap_path = latest_snapshot(run_dir)
     if snap_path is None:
         raise FileNotFoundError(
             f"no snapshots under {run_dir!r}; was the run recorded "
             "(runtime.record=True)?"
         )
+    # the snapshot's schema check runs first: a run directory from another
+    # version is refused before its spec is parsed (older specs may carry
+    # retired keys), before a pool is built and before the journal is opened
     snap = load_snapshot(snap_path)
+    spec = ExperimentSpec.load(os.path.join(run_dir, "spec.json"))
     engine = build(spec)
     recorder = RunRecorder(run_dir) if record else None
     profiler = HotPathProfiler() if record else None

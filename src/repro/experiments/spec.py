@@ -72,11 +72,11 @@ KIND_FORBIDDEN_KNOBS: dict[str, tuple[str, ...]] = {
     "sync": (
         "latency", "price_comm", "deadline", "adaptive_deadline",
         "late_weight", "late_policy", "concurrency", "staleness_budget",
-        "max_updates", "buffer_ema", "streaming", "fast_path",
+        "max_updates", "buffer_ema", "streaming",
     ),
     "semisync": (
         "concurrency", "staleness_budget", "max_updates", "buffer_ema",
-        "streaming", "fast_path",
+        "streaming",
     ),
     "fedasync": ("deadline", "adaptive_deadline", "late_weight", "late_policy"),
     "fedbuff": ("deadline", "adaptive_deadline", "late_weight", "late_policy"),
@@ -255,15 +255,6 @@ class RuntimeSpec:
             knob only trades wall-clock overlap), and the serial backend
             always uses the lazy-batch path; round engines (sync/semisync)
             submit whole cohorts regardless, so the knob is async-only.
-        fast_path: async dispatch planning — True (the resolved default)
-            routes dispatch bursts through the vectorized control plane
-            (incremental idle tracking, batched latency draws, batched heap
-            insertion), False keeps the scalar per-dispatch loop, None
-            resolves via the ``REPRO_FAST_PATH`` environment variable, else
-            on.  Histories are bit-identical either way (pinned by
-            ``tests/test_fastpath.py``); the knob is a debugging opt-out.
-            Round engines vectorize their cohort paths unconditionally, so
-            like ``streaming`` the knob is async-only.
         record: attach a :class:`~repro.observe.RunRecorder`: every typed
             event becomes a ``journal.jsonl`` record under ``run_dir`` and
             round boundaries snapshot resumable state (valid for every
@@ -292,7 +283,6 @@ class RuntimeSpec:
     shared_memory: bool | None = None
     buffer_ema: str = "fixed"
     streaming: bool | None = None
-    fast_path: bool | None = None
     record: bool = False
     run_dir: str | None = None
 
@@ -438,7 +428,6 @@ class RuntimeSpec:
             "max_updates": self.max_updates is not None,
             "buffer_ema": self.buffer_ema != "fixed",
             "streaming": self.streaming is not None,
-            "fast_path": self.fast_path is not None,
         }
         bad = [k for k in KIND_FORBIDDEN_KNOBS[self.kind] if set_knobs[k]]
         if bad:

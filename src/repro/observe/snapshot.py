@@ -43,7 +43,7 @@ __all__ = [
     "model_hash",
 ]
 
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
 # plain functions/methods never carry run state and often don't pickle
 # (lambdas, closures over builders); callable *objects* — samplers,
@@ -125,11 +125,7 @@ def restore_core(core, snap: dict) -> None:
     run on the fresh objects, so every attribute the snapshot carries simply
     overwrites its just-initialized counterpart.
     """
-    if snap.get("schema") != SNAPSHOT_SCHEMA_VERSION:
-        raise ValueError(
-            f"snapshot schema {snap.get('schema')!r} != "
-            f"{SNAPSHOT_SCHEMA_VERSION} (incompatible repro version?)"
-        )
+    _check_schema(snap)
     from repro.runtime.clock import VirtualClock
 
     core.x = snap["x"].copy()
@@ -160,9 +156,21 @@ def save_snapshot(path: str, snap: dict) -> None:
         pickle.dump(snap, f, protocol=pickle.HIGHEST_PROTOCOL)
 
 
+def _check_schema(snap: dict) -> None:
+    """Refuse a snapshot written under another ``SNAPSHOT_SCHEMA_VERSION``."""
+    if snap.get("schema") != SNAPSHOT_SCHEMA_VERSION:
+        raise ValueError(
+            f"snapshot schema {snap.get('schema')!r} != "
+            f"{SNAPSHOT_SCHEMA_VERSION} (incompatible repro version?)"
+        )
+
+
 def load_snapshot(path: str) -> dict:
+    """Read a snapshot, refusing one from another schema version."""
     with open(path, "rb") as f:
-        return pickle.load(f)
+        snap = pickle.load(f)
+    _check_schema(snap)
+    return snap
 
 
 def latest_snapshot(run_dir: str) -> str | None:

@@ -3,12 +3,11 @@
 :mod:`repro.parallel.backend` is the pluggable execution layer every engine
 speaks — the :class:`ClientJob` -> :class:`ClientResult` contract, handed
 over through the streaming ``submit(job) -> JobHandle`` /
-``collect(handles)`` interface (``submit_many`` batches the hand-off,
-``run_jobs`` remains as a batch shim); :mod:`repro.parallel.shm` publishes
-broadcast arrays into shared memory so pool jobs ship descriptors instead
-of payloads; :mod:`repro.parallel.pool` keeps the lower-level fork-pool
-primitives (:func:`parallel_map`, the per-round
-:class:`ParallelClientRunner`).
+``collect(handles)`` interface (``submit_many`` batches the hand-off);
+:mod:`repro.parallel.shm` publishes broadcast arrays into shared memory so
+pool jobs ship descriptors instead of payloads; :mod:`repro.parallel.pool`
+keeps the lower-level fork-pool primitives (:func:`parallel_map`,
+:func:`resolve_workers`).
 """
 
 from repro.parallel.backend import (
@@ -29,7 +28,7 @@ from repro.parallel.backend import (
     resolve_shared_memory,
     resolve_streaming,
 )
-from repro.parallel.pool import ParallelClientRunner, parallel_map, resolve_workers
+from repro.parallel.pool import parallel_map, resolve_workers
 from repro.parallel.shm import ArrayRef, BroadcastStore, resolve_job_refs
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "execute_job",
     "execute_client_job",
     "build_job_runtime",
-    "ParallelClientRunner",
     "parallel_map",
     "resolve_workers",
 ]

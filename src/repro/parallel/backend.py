@@ -37,12 +37,8 @@ worker compute with its own event processing::
     pairs  = backend.collect([handle, ...],   # [(handle, result), ...]
                              block=True)      # block=False: only the ready ones
 
-:meth:`ExecutionBackend.run_jobs` remains as a batch compatibility shim on
-the base class (submit everything, collect in submit order).  Third-party
-backends that only override ``run_jobs`` keep working through a base-class
-fallback — submits queue up and the first blocking collect runs them as one
-batch — but draw a :class:`DeprecationWarning`: implement ``submit`` /
-``collect`` instead.
+Every backend implements ``submit`` and ``collect``; ``submit_many`` batches
+the hand-off for transports that pay per call.
 
 Because jobs are pure, the three implementations are interchangeable and
 bit-identical (``tests/test_backends.py`` pins this across all four engine
@@ -313,11 +309,7 @@ class ExecutionBackend:
     :meth:`close` (or use the backend as a context manager).  :meth:`map`
     needs no binding and is usable stand-alone for sweeps.
 
-    Subclasses implement :meth:`submit` and :meth:`collect`;
-    :meth:`run_jobs` is a batch compatibility shim over them.  Legacy
-    subclasses that only override ``run_jobs`` keep working — the base
-    ``submit`` queues jobs and the first blocking ``collect`` runs them as
-    one batch — but draw a :class:`DeprecationWarning`.
+    Subclasses implement :meth:`submit` and :meth:`collect`.
 
     Attributes:
         shares_state: True when jobs run against the engine's *live*
@@ -338,7 +330,6 @@ class ExecutionBackend:
     # class-level defaults so subclasses need not call super().__init__();
     # the first mutation creates the instance attribute
     _handle_seq = 0
-    _warned_legacy = False
 
     def bind(
         self,
@@ -359,28 +350,8 @@ class ExecutionBackend:
         moment the job is accepted, so ``queue_wait_s`` measures real
         queueing — unless the caller stamped an earlier anchor already
         (a policy measuring from dispatch time).
-
-        Base-class behavior is the legacy fallback: jobs queue up and the
-        first blocking :meth:`collect` pushes them through the subclass's
-        ``run_jobs`` as one batch.
         """
-        if type(self).run_jobs is ExecutionBackend.run_jobs:
-            raise NotImplementedError(
-                f"{type(self).__name__} implements neither submit()/collect() "
-                "nor run_jobs()"
-            )
-        if not self._warned_legacy:
-            self._warned_legacy = True
-            warnings.warn(
-                f"{type(self).__name__} only overrides run_jobs(); the batch "
-                "API is deprecated — implement submit()/collect() (jobs will "
-                "run as one batch at the first blocking collect)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        handle = self._make_handle(self._stamp(job))
-        self._legacy_pending[handle] = handle.job
-        return handle
+        raise NotImplementedError(f"{type(self).__name__} does not implement submit()")
 
     def submit_many(self, jobs: Sequence[ClientJob]) -> list[JobHandle]:
         """Hand a batch of jobs over in one call; handles in job order.
@@ -408,33 +379,13 @@ class ExecutionBackend:
             block: wait for every requested job (the default); ``False``
                 returns only the ones already finished.
 
-        Base-class behavior (legacy fallback): a blocking collect runs all
-        queued jobs through ``run_jobs`` first; a non-blocking one returns
-        only results computed by an earlier blocking call.  These
-        non-blocking semantics are pinned (``tests/test_scaling.py``):
-        ``collect(block=False)`` *never* starts work — on a legacy backend
-        it returns ``[]`` until a blocking collect has run the batch, and
-        it never raises on a handle that is unknown, still queued, or
-        already collected (only ``block=True`` raises ``KeyError`` for an
-        unknown/already-collected handle).  Batched backends must keep the
-        same contract: a non-blocking collect reports finished work only.
+        Every backend keeps one non-blocking contract, pinned per backend by
+        ``tests/test_scaling.py``: ``collect(block=False)`` reports finished
+        work only and never raises on a handle that is unknown, still
+        running, or already collected (only ``block=True`` raises
+        ``KeyError`` for an unknown/already-collected handle).
         """
-        if block and self._legacy_pending:
-            pending = self._legacy_pending
-            results = self.run_jobs(list(pending.values()))
-            self._legacy_done.update(zip(list(pending), results))
-            pending.clear()
-        return self._take(self._legacy_done, handles, block)
-
-    def run_jobs(self, jobs: Sequence[ClientJob]) -> list[ClientResult]:
-        """Batch compatibility shim: submit every job, collect in order.
-
-        Engines call :meth:`submit` / :meth:`collect` directly; this remains
-        for callers that genuinely want batch semantics (round cohorts,
-        tests) and for source compatibility with pre-streaming code.
-        """
-        handles = [self.submit(job) for job in jobs]
-        return [res for _, res in self.collect(handles, block=True)]
+        raise NotImplementedError(f"{type(self).__name__} does not implement collect()")
 
     # -- helpers shared by implementations -----------------------------------
     def _make_handle(self, job: ClientJob) -> JobHandle:
@@ -461,14 +412,6 @@ class ExecutionBackend:
             elif block:
                 raise KeyError(f"unknown or already-collected handle {h!r}")
         return out
-
-    @property
-    def _legacy_pending(self) -> dict:
-        return self.__dict__.setdefault("_legacy_pending_jobs", {})
-
-    @property
-    def _legacy_done(self) -> dict:
-        return self.__dict__.setdefault("_legacy_done_jobs", {})
 
     def map(self, fn: Callable, items: list) -> list:
         """Order-preserving parallel map over coarse-grained items."""
@@ -606,10 +549,10 @@ def _pool_worker_run_payload(payload: bytes) -> list[ClientResult]:
 class ProcessPoolBackend(ExecutionBackend):
     """Fork-based process pool speaking the full job contract.
 
-    The rework of the old ``ParallelClientRunner.run_jobs`` path: workers
-    now accept and return packed state and buffer dicts, so stateful
+    Workers accept and return packed state and buffer dicts, so stateful
     methods (SCAFFOLD, FedDyn) and BatchNorm buffer tracking run under the
-    pool with results bit-identical to the serial backend.
+    pool with results bit-identical to the serial backend.  ``submit`` is
+    an asynchronous hand-off (``Pool.apply_async``).
 
     Two transport optimizations, both off by default and both identity-
     preserving (jobs are stamped from dispatch-time state before they reach

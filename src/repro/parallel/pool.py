@@ -1,23 +1,12 @@
-"""Process-pool client execution.
+"""Fork-pool primitives below the execution-backend layer.
 
-FL client updates within a round are embarrassingly parallel — the paper's
-4-GPU workstation trains clients concurrently; we mirror that with a
-fork-based process pool.  Each worker process lazily builds its own model
-replica (models are not picklable across processes cheaply, and must not be
-shared), so the pool amortises construction across rounds.
+* :func:`parallel_map` — an order-preserving fork-pool map over
+  coarse-grained jobs (whole federated runs in a parameter sweep).
+* :func:`resolve_workers` — the worker-count resolution every pool shares:
+  explicit argument, else ``REPRO_MAX_WORKERS``, else the capped CPU count.
 
-Determinism: client RNG streams are derived from ``(seed, round, client)``
-(see :meth:`repro.simulation.SimulationContext.client_rng`), so results are
-identical regardless of scheduling order or worker count — verified by
-``tests/test_parallel.py``.
-
-Note: this runner ships only broadcast attributes; per-client state and
-model buffers do not travel with its jobs, so it remains limited to
-stateless-per-client algorithms.  The engines no longer use it — they speak
-the richer :class:`repro.parallel.backend.ClientJob` contract through
-:class:`~repro.parallel.backend.ProcessPoolBackend`, which carries packed
-client state and buffer dicts and therefore runs SCAFFOLD/FedDyn and
-BatchNorm models bit-identically to serial execution.
+Client updates run through :class:`repro.parallel.backend.ProcessPoolBackend`,
+which speaks the full :class:`~repro.parallel.backend.ClientJob` contract.
 """
 
 from __future__ import annotations
@@ -26,14 +15,7 @@ import multiprocessing as mp
 import os
 from typing import Callable
 
-import numpy as np
-
-from repro.data.registry import FederatedDataset
-from repro.simulation.config import FLConfig
-from repro.simulation.context import SimulationContext
-from repro.simulation.engine import attach_train_loss
-
-__all__ = ["ParallelClientRunner", "parallel_map", "resolve_workers"]
+__all__ = ["parallel_map", "resolve_workers"]
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -56,104 +38,6 @@ def resolve_workers(workers: int | None = None) -> int:
             raise ValueError(f"REPRO_MAX_WORKERS must be >= 1, got {value}")
         return value
     return min(os.cpu_count() or 1, 8)
-
-# worker-global cache: (context, algorithm) built once per process
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(model_builder, dataset, config, loss_builder, sampler_builder, algo_builder):
-    ctx = SimulationContext(
-        model_builder(),
-        dataset,
-        config,
-        loss_builder=loss_builder,
-        sampler_builder=sampler_builder,
-    )
-    algo = algo_builder()
-    algo.setup(ctx)
-    _WORKER_STATE["ctx"] = ctx
-    _WORKER_STATE["algo"] = algo
-    # BatchNorm-style buffers: snapshot the replica's initial buffers so every
-    # job starts from the same state regardless of job order or worker count
-    _WORKER_STATE["buf0"] = ctx.model.get_buffers(copy=True) if ctx.model.buffers else None
-
-
-def _worker_run(args):
-    round_idx, client_id, x_global, algo_state = args
-    ctx = _WORKER_STATE["ctx"]
-    algo = _WORKER_STATE["algo"]
-    if _WORKER_STATE["buf0"] is not None:
-        ctx.model.set_buffers(_WORKER_STATE["buf0"])
-    if algo_state is not None:
-        for k, v in algo_state.items():
-            setattr(algo, k, v)
-    update = algo.client_update(ctx, round_idx, client_id, x_global)
-    return attach_train_loss(algo, update)
-
-
-class ParallelClientRunner:
-    """Run one round's client updates across worker processes.
-
-    Args:
-        model_builder: zero-arg callable creating a model replica.
-        dataset / config: the shared problem definition.
-        algo_builder: zero-arg callable creating the algorithm (workers need
-            their own instance; per-round broadcast state is shipped via
-            ``broadcast_state``).
-        loss_builder / sampler_builder: per-client factories.
-        workers: process count (default: ``REPRO_MAX_WORKERS`` env var,
-            falling back to CPU count capped at 8).
-    """
-
-    def __init__(
-        self,
-        model_builder: Callable,
-        dataset: FederatedDataset,
-        config: FLConfig,
-        algo_builder: Callable,
-        loss_builder=None,
-        sampler_builder=None,
-        workers: int | None = None,
-    ) -> None:
-        self.workers = resolve_workers(workers)
-        ctx_builder = (
-            model_builder,
-            dataset,
-            config,
-            loss_builder,
-            sampler_builder,
-            algo_builder,
-        )
-        self._pool = mp.get_context("fork").Pool(
-            processes=self.workers, initializer=_worker_init, initargs=ctx_builder
-        )
-
-    def run_round(
-        self,
-        round_idx: int,
-        selected: np.ndarray,
-        x_global: np.ndarray,
-        broadcast_state: dict | None = None,
-    ) -> list:
-        """Execute the selected clients' updates in parallel.
-
-        Args:
-            broadcast_state: attribute dict applied to each worker's
-                algorithm before the update (e.g. FedCM's ``_delta`` or
-                FedWCM's ``momentum``).
-        """
-        jobs = [(round_idx, int(k), x_global, broadcast_state) for k in selected]
-        return self._pool.map(_worker_run, jobs)
-
-    def close(self) -> None:
-        self._pool.close()
-        self._pool.join()
-
-    def __enter__(self) -> "ParallelClientRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def _indexed_apply(args):

@@ -51,7 +51,7 @@ from repro.runtime.clock import (
     make_latency_model,
 )
 from repro.runtime.async_engine import AsyncFederatedSimulation
-from repro.runtime.fastpath import IdleTracker, resolve_fast_path
+from repro.runtime.fastpath import IdleTracker
 from repro.runtime.scheduling import (
     ConcurrencyController,
     DeadlineController,
@@ -96,7 +96,6 @@ __all__ = [
     "LATENCY_MODELS",
     "make_latency_model",
     "IdleTracker",
-    "resolve_fast_path",
     "AsyncFederatedSimulation",
     "SemiSyncFederatedSimulation",
     "TimedRoundRecord",

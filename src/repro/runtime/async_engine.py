@@ -29,8 +29,9 @@ and buffer dicts, stateful methods (SCAFFOLD, FedDyn via
 :class:`~repro.algorithms.AsyncAdapter`) and BatchNorm buffer tracking
 work on *every* backend.
 
-The loop itself lives in :class:`repro.runtime.events.AsyncPolicy`; this
-class is the construction-and-validation facade.  Beyond plain FedAsync /
+The loop itself lives in :class:`repro.runtime.events.AsyncPolicy`, whose
+single dispatch planner picks idle clients in O(log N) at any population
+size; this class is the construction-and-validation facade.  Beyond plain FedAsync /
 FedBuff it supports
 
 * *stateful per-client methods* — algorithms declaring
@@ -65,7 +66,6 @@ from repro.parallel.backend import (
 )
 from repro.runtime.clock import ConstantLatency, LatencyModel
 from repro.runtime.events import BUFFER_EMA_MODES, AsyncPolicy, EventCore
-from repro.runtime.fastpath import resolve_fast_path
 from repro.runtime.scheduling import ConcurrencyController, resolve_auto_comm
 from repro.simulation.config import FLConfig, resolve_lr_schedule
 from repro.simulation.context import SimulationContext
@@ -119,12 +119,6 @@ class AsyncFederatedSimulation:
             to the default.  Histories are bit-identical either way — the
             knob only trades wall-clock overlap — and the serial backend
             always uses the lazy-batch path.
-        fast_path: route dispatch bursts through the vectorized control
-            plane — incremental idle tracking, batched latency draws,
-            batched heap insertion (True, the default); False keeps the
-            scalar per-dispatch loop; None resolves to the default.
-            Histories are bit-identical either way (pinned by
-            ``tests/test_fastpath.py``) — the knob is a debugging opt-out.
         loss_builder / sampler_builder / metric_hooks: as the sync engine.
 
     Notes:
@@ -150,7 +144,6 @@ class AsyncFederatedSimulation:
         sampler=None,
         buffer_ema: str = "fixed",
         streaming: bool | None = None,
-        fast_path: bool | None = None,
         loss_builder=None,
         sampler_builder=None,
         metric_hooks: Sequence = (),
@@ -195,7 +188,6 @@ class AsyncFederatedSimulation:
             raise ValueError(f"max_updates must be >= 1, got {self.max_updates}")
         self.buffer_ema = buffer_ema
         self.streaming = resolve_streaming(streaming)
-        self.fast_path = resolve_fast_path(fast_path)
         self._workers = workers
         self.backend_name, self._backend, self._algo_builder = prepare_engine_backend(
             backend, workers, algorithm, model_builder, algo_builder
@@ -238,7 +230,6 @@ class AsyncFederatedSimulation:
             sampler=self.sampler,
             buffer_ema=self.buffer_ema,
             streaming=self.streaming,
-            fast_path=self.fast_path,
         )
         core = EventCore(
             self.ctx, self.algorithm, policy, metric_hooks=self.metric_hooks,

@@ -328,9 +328,7 @@ class LognormalLatency(LatencyModel):
         the ``sigma == 0`` shortcut returns the same 1.0 the draw's
         ``exp(0 * z)`` would.
         """
-        cache = getattr(self, "_speed_cache", None)
-        if cache is None:  # instances unpickled from pre-cache snapshots
-            cache = self._speed_cache = {}
+        cache = self._speed_cache
         s = cache.get(client_id)
         if s is None:
             if self.sigma == 0.0:

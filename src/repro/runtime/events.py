@@ -845,6 +845,11 @@ class AsyncPolicy:
     Because the job inputs are identical either way and results always
     apply in virtual-time completion order, the two paths produce
     bit-identical histories (``tests/test_backends.py`` pins this).
+
+    Dispatch planning: the prime and every refill burst go through
+    :meth:`_dispatch_many`.  The idle set is an
+    :class:`~repro.runtime.fastpath.IdleTracker` holding per-client
+    in-flight counts, so a pick costs O(log N) at any population size.
     """
 
     uses_state_store = True
@@ -859,7 +864,6 @@ class AsyncPolicy:
         sampler=None,
         buffer_ema: str = "fixed",
         streaming: bool = True,
-        fast_path: bool = True,
     ) -> None:
         if buffer_ema not in BUFFER_EMA_MODES:
             raise ValueError(
@@ -873,17 +877,6 @@ class AsyncPolicy:
         self.sampler = sampler
         self.buffer_ema = buffer_ema
         self.streaming = bool(streaming)
-        #: vectorized dispatch planning (idle tracker + batched latency
-        #: draws + batched heap insertion); bit-identical to the scalar
-        #: per-dispatch path, so on by default — the knob is a debugging
-        #: opt-out (runtime.fast_path / REPRO_FAST_PATH)
-        self.fast_path = bool(fast_path)
-        # set here as well as in begin() so resumed runs (begin is skipped;
-        # pre-streaming snapshots carry neither attribute) stay runnable
-        self._handles: dict[int, object] = {}
-        self._jobs: dict[int, ClientJob] = {}
-        self._burst: list[tuple[int, ClientJob]] = []
-        self._tracker: IdleTracker | None = None
 
     # -- lifecycle -----------------------------------------------------------
     def begin(self, core: EventCore) -> None:
@@ -897,9 +890,8 @@ class AsyncPolicy:
         self._in_flight: dict[int, Dispatch] = {}
         self._pending: list[Dispatch] = []
         self._results: dict[int, tuple] = {}
-        self._handles = {}
-        self._jobs = {}
-        self._busy: dict[int, int] = {}
+        self._handles: dict[int, object] = {}
+        self._jobs: dict[int, ClientJob] = {}
         self._state = {"dispatched": 0, "version": 0, "applied": 0}
         self._completed = 0
         self._round_idx = 0
@@ -910,10 +902,10 @@ class AsyncPolicy:
         # every job through the contract (so it works on every backend)
         buf0 = ctx.model.get_buffers(copy=True) if ctx.model.buffers else None
         self._buffers = buf0
-        self._burst = []
-        self._tracker = IdleTracker(ctx.num_clients) if self.fast_path else None
+        self._burst: list[tuple[int, ClientJob]] = []
+        self._tracker = IdleTracker(ctx.num_clients)
         self._t0 = time.perf_counter()
-        self._issue(core, min(self.concurrency, self.max_updates))
+        self._dispatch_many(core, min(self.concurrency, self.max_updates))
         self._submit_burst(core)
 
     def finish(self, core: EventCore) -> None:
@@ -923,48 +915,26 @@ class AsyncPolicy:
         raise TypeError("the async policy schedules no deadline ticks")
 
     # -- dispatch ------------------------------------------------------------
-    def _issue(self, core: EventCore, n: int) -> None:
-        """Issue ``n`` dispatches: one vectorized planning pass when the
-        fast path is on, else ``n`` scalar :meth:`dispatch` calls."""
+    def _dispatch_many(self, core: EventCore, n: int) -> None:
+        """Plan and issue an ``n``-dispatch burst (a no-op for ``n <= 0``).
+
+        The one dispatch planner.  Picks stay sequential — each draw must
+        see the busy marks of the ones before it — but the idle set lives in
+        an :class:`~repro.runtime.fastpath.IdleTracker`, so a uniform draw
+        is an O(log N) Fenwick rank lookup instead of an O(population)
+        idle-list rebuild; the latency draws batch through ``sample_many``
+        and the completion events enter the clock through one
+        ``push_many``.  Within a burst ``clock.now`` is frozen and state
+        snapshots are read-only, so regrouping picks/draws/hooks/pushes
+        across the burst's dispatches is unobservable in both the history
+        and the journal.  ``tests/test_fastpath.py`` pins the histories
+        bit-identical to a per-dispatch scalar loop kept as a test oracle.
+        """
         if n <= 0:
             return
-        if self.fast_path:
-            self._dispatch_many(core, n)
-        else:
-            for _ in range(n):
-                self.dispatch(core)
-
-    def _tracker_for(self, core: EventCore) -> IdleTracker:
-        """The idle tracker, rebuilt lazily from ``_busy`` when absent.
-
-        Runs resumed from snapshots that predate the fast path (and
-        policies whose ``fast_path`` was flipped after construction) land
-        here with ``_tracker`` unset; the tracker is pure densified
-        ``_busy`` state, so rebuilding it mid-run is exact.
-        """
-        tracker = getattr(self, "_tracker", None)
-        if tracker is None:
-            tracker = IdleTracker(core.ctx.num_clients, busy=self._busy)
-            self._tracker = tracker
-        return tracker
-
-    def _dispatch_many(self, core: EventCore, n: int) -> None:
-        """Vectorized dispatch planning: one pass for an ``n``-dispatch burst.
-
-        Bit-identical to ``n`` scalar :meth:`dispatch` calls (pinned by
-        ``tests/test_fastpath.py``): picks stay sequential — each draw must
-        see the busy marks of the ones before it — but the O(population)
-        idle-list rebuild becomes an O(log N) Fenwick rank lookup, the
-        latency draws batch through ``sample_many``, and the completion
-        events enter the clock through one ``push_many``.  Within a burst
-        ``clock.now`` is frozen and state snapshots are read-only, so
-        regrouping picks/draws/hooks/pushes across the burst's dispatches
-        is unobservable in both the history and the journal.
-        """
         ctx, cfg = core.ctx, core.ctx.config
-        st, busy = self._state, self._busy
+        st, tracker = self._state, self._tracker
         prof = core.profiler
-        tracker = self._tracker_for(core)
         t0 = time.perf_counter() if prof is not None else 0.0
         seq0 = st["dispatched"]
         cids: list[int] = []
@@ -974,9 +944,8 @@ class AsyncPolicy:
                 # index, so the schedule is independent of execution details
                 rng = keyed_rng(cfg.seed, 0xA7, seq0 + i)
                 if tracker.n_idle > 0:
-                    # rank draw -> j-th smallest idle id, which is exactly
-                    # what indexing the scalar path's ascending idle
-                    # comprehension returned
+                    # rank draw -> j-th smallest idle id, i.e. the draw
+                    # indexes the ascending idle-id list
                     cid = tracker.kth_idle(int(rng.integers(tracker.n_idle)))
                 else:  # concurrency exceeds the client pool
                     cid = int(rng.integers(ctx.num_clients))
@@ -986,7 +955,6 @@ class AsyncPolicy:
                     ids = np.arange(ctx.num_clients, dtype=np.int64)
                 cid = int(self.sampler.pick_next(ids, core.clock.now))
             cids.append(cid)
-            busy[cid] = busy.get(cid, 0) + 1
             tracker.mark_busy(cid)
         st["dispatched"] = seq0 + n
         if prof is not None:
@@ -1074,70 +1042,13 @@ class AsyncPolicy:
         if prof is not None:
             prof.add("job_build", time.perf_counter() - t0)
 
-    def dispatch(self, core: EventCore) -> None:
-        """Scalar single-dispatch path (``fast_path`` off; kept bit-equal
-        to :meth:`_dispatch_many` with ``n=1`` by the fast-path tests)."""
-        ctx, cfg = core.ctx, core.ctx.config
-        st, busy = self._state, self._busy
-        prof = core.profiler
-        t0 = time.perf_counter() if prof is not None else 0.0
-        avail = np.array(
-            [k for k in range(ctx.num_clients) if not busy.get(k)], dtype=np.int64
-        )
-        if avail.size == 0:  # concurrency exceeds the client pool
-            avail = np.arange(ctx.num_clients, dtype=np.int64)
-        if self.sampler is None:
-            # choose among idle clients with a stream keyed by dispatch
-            # index, so the schedule is independent of execution details
-            rng = keyed_rng(cfg.seed, 0xA7, st["dispatched"])
-            cid = int(avail[rng.integers(avail.size)])
-        else:
-            cid = int(self.sampler.pick_next(avail, core.clock.now))
-        seq = st["dispatched"]
-        st["dispatched"] += 1
-        if prof is not None:
-            t1 = time.perf_counter()
-            prof.add("pick", t1 - t0)
-            t0 = t1
-        lat = self.latency_model.latency(cid, seq)
-        if prof is not None:
-            t1 = time.perf_counter()
-            prof.add("latency", t1 - t0)
-            t0 = t1
-        d = Dispatch(
-            seq=seq, client_id=cid, round_idx=seq, issued_at=core.clock.now,
-            version=st["version"], x_ref=core.x,
-            state=core.state_store.snapshot(cid),
-            state_version=core.state_store.version(cid),
-        )
-        core.post(lat, Completion(d, float(lat)), client_id=cid)
-        self._in_flight[seq] = d
-        busy[cid] = busy.get(cid, 0) + 1
-        tracker = getattr(self, "_tracker", None)
-        if tracker is not None:
-            tracker.mark_busy(cid)
-        if prof is not None:
-            t1 = time.perf_counter()
-            prof.add("heap", t1 - t0)
-            prof.dispatches += 1
-            t0 = t1
-        job = self._make_job(core, d)
-        if self._streaming_active(core):
-            # eager hand-off: workers start computing while the event loop
-            # keeps processing; the result still applies at virtual arrival.
-            # Dispatches issued back-to-back (the begin() prime, a refill
-            # burst after a completion) accumulate and go to the backend as
-            # one submit_many at the end of the burst, so batching
-            # transports amortize a round-trip across them.
-            self._burst.append((seq, job))
-        else:
-            self._pending.append(d)
-            self._jobs[seq] = job
-        if prof is not None:
-            prof.add("job_build", time.perf_counter() - t0)
-
     def _submit_burst(self, core: EventCore) -> None:
-        """Hand the accumulated dispatch burst to the backend in one call."""
+        """Hand the accumulated dispatch burst to the backend in one call.
+
+        Streaming dispatches issued back-to-back (the prime, a refill burst)
+        go out as one ``submit_many``, so batching transports amortize a
+        round-trip across them.
+        """
         if not self._burst:
             return
         prof = core.profiler
@@ -1280,13 +1191,7 @@ class AsyncPolicy:
         cid = d.client_id
         if new_state is not None:  # commit() is a no-op for None state
             core.state_store.commit(cid, new_state, expected_version=d.state_version)
-        if self._busy.get(cid, 0) <= 1:
-            self._busy.pop(cid, None)
-        else:
-            self._busy[cid] -= 1
-        tracker = getattr(self, "_tracker", None)
-        if tracker is not None:
-            tracker.mark_idle(cid)
+        self._tracker.mark_idle(cid)
 
         tau = st["version"] - d.version
         if prof is not None:
@@ -1324,7 +1229,7 @@ class AsyncPolicy:
         # limit drops, replacements pause until the population drains.  Each
         # dispatch shrinks both headrooms by one, so the burst size is just
         # the smaller of the two — equivalent to the old per-dispatch loop.
-        self._issue(
+        self._dispatch_many(
             core,
             min(self.max_updates - st["dispatched"], limit - len(self._in_flight)),
         )

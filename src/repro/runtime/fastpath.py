@@ -1,66 +1,28 @@
-"""Vectorized control-plane helpers for the dispatch hot loop.
+"""Control-plane helpers for the dispatch hot loop.
 
-At 100k simulated clients the event core's cost is no longer client
-compute but the *planning* Python does per dispatch.  The worst offender
-was the async policy's idle-set rebuild — a comprehension over every
-client on every dispatch, O(population) work to pick one id.  This module
-holds the incremental replacements:
+At 100k simulated clients the event core's cost is not client compute but
+the *planning* Python does per dispatch.  Picking one idle client by
+rebuilding the idle list is O(population) per dispatch; this module holds
+the incremental structures the planner uses instead:
 
 * :class:`IdleTracker` — per-client in-flight counts plus a Fenwick tree
   over the idle indicator, giving O(log N) ``mark_busy`` / ``mark_idle``
   and O(log N) ``kth_idle`` rank selection.  The keystone invariant:
-  ``kth_idle(j)`` returns the j-th *smallest* idle client id, which is
-  exactly what indexing the scalar path's ascending idle comprehension
-  returned — so a uniform rank draw maps to the identical client and the
-  vectorized schedule is bit-identical to the scalar one.
+  ``kth_idle(j)`` returns the j-th *smallest* idle client id, i.e. what
+  indexing the ascending idle-id list returns — so a uniform rank draw
+  maps to the same client an O(N) comprehension would pick
+  (``tests/test_fastpath.py`` pins the async histories against such a
+  scalar planner).
 * :func:`mask_positions` — the shared busy-mask/include-mask helper the
   round policies (sync/semisync cohort paths) use instead of rebuilding
   per-round index lists with Python comprehensions.
-* :func:`resolve_fast_path` — the ``runtime.fast_path`` /
-  ``REPRO_FAST_PATH`` knob resolver, mirroring
-  :func:`repro.parallel.backend.resolve_streaming`: the fast path is on
-  by default (it is bit-identical by construction, pinned by
-  ``tests/test_fastpath.py``) and the knob exists as an opt-out for
-  debugging or for third-party policy subclasses that bypass it.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = ["IdleTracker", "mask_positions", "resolve_fast_path"]
-
-
-def resolve_fast_path(fast_path: bool | None = None, env: bool = False) -> bool:
-    """Resolve the async fast-path knob: explicit value > environment > on.
-
-    Args:
-        fast_path: an explicit True/False wins outright; None consults the
-            defaults below.
-        env: when True (spec-driven runs), an unset value falls back to the
-            ``REPRO_FAST_PATH`` environment variable (``1/true/on/yes`` or
-            ``0/false/off/no``); direct engine construction keeps env=False
-            so library behavior never depends on ambient state.
-
-    The default is on: the vectorized dispatch planner is bit-identical to
-    the scalar path for every built-in latency model and sampler.
-    """
-    if fast_path is not None:
-        return bool(fast_path)
-    if env:
-        raw = os.environ.get("REPRO_FAST_PATH", "").strip().lower()
-        if raw:
-            if raw in ("1", "true", "on", "yes"):
-                return True
-            if raw in ("0", "false", "off", "no"):
-                return False
-            raise ValueError(
-                f"REPRO_FAST_PATH must be boolean-like "
-                f"(1/0/true/false/on/off/yes/no), got {raw!r}"
-            )
-    return True
+__all__ = ["IdleTracker", "mask_positions"]
 
 
 def mask_positions(mask: np.ndarray) -> list[int]:
@@ -79,8 +41,8 @@ class IdleTracker:
     """Incrementally maintained busy mask over the client population.
 
     Keeps, per client, the number of in-flight dispatches (the async
-    policy's ``_busy`` dict, densified) and a Fenwick/binary-indexed tree
-    over the *idle* indicator, so the dispatch planner can
+    policy's only busy state) and a Fenwick/binary-indexed tree over the
+    *idle* indicator, so the dispatch planner can
 
     * count idle clients in O(1) (:attr:`n_idle`),
     * map a uniform rank draw to the j-th smallest idle client id in
@@ -89,28 +51,22 @@ class IdleTracker:
       rebuilt lazily via ``flatnonzero`` only when the mask changed since
       the last call.
 
-    The tracker is plain numpy state, so it pickles into run snapshots;
-    resumed runs from snapshots that predate it rebuild one lazily from
-    the policy's ``_busy`` dict (see ``AsyncPolicy._tracker_for``).
+    The tracker is plain numpy state, so it pickles into run snapshots.
     """
 
-    def __init__(self, num_clients: int, busy: dict[int, int] | None = None) -> None:
+    def __init__(self, num_clients: int) -> None:
         n = int(num_clients)
         if n < 1:
             raise ValueError(f"num_clients must be >= 1, got {num_clients}")
         self.n = n
         self._count = np.zeros(n, dtype=np.int64)
-        if busy:
-            for cid, c in busy.items():
-                self._count[int(cid)] = int(c)
-        idle = (self._count == 0).astype(np.int64)
-        self.n_idle = int(idle.sum())
-        # Fenwick construction from the indicator in one vectorized pass:
-        # tree[i] owns the range (i - (i & -i), i], i.e. a prefix-sum diff
-        csum = np.concatenate(([0], np.cumsum(idle)))
+        self.n_idle = n
+        # Fenwick construction over the all-idle indicator in one vectorized
+        # pass: tree[i] owns the range (i - (i & -i), i], so it holds that
+        # range's length
         idx = np.arange(1, n + 1)
         self._tree = np.zeros(n + 1, dtype=np.int64)
-        self._tree[1:] = csum[idx] - csum[idx - (idx & -idx)]
+        self._tree[1:] = idx & -idx
         self._idle_cache: np.ndarray | None = None
         self._dirty = True
 
@@ -144,9 +100,8 @@ class IdleTracker:
     def kth_idle(self, j: int) -> int:
         """The j-th smallest idle client id (0-based rank), O(log N).
 
-        Equivalent to ``sorted(idle_ids)[j]`` — and therefore to indexing
-        the scalar path's ascending idle comprehension — without ever
-        materializing the list.
+        Equivalent to ``sorted(idle_ids)[j]`` without ever materializing
+        the list.
         """
         if not 0 <= j < self.n_idle:
             raise IndexError(f"rank {j} out of range for {self.n_idle} idle clients")

@@ -309,9 +309,7 @@ class TimeAwareSampler:
             self._bump_estimates()
 
     def _bump_estimates(self) -> None:
-        # getattr: sampler instances can ride in snapshots pickled before
-        # the version counter existed
-        self._estimate_version = getattr(self, "_estimate_version", 0) + 1
+        self._estimate_version += 1
 
     # -- per-dispatch interface (async engine) -------------------------------
     def dispatch_weights(self, idle: np.ndarray, now: float) -> np.ndarray:
@@ -386,8 +384,8 @@ class FastFirstSampler(TimeAwareSampler):
         -p)`` is elementwise — computing it over the population and then
         indexing equals indexing first and then computing.
         """
-        version = getattr(self, "_estimate_version", 0)
-        cache = getattr(self, "_w_cache", None)
+        version = self._estimate_version
+        cache = self._w_cache
         if cache is None or self._w_cache_version != version:
             lat = self.expected_seconds()
             cache = np.power(np.maximum(lat, 1e-12), -self.power)
@@ -507,6 +505,8 @@ class UtilitySampler(TimeAwareSampler):
         self._stat: np.ndarray | None = None
         self._loss: np.ndarray | None = None
         self._loss_seen: np.ndarray | None = None
+        self._util_cache: np.ndarray | None = None
+        self._util_cache_version = -1
 
     def bind(self, ctx: SimulationContext, latency_model: LatencyModel) -> "UtilitySampler":
         super().bind(ctx, latency_model)
@@ -562,9 +562,9 @@ class UtilitySampler(TimeAwareSampler):
         moved an estimate (the inputs are pure functions of those arrays),
         which keeps the values bit-identical to an uncached recompute.
         """
-        version = getattr(self, "_estimate_version", 0)
-        cache = getattr(self, "_util_cache", None)
-        if cache is None or getattr(self, "_util_cache_version", -1) != version:
+        version = self._estimate_version
+        cache = self._util_cache
+        if cache is None or self._util_cache_version != version:
             lat = self.expected_seconds()
             t_pref = float(np.quantile(lat, self.round_pref))
             speed = np.minimum(1.0, t_pref / np.maximum(lat, 1e-12)) ** self.alpha

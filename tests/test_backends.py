@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ from repro.nn import make_mlp
 from repro.parallel import (
     BACKENDS,
     ClientJob,
-    ClientResult,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -158,8 +156,8 @@ class TestJobContract:
                       broadcast_state=algo.pack_broadcast_state())
             for k in range(3)
         ]
-        a = backend.run_jobs(jobs)
-        b = backend.run_jobs(list(reversed(jobs)))
+        a = [r for _, r in backend.collect(backend.submit_many(jobs))]
+        b = [r for _, r in backend.collect(backend.submit_many(jobs[::-1]))]
         for res, rev in zip(a, reversed(b)):
             np.testing.assert_array_equal(
                 res.update.displacement, rev.update.displacement
@@ -328,22 +326,13 @@ class TestStreamingEquivalence:
             resolve_streaming(None, env=True)
 
 
-class _LegacyOnlyBackend(ExecutionBackend):
-    """Third-party style backend that predates submit/collect."""
-
-    name = "legacy"
-
-    def run_jobs(self, jobs):
-        return [ClientResult(update=("ran", j.client_id)) for j in jobs]
-
-
 class _HollowBackend(ExecutionBackend):
     name = "hollow"
 
 
 class TestStreamingAPI:
-    """The submit/collect contract itself: ordering, blocking semantics,
-    submission-time stamping, and the legacy run_jobs fallback."""
+    """The submit/collect contract itself: ordering, blocking semantics and
+    submission-time stamping."""
 
     @pytest.fixture(scope="class")
     def problem(self):
@@ -378,8 +367,8 @@ class TestStreamingAPI:
         ds, cfg = problem
         ctx, backend = self._bound("serial", ds, cfg)
         with backend:
-            results = backend.run_jobs(self._jobs(ctx))
-        return [r.update.displacement for r in results]
+            pairs = backend.collect(backend.submit_many(self._jobs(ctx)))
+        return [r.update.displacement for _, r in pairs]
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_out_of_order_collect(self, name, problem, reference):
@@ -474,39 +463,14 @@ class TestStreamingAPI:
                 assert res.timing["compute_s"] > 0.0
                 assert res.timing["pickle_bytes"] > 0
 
-    def test_legacy_run_jobs_backend_falls_back(self):
-        backend = _LegacyOnlyBackend()
-        jobs = [
-            ClientJob(round_idx=0, client_id=k, x_ref=np.zeros(1))
-            for k in range(3)
-        ]
-        with pytest.warns(DeprecationWarning, match="run_jobs"):
-            handles = [backend.submit(j) for j in jobs]
-        # nothing ran yet; a non-blocking collect has nothing to return
-        assert backend.collect(handles, block=False) == []
-        pairs = backend.collect(handles, block=True)
-        assert [h for h, _ in pairs] == handles
-        assert [r.update for _, r in pairs] == [
-            ("ran", 0), ("ran", 1), ("ran", 2)]
-
-    def test_legacy_warns_once(self):
-        backend = _LegacyOnlyBackend()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for j in range(3):
-                backend.submit(
-                    ClientJob(round_idx=0, client_id=j, x_ref=np.zeros(1))
-                )
-        assert sum(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        ) == 1
-
     def test_backend_with_neither_api_raises(self):
         job = ClientJob(round_idx=0, client_id=0, x_ref=np.zeros(1))
-        with pytest.raises(NotImplementedError, match="neither"):
+        with pytest.raises(NotImplementedError, match="submit"):
             _HollowBackend().submit(job)
-        with pytest.raises(NotImplementedError, match="neither"):
-            _HollowBackend().run_jobs([job])
+        with pytest.raises(NotImplementedError, match="submit"):
+            _HollowBackend().submit_many([job])
+        with pytest.raises(NotImplementedError, match="collect"):
+            _HollowBackend().collect()
 
 
 class TestBackendLifecycle:

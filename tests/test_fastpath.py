@@ -1,15 +1,16 @@
-"""The vectorized control plane is bit-identical to the scalar dispatch path.
+"""The async dispatch planner is bit-identical to a scalar per-dispatch loop.
 
-Pins the PR's keystone claims:
+Pins the vectorized control plane's keystone claims:
 
 * ``LatencyModel.sample_many`` equals per-element ``latency()`` for every
   registered model (same RNG stream discipline, batched);
-* ``IdleTracker`` rank selection equals indexing the scalar path's
-  ascending idle comprehension, under arbitrary busy/idle churn;
+* ``IdleTracker`` rank selection equals indexing the ascending idle
+  comprehension, under arbitrary busy/idle churn;
 * ``VirtualClock.push_many`` pops in the same order as sequential
   ``schedule`` calls (both below and above the heapify threshold);
-* fast-path engine histories are bit-identical to scalar ones across the
-  async kinds, latency models, backends, samplers, and stateful methods;
+* ``AsyncPolicy._dispatch_many`` histories are bit-identical to the scalar
+  oracle's (``tests/_scalar_dispatch.py``) across the async kinds, latency
+  models, backends, samplers, stateful methods and a 2k-client population;
 * incremental sampler weights equal freshly recomputed ones after observes;
 * profiled runs journal a ``profile`` record and ``watch --summary``
   renders the ``hotpath:`` line — with histories untouched by profiling.
@@ -20,19 +21,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from _scalar_dispatch import ScalarAsyncPolicy
+from repro.algorithms import make_method
 from repro.data import load_federated_dataset
+from repro.data.registry import DatasetInfo, FederatedDataset
 from repro.experiments import run
 from repro.experiments.spec import DataSpec, ExperimentSpec, MethodSpec, RuntimeSpec
-from repro.nn import make_mlp
+from repro.nn import make_linear, make_mlp
 from repro.observe import MetricsStore, format_hotpath
 from repro.runtime import (
+    AsyncFederatedSimulation,
     FastFirstSampler,
     IdleTracker,
     LATENCY_MODELS,
+    LognormalLatency,
     UtilitySampler,
     VirtualClock,
+    async_engine,
     make_latency_model,
-    resolve_fast_path,
 )
 from repro.simulation import FLConfig
 from repro.simulation.context import SimulationContext
@@ -59,16 +65,15 @@ def ctx(ds):
     return SimulationContext(make_mlp(32, 10, seed=0), ds, cfg)
 
 
-def _spec(kind: str, fast_path, method: str | None = None,
-          backend: str = "serial", **runtime_kw) -> ExperimentSpec:
+def _spec(kind: str, method: str | None = None, backend: str = "serial",
+          **runtime_kw) -> ExperimentSpec:
     default = {"fedasync": "fedasync", "fedbuff": "fedbuff"}[kind]
     runtime_kw.setdefault("latency", "lognormal")
     if backend != "serial":
         runtime_kw.setdefault("workers", 2)
     return ExperimentSpec(
         method=MethodSpec(name=method or default),
-        runtime=RuntimeSpec(kind=kind, backend=backend, fast_path=fast_path,
-                            **runtime_kw),
+        runtime=RuntimeSpec(kind=kind, backend=backend, **runtime_kw),
         **_TINY,
     )
 
@@ -81,30 +86,31 @@ def _history_key(result):
     ]
 
 
-class TestResolveFastPath:
-    def test_default_on(self):
-        assert resolve_fast_path() is True
-        assert resolve_fast_path(None) is True
+def _under_oracle(monkeypatch, run_once):
+    """``run_once()`` with the engine facade building the scalar oracle.
 
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_PATH", "0")
-        assert resolve_fast_path(True) is True
-        assert resolve_fast_path(False, env=True) is False
+    Returns its result after checking that the oracle planned every
+    dispatch the run issued.
+    """
+    built: list[ScalarAsyncPolicy] = []
 
-    @pytest.mark.parametrize("raw,expect", [
-        ("1", True), ("true", True), ("on", True), ("yes", True),
-        ("0", False), ("false", False), ("off", False), ("no", False),
-    ])
-    def test_env_opt_in(self, monkeypatch, raw, expect):
-        monkeypatch.setenv("REPRO_FAST_PATH", raw)
-        assert resolve_fast_path(env=True) is expect
-        # direct engine construction never reads ambient state
-        assert resolve_fast_path(env=False) is True
+    def oracle(*args, **kwargs):
+        built.append(ScalarAsyncPolicy(*args, **kwargs))
+        return built[-1]
 
-    def test_env_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAST_PATH", "maybe")
-        with pytest.raises(ValueError, match="REPRO_FAST_PATH"):
-            resolve_fast_path(env=True)
+    with monkeypatch.context() as m:
+        m.setattr(async_engine, "AsyncPolicy", oracle)
+        result = run_once()
+    (policy,) = built
+    assert policy.scalar_dispatches == policy._state["dispatched"] > 0
+    return result
+
+
+def _assert_matches_oracle(monkeypatch, spec: ExperimentSpec) -> None:
+    fast = run(spec)
+    scalar = _under_oracle(monkeypatch, lambda: run(spec))
+    assert _history_key(fast) == _history_key(scalar)
+    np.testing.assert_array_equal(fast.final_params, scalar.final_params)
 
 
 class TestSampleMany:
@@ -166,16 +172,6 @@ class TestIdleTracker:
                 j = int(rng.integers(len(ref)))
                 assert tr.kth_idle(j) == ref[j]
 
-    def test_rebuild_from_busy_dict(self):
-        busy = {3: 2, 7: 1}
-        tr = IdleTracker(10, busy=busy)
-        assert tr.n_idle == 8
-        assert 3 not in tr.idle_ids() and 7 not in tr.idle_ids()
-        tr.mark_idle(3)
-        assert 3 not in tr.idle_ids()  # count 2 -> 1: still busy
-        tr.mark_idle(3)
-        assert 3 in tr.idle_ids()
-
     def test_rank_out_of_range(self):
         tr = IdleTracker(4)
         with pytest.raises(IndexError):
@@ -210,53 +206,88 @@ class TestPushMany:
             VirtualClock().push_many([(-1.0, 0, {})])
 
 
+def _population(n: int) -> FederatedDataset:
+    """``n`` clients holding one linearly separable sample each."""
+    rng = np.random.default_rng(42)
+    w = rng.standard_normal(16)
+    x_train = rng.standard_normal((n, 16))
+    x_test = rng.standard_normal((128, 16))
+    info = DatasetInfo(
+        name=f"population-{n}", num_classes=2, shape=(16,), n_max_train=1,
+        n_test_per_class=64, separation=1.0, noise=0.0, default_model="linear",
+    )
+    return FederatedDataset(
+        info=info, x_train=x_train, y_train=(x_train @ w > 0).astype(np.int64),
+        x_test=x_test, y_test=(x_test @ w > 0).astype(np.int64),
+        partitions=[np.array([i]) for i in range(n)],
+        imbalance_factor=1.0, beta=1.0, partition_kind="balanced",
+    )
+
+
 class TestEngineEquivalence:
-    """Fast-path histories are bit-identical to scalar ones."""
+    """Production planner histories are bit-identical to the scalar oracle's."""
 
     @pytest.mark.parametrize("kind", ("fedasync", "fedbuff"))
     @pytest.mark.parametrize(
         "latency", ("constant", "lognormal", "pareto", "dropout")
     )
-    def test_serial_all_latency_models(self, kind, latency):
-        fast = run(_spec(kind, True, latency=latency))
-        scalar = run(_spec(kind, False, latency=latency))
-        assert _history_key(fast) == _history_key(scalar)
-        np.testing.assert_array_equal(fast.final_params, scalar.final_params)
+    def test_serial_all_latency_models(self, monkeypatch, kind, latency):
+        _assert_matches_oracle(monkeypatch, _spec(kind, latency=latency))
 
-    def test_process_backend(self):
-        fast = run(_spec("fedbuff", True, backend="process"))
-        scalar = run(_spec("fedbuff", False, backend="process"))
-        assert _history_key(fast) == _history_key(scalar)
-        np.testing.assert_array_equal(fast.final_params, scalar.final_params)
+    def test_process_backend(self, monkeypatch):
+        _assert_matches_oracle(monkeypatch, _spec("fedbuff", backend="process"))
 
-    def test_scaffold_under_fedbuff(self):
-        # stateful per-client dispatch snapshots ride the fast path too
-        fast = run(_spec("fedbuff", True, method="scaffold"))
-        scalar = run(_spec("fedbuff", False, method="scaffold"))
-        assert _history_key(fast) == _history_key(scalar)
-        np.testing.assert_array_equal(fast.final_params, scalar.final_params)
+    def test_scaffold_under_fedbuff(self, monkeypatch):
+        # stateful per-client dispatch snapshots ride the planner too
+        _assert_matches_oracle(monkeypatch, _spec("fedbuff", method="scaffold"))
 
     @pytest.mark.parametrize("sampler", ("fast", "utility"))
-    def test_time_aware_samplers(self, sampler):
-        fast = run(_spec("fedasync", True, sampler=sampler))
-        scalar = run(_spec("fedasync", False, sampler=sampler))
-        assert _history_key(fast) == _history_key(scalar)
-        np.testing.assert_array_equal(fast.final_params, scalar.final_params)
+    def test_time_aware_samplers(self, monkeypatch, sampler):
+        _assert_matches_oracle(monkeypatch, _spec("fedasync", sampler=sampler))
 
-    def test_oversubscribed_concurrency(self):
+    def test_oversubscribed_concurrency(self, monkeypatch):
         # concurrency > clients exercises the empty-idle fallback draw
-        fast = run(_spec("fedasync", True, concurrency=9))
-        scalar = run(_spec("fedasync", False, concurrency=9))
-        assert _history_key(fast) == _history_key(scalar)
-        np.testing.assert_array_equal(fast.final_params, scalar.final_params)
+        _assert_matches_oracle(monkeypatch, _spec("fedasync", concurrency=9))
 
-    def test_forbidden_for_round_kinds(self):
-        with pytest.raises(ValueError, match="fast_path"):
-            ExperimentSpec(
-                method=MethodSpec(name="fedavg"),
-                runtime=RuntimeSpec(kind="sync", fast_path=True),
-                **_TINY,
+    def test_two_thousand_client_population(self, monkeypatch):
+        """The control-plane bench's population: 2k one-sample clients,
+        256 in flight, 1000 fedasync updates."""
+        ds = _population(2_000)
+
+        def run_once():
+            sim = AsyncFederatedSimulation(
+                make_method("fedasync").algorithm,
+                make_linear(16, 2, seed=0),
+                ds,
+                FLConfig(rounds=1, participation=0.1, local_epochs=1,
+                         batch_size=10, max_batches_per_round=1, eval_every=8,
+                         seed=0),
+                latency_model=LognormalLatency(sigma=0.5, jitter=0.0),
+                concurrency=256,
+                max_updates=1_000,
             )
+            return sim.run(), sim.final_params
+
+        h_fast, x_fast = run_once()
+        h_scalar, x_scalar = _under_oracle(monkeypatch, run_once)
+        np.testing.assert_array_equal(h_fast.accuracy, h_scalar.accuracy)
+        np.testing.assert_array_equal(x_fast, x_scalar)
+        assert [r.virtual_time for r in h_fast.records] == [
+            r.virtual_time for r in h_scalar.records]
+        assert [r.staleness for r in h_fast.records] == [
+            r.staleness for r in h_scalar.records]
+
+    def test_fast_path_key_rejected(self):
+        # the retired planner knob is an unknown key for every kind
+        for kind in ("sync", "fedasync"):
+            data = ExperimentSpec(
+                method=MethodSpec(name="fedavg" if kind == "sync" else kind),
+                runtime=RuntimeSpec(kind=kind),
+                **_TINY,
+            ).to_dict()
+            data["runtime"]["fast_path"] = True
+            with pytest.raises(ValueError, match=r"unknown key.*fast_path"):
+                ExperimentSpec.from_dict(data)
 
 
 class TestSamplerWeightCache:
@@ -294,13 +325,13 @@ class TestSamplerWeightCache:
 
 
 class TestProfiler:
-    def _recorded(self, tmp_path, fast_path=True):
-        spec = _spec("fedbuff", fast_path)
+    def _recorded(self, tmp_path):
+        spec = _spec("fedbuff")
         spec = ExperimentSpec(
             method=spec.method,
             runtime=RuntimeSpec(
-                kind="fedbuff", latency="lognormal", fast_path=fast_path,
-                record=True, run_dir=str(tmp_path / f"run_{fast_path}"),
+                kind="fedbuff", latency="lognormal",
+                record=True, run_dir=str(tmp_path / "run"),
             ),
             **_TINY,
         )
@@ -314,7 +345,7 @@ class TestProfiler:
         assert res.profile["wall_s"] > 0
         # every attributed second is one of the declared phases
         store = MetricsStore.from_journal(
-            str(tmp_path / "run_True" / "journal.jsonl")
+            str(tmp_path / "run" / "journal.jsonl")
         )
         assert store.profile is not None
         assert store.profile["type"] == "profile"
@@ -325,7 +356,7 @@ class TestProfiler:
 
     def test_profiling_does_not_change_history(self, tmp_path):
         recorded = self._recorded(tmp_path)
-        plain = run(_spec("fedbuff", True))
+        plain = run(_spec("fedbuff"))
         assert _history_key(recorded) == _history_key(plain)
         np.testing.assert_array_equal(
             recorded.final_params, plain.final_params

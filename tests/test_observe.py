@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -33,13 +34,16 @@ from repro.experiments import (
 )
 from repro.observe import (
     JOURNAL_SCHEMA_VERSION,
+    SNAPSHOT_SCHEMA_VERSION,
     JournalTailer,
     MetricsStore,
     journal_path,
     latest_snapshot,
     load_snapshot,
     read_journal,
+    save_snapshot,
 )
+from repro.parallel import ProcessPoolBackend
 from repro.simulation import FLConfig
 from test_backends import assert_history_equal
 
@@ -221,6 +225,44 @@ class TestResume:
         _spec("sync").save(str(rdir / "spec.json"))
         with pytest.raises(FileNotFoundError, match="no snapshots"):
             resume_run(str(rdir))
+
+    def test_foreign_schema_refused_before_touching_run_dir(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A snapshot from another schema version is refused before the
+        spec is parsed, a pool is bound or the journal is opened."""
+        rdir = str(tmp_path / "run")
+        run(_spec("fedbuff", backend="process", run_dir=rdir),
+            stop_after_rounds=1)
+        snap_path = latest_snapshot(rdir)
+        with open(snap_path, "rb") as f:
+            snap = pickle.load(f)
+        snap["schema"] = 1
+        save_snapshot(snap_path, snap)
+        # specs saved alongside schema-1 snapshots carry the retired
+        # runtime.fast_path key
+        spec_path = os.path.join(rdir, "spec.json")
+        with open(spec_path) as f:
+            data = json.load(f)
+        data["runtime"]["fast_path"] = None
+        with open(spec_path, "w") as f:
+            json.dump(data, f)
+        # a torn tail, which opening a recorder would heal with a newline
+        with open(journal_path(rdir), "a") as f:
+            f.write('{"type": "dispatch", "seq": 99')
+        with open(journal_path(rdir), "rb") as f:
+            journal = f.read()
+        bound = []
+        monkeypatch.setattr(ProcessPoolBackend, "bind",
+                            lambda self, *a, **kw: bound.append(self))
+        message = f"snapshot schema 1 != {SNAPSHOT_SCHEMA_VERSION}"
+        with pytest.raises(ValueError, match=message):
+            resume_run(rdir)
+        assert cli_main(["run", "--resume", rdir]) == 2
+        assert message in capsys.readouterr().err
+        assert bound == []
+        with open(journal_path(rdir), "rb") as f:
+            assert f.read() == journal
 
     def test_record_without_run_dir_rejected(self):
         with pytest.raises(ValueError, match="run_dir"):

@@ -1,23 +1,8 @@
-"""Tests for the parallel client-execution substrate."""
+"""Tests for the fork-pool map under the parameter sweeps."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.algorithms import FedAvg, FedCM
-from repro.data import load_federated_dataset
-from repro.nn import make_mlp
-from repro.parallel import ParallelClientRunner, parallel_map
-from repro.simulation import FLConfig, FederatedSimulation
-from repro.simulation.context import SimulationContext
-
-
-@pytest.fixture(scope="module")
-def ds():
-    return load_federated_dataset(
-        "fashion-mnist-lite", imbalance_factor=0.3, beta=0.3, num_clients=6, seed=0, scale=0.3
-    )
+from repro.parallel import parallel_map
 
 
 def _square(x):
@@ -40,70 +25,3 @@ class TestParallelMap:
 
     def test_single_item(self):
         assert parallel_map(_neg, [5], workers=8) == [-5]
-
-
-def _model_builder():
-    return make_mlp(32, 10, seed=0)
-
-
-class TestParallelClientRunner:
-    def test_matches_serial_execution(self, ds):
-        """Parallel client updates must equal serial ones bit-for-bit."""
-        cfg = FLConfig(rounds=1, participation=0.5, local_epochs=1, seed=0,
-                       max_batches_per_round=3)
-        # serial reference
-        ctx = SimulationContext(_model_builder(), ds, cfg)
-        algo = FedAvg()
-        algo.setup(ctx)
-        x0 = ctx.x0.copy()
-        selected = ctx.sample_clients(0)
-        serial = [algo.client_update(ctx, 0, int(k), x0) for k in selected]
-
-        with ParallelClientRunner(
-            _model_builder, ds, cfg, FedAvg, workers=2
-        ) as runner:
-            par = runner.run_round(0, selected, x0)
-
-        for s, p in zip(serial, par):
-            assert s.client_id == p.client_id
-            np.testing.assert_array_equal(s.displacement, p.displacement)
-
-    def test_broadcast_state_applied(self, ds):
-        """FedCM's momentum must be shipped to the workers."""
-        cfg = FLConfig(rounds=1, participation=0.5, local_epochs=1, seed=0,
-                       max_batches_per_round=3)
-        ctx = SimulationContext(_model_builder(), ds, cfg)
-        algo = FedCM(alpha=0.1)
-        algo.setup(ctx)
-        delta = np.full(ctx.dim, 0.01)
-        algo._delta = delta
-        x0 = ctx.x0.copy()
-        selected = ctx.sample_clients(0)
-        serial = [algo.client_update(ctx, 0, int(k), x0) for k in selected]
-
-        with ParallelClientRunner(
-            _model_builder, ds, cfg, FedCM, workers=2
-        ) as runner:
-            par = runner.run_round(0, selected, x0, broadcast_state={"_delta": delta})
-
-        for s, p in zip(serial, par):
-            np.testing.assert_array_equal(s.displacement, p.displacement)
-
-    def test_full_round_equivalence_via_engine(self, ds):
-        """A full FedAvg round driven through the pool equals the engine's."""
-        cfg = FLConfig(rounds=1, participation=0.5, local_epochs=1, seed=0,
-                       max_batches_per_round=3)
-        model = _model_builder()
-        sim = FederatedSimulation(FedAvg(), model, ds, cfg)
-        h = sim.run()
-        x_serial = sim.final_params
-
-        ctx = SimulationContext(_model_builder(), ds, cfg)
-        algo = FedAvg()
-        algo.setup(ctx)
-        x0 = ctx.x0.copy()
-        selected = ctx.sample_clients(0)
-        with ParallelClientRunner(_model_builder, ds, cfg, FedAvg, workers=3) as runner:
-            updates = runner.run_round(0, selected, x0)
-        x_par = algo.aggregate(ctx, 0, selected, updates, x0)
-        np.testing.assert_allclose(x_serial, x_par)

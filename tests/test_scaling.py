@@ -29,9 +29,9 @@ from repro.parallel import (
     ArrayRef,
     BroadcastStore,
     ClientJob,
-    ExecutionBackend,
     ProcessPoolBackend,
     build_job_runtime,
+    make_backend,
     resolve_job_batch,
     resolve_job_refs,
     resolve_shared_memory,
@@ -187,7 +187,7 @@ class TestLazyClientState:
 
 
 # ---------------------------------------------------------------------------
-# the pinned legacy collect(block=False) contract + submit_many chunking
+# the pinned collect(block=False) contract + submit_many chunking
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def tiny_runtime():
@@ -209,65 +209,33 @@ def _jobs(ctx, algo, n: int) -> list[ClientJob]:
     ]
 
 
-class _LegacyBackend(ExecutionBackend):
-    """run_jobs-only backend: exercises the base-class legacy fallback."""
-
-    name = "legacy"
-
-    def __init__(self):
-        self.batches_run = 0
-
-    def bind(self, ctx, algorithm, **_):
-        self._ctx, self._algo = ctx, algorithm
-        return self
-
-    def run_jobs(self, jobs):
-        from repro.parallel import execute_client_job
-
-        self.batches_run += 1
-        return [execute_client_job(self._ctx, self._algo, j) for j in jobs]
-
-
 class TestCollectContract:
-    def test_legacy_nonblocking_never_starts_work_never_raises(self, tiny_runtime):
+    @pytest.mark.parametrize("name", ("serial", "thread", "process"))
+    def test_pool_nonblocking_collect_never_raises(self, tiny_runtime, name):
         ds, cfg = tiny_runtime
         ctx, algo = build_job_runtime(
             lambda: make_mlp(32, 10, seed=0), ds, cfg,
             algo_builder=lambda: make_method("fedavg").algorithm,
         )
-        with pytest.warns(DeprecationWarning, match="batch API"):
-            backend = _LegacyBackend().bind(ctx, algo)
-            handles = [backend.submit(j) for j in _jobs(ctx, algo, 3)]
-        # non-blocking: nothing ran, nothing raised — not even for a handle
-        # the backend has never seen
-        assert backend.collect(handles, block=False) == []
-        assert backend.collect(block=False) == []
-        bogus = type(handles[0])(seq=10_000, job=handles[0].job)
-        assert backend.collect([bogus], block=False) == []
-        assert backend.batches_run == 0
-        # blocking runs the batch; an unknown handle now raises
-        done = backend.collect(handles, block=True)
-        assert len(done) == 3 and backend.batches_run == 1
-        with pytest.raises(KeyError):
-            backend.collect([bogus], block=True)
-        assert backend.collect([bogus], block=False) == []
-
-    def test_pool_nonblocking_collect_never_raises(self, tiny_runtime):
-        ds, cfg = tiny_runtime
-        ctx, algo = build_job_runtime(
-            lambda: make_mlp(32, 10, seed=0), ds, cfg,
-            algo_builder=lambda: make_method("fedavg").algorithm,
+        backend = (
+            ProcessPoolBackend(workers=2, job_batch=2) if name == "process"
+            else make_backend(name, workers=2)
         )
-        backend = ProcessPoolBackend(workers=2, job_batch=2)
         try:
             backend.bind(ctx, algo, model_builder=lambda: make_mlp(32, 10, seed=0))
             handles = backend.submit_many(_jobs(ctx, algo, 3))
             bogus = type(handles[0])(seq=10_000, job=handles[0].job)
+            # non-blocking: an unknown handle is skipped, never an error
             assert backend.collect([bogus], block=False) == []
             done = backend.collect(handles, block=True)
             assert [h for h, _ in done] == handles
             with pytest.raises(KeyError):
                 backend.collect([handles[0]], block=True)  # already collected
+            with pytest.raises(KeyError):
+                backend.collect([bogus], block=True)
+            # already-collected and unknown handles alike, after the fact
+            assert backend.collect([handles[0], bogus], block=False) == []
+            assert backend.collect(block=False) == []
         finally:
             backend.close()
 
