@@ -26,7 +26,7 @@ from repro.nn.losses import (
     make_loss,
 )
 from repro.nn.optim import SGD, MomentumInjectedSGD
-from repro.nn.train import forward_backward, flat_grad, evaluate, iterate_minibatches
+from repro.nn.train import forward_backward, evaluate, iterate_minibatches
 from repro.nn.schedules import (
     ConstantSchedule,
     StepSchedule,
@@ -65,7 +65,6 @@ __all__ = [
     "SGD",
     "MomentumInjectedSGD",
     "forward_backward",
-    "flat_grad",
     "evaluate",
     "iterate_minibatches",
     "functional",

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.nn.conv import Conv2d
 from repro.nn.layers import ReLU
-from repro.nn.module import Module, adopt_child
+from repro.nn.module import Module
 from repro.nn.norm import BatchNorm2d, GroupNorm
 
 __all__ = ["Sequential", "BasicBlock"]
@@ -15,16 +15,18 @@ __all__ = ["Sequential", "BasicBlock"]
 class Sequential(Module):
     """Chain of modules applied in order.
 
-    Child parameters are namespaced ``"<index>.<name>"`` and alias the child
-    arrays, so in-place updates through the parent propagate to the children
-    used in forward/backward.
+    Child parameters are namespaced ``"<index>.<name>"``; the entries are
+    views into the chain's flat-parameter arena, the very arrays the
+    children use in forward/backward.
     """
 
     def __init__(self, *modules: Module) -> None:
         super().__init__()
         self.children_ = list(modules)
-        for i, m in enumerate(self.children_):
-            adopt_child(self, str(i), m)
+        self._bind()
+
+    def _named_children(self) -> list[tuple[str, Module]]:
+        return [(str(i), m) for i, m in enumerate(self.children_)]
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         for m in self.children_:
@@ -35,10 +37,6 @@ class Sequential(Module):
         for m in reversed(self.children_):
             dout = m.backward(dout)
         return dout
-
-    def zero_grad(self) -> None:
-        for m in self.children_:
-            m.zero_grad()
 
     def __len__(self) -> int:
         return len(self.children_)
@@ -85,8 +83,7 @@ class BasicBlock(Module):
             self.project = Conv2d(
                 in_channels, out_channels, 1, rng, stride=stride, padding=0, bias=False
             )
-        for name, child in self._named_children():
-            adopt_child(self, name, child)
+        self._bind()
         self._skip: np.ndarray | None = None
 
     def _named_children(self) -> list[tuple[str, Module]]:
@@ -122,7 +119,3 @@ class BasicBlock(Module):
         else:
             dx = dx + dskip
         return dx
-
-    def zero_grad(self) -> None:
-        for _, child in self._named_children():
-            child.zero_grad()

@@ -114,7 +114,7 @@ class Conv2d(Module):
         )
         if bias:
             self.params["b"] = init_mod.zeros((out_channels,))
-        self.init_grads()
+        self._bind()
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:

@@ -38,7 +38,7 @@ class Dense(Module):
         self.params["W"] = init_mod.he_normal(rng, (in_features, out_features), in_features)
         if bias:
             self.params["b"] = init_mod.zeros((out_features,))
-        self.init_grads()
+        self._bind()
         self._x: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:

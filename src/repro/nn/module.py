@@ -12,10 +12,10 @@ Design: each :class:`Module` owns
 returns the gradient w.r.t. the input and writes parameter gradients into
 ``grads``.  Composite modules namespace child entries as ``"child.param"``.
 
-This mirrors the structure of a PyTorch module but with explicit, inspectable
-NumPy state — the momentum-based FL algorithms in :mod:`repro.algorithms`
-only ever touch the flattened view produced by
-:func:`repro.utils.flatten_params`.
+Flat-parameter arena: every ``params[k]`` / ``grads[k]`` is a view into the
+contiguous float64 vectors ``flat_params`` / ``flat_grads`` (``ParamSpec``
+order; a child's vectors are slices of its parent's), so the flat vectors the
+FL algorithms in :mod:`repro.algorithms` work on are the model's own storage.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ class Module:
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.buffers: dict[str, np.ndarray] = {}
+        self.flat_params = self.flat_grads = np.empty(0)
 
     # -- forward / backward -------------------------------------------------
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -43,15 +44,43 @@ class Module:
     def __call__(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         return self.forward(x, train=train)
 
+    # -- flat-parameter arena -------------------------------------------------
+    def _named_children(self) -> list[tuple[str, Module]]:
+        """Children whose entries this module namespaces (none for a leaf)."""
+        return []
+
+    def _bind(self) -> None:
+        """Gather the current values into fresh vectors this module owns and
+        point the subtree into them, gradients zeroed.  Every ``__init__``
+        that creates params (a leaf) or children (a composite) ends with it."""
+        parts = [c.flat_params for _, c in self._named_children()]
+        parts = parts or [v.reshape(-1) for v in self.params.values()]
+        flat = np.concatenate(parts) if parts else np.empty(0)
+        self._point_at(flat, np.zeros(flat.size))
+
+    def _point_at(self, flat_params: np.ndarray, flat_grads: np.ndarray) -> None:
+        """Make ``params`` / ``grads`` here and below views into these vectors."""
+        self.flat_params, self.flat_grads = flat_params, flat_grads
+        children, off = self._named_children(), 0
+        for _, child in children:
+            end = off + child.flat_params.size
+            child._point_at(flat_params[off:end], flat_grads[off:end])
+            off = end
+        if children:
+            self.params = {f"{n}.{k}": v for n, c in children for k, v in c.params.items()}
+            self.grads = {f"{n}.{k}": v for n, c in children for k, v in c.grads.items()}
+            self.buffers = {f"{n}.{k}": v for n, c in children for k, v in c.buffers.items()}
+            return
+        for k, v in self.params.items():
+            end = off + v.size
+            self.params[k] = flat_params[off:end].reshape(v.shape)
+            self.grads[k] = flat_grads[off:end].reshape(v.shape)
+            off = end
+
     # -- gradient bookkeeping ------------------------------------------------
     def zero_grad(self) -> None:
         """Reset all gradient accumulators to zero, in place."""
-        for g in self.grads.values():
-            g.fill(0.0)
-
-    def init_grads(self) -> None:
-        """(Re)allocate gradient buffers matching ``params``."""
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.flat_grads.fill(0.0)
 
     # -- state management ----------------------------------------------------
     def get_params(self, copy: bool = True) -> dict[str, np.ndarray]:
@@ -89,17 +118,3 @@ class Module:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(params={self.num_params})"
-
-
-def adopt_child(parent: Module, name: str, child: Module) -> None:
-    """Merge a child's params/grads/buffers into ``parent`` under a prefix.
-
-    The merged entries *alias* the child's arrays, so updating the parent's
-    ``params[name + '.' + k]`` in place updates the child.
-    """
-    for k, v in child.params.items():
-        parent.params[f"{name}.{k}"] = v
-    for k, v in child.grads.items():
-        parent.grads[f"{name}.{k}"] = v
-    for k, v in child.buffers.items():
-        parent.buffers[f"{name}.{k}"] = v

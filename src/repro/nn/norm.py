@@ -36,7 +36,7 @@ class GroupNorm(Module):
         self.c = num_channels
         self.params["gamma"] = np.ones(num_channels, dtype=np.float64)
         self.params["beta"] = np.zeros(num_channels, dtype=np.float64)
-        self.init_grads()
+        self._bind()
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -84,7 +84,7 @@ class BatchNorm2d(Module):
         self.params["beta"] = np.zeros(num_channels, dtype=np.float64)
         self.buffers["running_mean"] = np.zeros(num_channels, dtype=np.float64)
         self.buffers["running_var"] = np.ones(num_channels, dtype=np.float64)
-        self.init_grads()
+        self._bind()
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -130,7 +130,7 @@ class LayerNorm(Module):
         self.dim = dim
         self.params["gamma"] = np.ones(dim, dtype=np.float64)
         self.params["beta"] = np.zeros(dim, dtype=np.float64)
-        self.init_grads()
+        self._bind()
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:

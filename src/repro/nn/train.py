@@ -1,8 +1,8 @@
 """Training helpers bridging the NN engine and the federated algorithms.
 
-The algorithms in :mod:`repro.algorithms` operate on flattened parameter
-vectors; this module provides the glue: compute a flat gradient at the current
-parameters, evaluate in minibatches, iterate shuffled epochs.
+The algorithms in :mod:`repro.algorithms` operate on the model's own flat
+``flat_params`` / ``flat_grads`` vectors; this module provides the glue: a
+fused forward/backward pass, evaluation in minibatches, shuffled epochs.
 """
 
 from __future__ import annotations
@@ -11,30 +11,20 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from repro.nn.functional import accuracy
 from repro.nn.module import Module
-from repro.utils.pytree import ParamSpec, flatten_params
 
-__all__ = ["forward_backward", "flat_grad", "evaluate", "iterate_minibatches"]
+__all__ = ["forward_backward", "evaluate", "iterate_minibatches"]
 
 LossFn = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
 
 
 def forward_backward(model: Module, x: np.ndarray, y: np.ndarray, loss_fn: LossFn) -> float:
-    """One fused forward/backward pass; leaves gradients in ``model.grads``."""
+    """One fused forward/backward pass; leaves gradients in ``model.flat_grads``."""
     model.zero_grad()
     logits = model.forward(x, train=True)
     loss, dlogits = loss_fn(logits, y)
     model.backward(dlogits)
     return loss
-
-
-def flat_grad(
-    model: Module, spec: ParamSpec, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Flatten ``model.grads`` into a contiguous vector (reusing ``out``)."""
-    flat, _ = flatten_params(model.grads, spec=spec, out=out)
-    return flat
 
 
 def evaluate(

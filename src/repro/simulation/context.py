@@ -17,7 +17,7 @@ from repro.data.sampler import UniformBatchSampler
 from repro.nn.losses import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.simulation.config import FLConfig, resolve_lr_schedule
-from repro.utils.pytree import ParamSpec, flatten_params, write_into_tree
+from repro.utils.pytree import ParamSpec
 from repro.utils.rng import keyed_rng
 
 __all__ = ["SimulationContext"]
@@ -54,15 +54,13 @@ class SimulationContext:
         # a cheap per-round call and specs can carry schedules through JSON
         self._lr_schedule = resolve_lr_schedule(config.lr_schedule, config.rounds)
 
-        flat, spec = flatten_params(model.params)
-        self.spec: ParamSpec = spec
-        self.x0: np.ndarray = flat  # initial parameters (copy retained)
-        self.dim: int = spec.size
+        self.spec: ParamSpec = ParamSpec.from_tree(model.params)
+        self.x0: np.ndarray = model.flat_params.copy()  # initial parameters
+        self.dim: int = self.spec.size
 
         self._client_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._loss_cache: dict[int, object] = {}
         self._sampler_cache: dict[int, object] = {}
-        self._grad_buf = np.empty(self.dim, dtype=np.float64)
 
     # -- data access ---------------------------------------------------------
     @property
@@ -95,18 +93,15 @@ class SimulationContext:
 
     # -- model parameter plumbing ---------------------------------------------
     def load_params(self, flat: np.ndarray) -> None:
-        """Write a flat vector into the live model (copies into the arrays).
-
-        ``spec`` was derived from this model's own param tree, so the
-        key-match/shape validation ``set_params`` would redo per batch is
-        settled at construction; copy straight into the arrays.
-        """
-        write_into_tree(flat, self.spec, self.model.params)
+        """Copy a ``(dim,)`` vector into the model's flat-parameter arena."""
+        if flat.shape != (self.dim,):  # copyto would broadcast (1,) or a scalar
+            raise ValueError(f"load_params got shape {flat.shape}, expected ({self.dim},)")
+        np.copyto(self.model.flat_params, flat)
 
     def flat_gradient(self) -> np.ndarray:
-        """Flatten the model's current gradients into the reusable buffer."""
-        flatten_params(self.model.grads, spec=self.spec, out=self._grad_buf)
-        return self._grad_buf
+        """The model's gradient vector itself, live until the next
+        ``forward_backward`` / ``zero_grad``: copy it to keep it past those."""
+        return self.model.flat_grads
 
     def lr_at(self, round_idx: int) -> float:
         """Local learning rate for a round (base lr x optional schedule)."""

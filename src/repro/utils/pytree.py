@@ -2,9 +2,9 @@
 
 FedCM/FedWCM momentum algebra (``v = alpha * g + (1 - alpha) * Delta``) is
 architecture-agnostic: it operates on the concatenation of all trainable
-arrays.  Keeping that concatenation a single contiguous ``float64`` vector
-is the main performance lever in this library (see the HPC guides: contiguous
-memory, in-place ops, no copies in the hot loop).
+arrays.  A model stores that concatenation itself (the flat-parameter arena
+of :mod:`repro.nn.module`, in ``ParamSpec`` order), so the training loop never
+flattens; these helpers serve code holding a param tree, not a model.
 
 A "param tree" here is an ordered ``dict[str, np.ndarray]``.  ``ParamSpec``
 records the name/shape/offset layout so flatten/unflatten round-trip exactly.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -64,16 +63,9 @@ class ParamSpec:
         }
 
 
-@lru_cache(maxsize=None)
-def _layout(spec: ParamSpec) -> tuple[tuple[str, tuple[int, ...], int, int], ...]:
-    """Cached ``(name, shape, offset, size)`` rows for a spec.
-
-    Flatten/unflatten sit inside every client's batch loop; re-deriving each
-    parameter's element count there (``np.prod`` per parameter per call) was
-    a measurable share of serial-backend job time.  ``ParamSpec`` is a frozen
-    tuple-field dataclass, so it hashes — one row table per distinct layout.
-    """
-    return tuple(
+def _layout(spec: ParamSpec):
+    """``(name, shape, offset, size)`` rows of a spec, in flattening order."""
+    return (
         (name, shape, off, math.prod(shape))
         for name, shape, off in zip(spec.names, spec.shapes, spec.offsets)
     )
@@ -115,12 +107,6 @@ def unflatten_params(flat: np.ndarray, spec: ParamSpec) -> dict[str, np.ndarray]
         name: flat[off : off + n].reshape(shape)
         for name, shape, off, n in _layout(spec)
     }
-
-
-def write_into_tree(flat: np.ndarray, spec: ParamSpec, tree: dict[str, np.ndarray]) -> None:
-    """Copy a flat vector back into an existing tree's arrays, in place."""
-    for name, shape, off, n in _layout(spec):
-        np.copyto(tree[name], flat[off : off + n].reshape(shape))
 
 
 def tree_map(fn, tree: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

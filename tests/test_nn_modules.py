@@ -25,7 +25,6 @@ from repro.nn import (
     Sequential,
     build_model,
     evaluate,
-    flat_grad,
     forward_backward,
     iterate_minibatches,
     make_linear,
@@ -298,12 +297,10 @@ class TestTrainHelpers:
 
         x, y = make_classification_data(4, 16, 40, seed=1, separation=2.0, noise=0.5)
         loss_fn = CrossEntropyLoss()
-        flat, spec = flatten_params(m.params)
         first = forward_backward(m, x, y, loss_fn)
         for b in iterate_minibatches(rng, len(y), 20, epochs=10):
             forward_backward(m, x[b], y[b], loss_fn)
-            flat -= 0.1 * flat_grad(m, spec)
-            m.set_params(unflatten_params(flat, spec))
+            m.flat_params -= 0.1 * m.flat_grads
         last = forward_backward(m, x, y, loss_fn)
         assert last < first * 0.5
 

@@ -19,10 +19,8 @@ from repro.utils import (
     split,
     tree_add,
     tree_scale,
-    tree_zeros_like,
     unflatten_params,
 )
-from repro.utils.pytree import write_into_tree
 
 
 class TestRng:
@@ -99,14 +97,6 @@ class TestPytree:
         _, spec = flatten_params(tree)
         with pytest.raises(ValueError):
             unflatten_params(np.zeros(spec.size - 1), spec)
-
-    def test_write_into_tree(self):
-        tree = self._tree(np.random.default_rng(0))
-        flat, spec = flatten_params(tree)
-        target = tree_zeros_like(tree)
-        write_into_tree(flat, spec, target)
-        for k in tree:
-            np.testing.assert_array_equal(tree[k], target[k])
 
     def test_tree_add_and_scale(self):
         t = {"a": np.array([1.0, 2.0])}
