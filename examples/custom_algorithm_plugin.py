@@ -1,10 +1,10 @@
 """Extending the framework with a custom federated algorithm.
 
-The algorithm protocol is three methods (setup / client_update / aggregate);
-the ``LocalSGDMixin`` gives you the inner loop with a pluggable per-step
-``direction_fn``.  This example implements **FedWCM-Prox** — FedWCM's
-weighted momentum plus a FedProx-style proximal anchor — in ~30 lines, and
-races it against its two parents.
+The algorithm protocol is three methods (setup / client_updates / aggregate);
+the ``LocalSGDMixin`` gives you the inner loop, run for a whole cohort at
+once, with a pluggable per-step ``direction_fn``.  This example implements
+**FedWCM-Prox** — FedWCM's weighted momentum plus a FedProx-style proximal
+anchor — in ~30 lines, and races it against its two parents.
 
     python examples/custom_algorithm_plugin.py
 """
@@ -35,22 +35,18 @@ class FedWCMProx(FedWCM):
             raise ValueError("mu must be >= 0")
         self.mu = mu
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
         mom = self.momentum
         a, delta, mu = mom.alpha, mom.delta, self.mu
+        # per-client operands stack along the cohort; rows picks the clients
+        # stepping together
+        x_global = np.stack([x for _, _, x in jobs])
 
-        def direction(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return a * g + (1.0 - a) * delta + mu * (x - x_global)
+        def direction(g: np.ndarray, x: np.ndarray, rows) -> np.ndarray:
+            return a * g + (1.0 - a) * delta + mu * (x - x_global[rows])
 
-        x_local, nb = self._local_sgd(
-            ctx, round_idx, client_id, x_global, direction_fn=direction
-        )
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
+        x_local, n_batches, losses = self._local_sgd(ctx, jobs, direction_fn=direction)
+        return self._client_results(ctx, jobs, x_local, n_batches, losses)
 
 
 def main() -> None:

@@ -39,7 +39,7 @@ __all__ = ["FedAsync", "FedBuff", "AsyncAdapter"]
 class _AsyncLocalSGD(LocalSGDMixin, FederatedAlgorithm):
     """Shared FedAvg-style local update; subclasses supply the server step."""
 
-    # none of these enter client_update (it is plain local SGD), so worker
+    # none of these enter client_updates (plain local SGD), so worker
     # replicas built with default values still produce bit-identical client
     # updates — the async engine's replica-config check skips them
     replica_safe_hyperparams = frozenset(
@@ -54,15 +54,6 @@ class _AsyncLocalSGD(LocalSGDMixin, FederatedAlgorithm):
     def staleness_weight(self, staleness: float) -> float:
         """Polynomial discount s(tau) = (1 + tau)^(-kappa)."""
         return float((1.0 + max(staleness, 0.0)) ** (-self.staleness_exponent))
-
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
-        x_local, nb = self._local_sgd(ctx, round_idx, client_id, x_global)
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
 
     def server_apply(
         self,
@@ -213,16 +204,15 @@ class AsyncAdapter(FederatedAlgorithm):
     def parallel_safe(self) -> bool:
         return getattr(self.base, "parallel_safe", True)
 
-    @property
-    def last_train_loss(self):
-        return getattr(self.base, "last_train_loss", None)
-
     def setup(self, ctx: SimulationContext) -> None:
         self.base.setup(ctx)
         self.rule.setup(ctx)
 
     def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
         return self.base.client_update(ctx, round_idx, client_id, x_global)
+
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
+        return self.base.client_updates(ctx, jobs)
 
     def pack_client_state(self, client_id: int) -> dict:
         return self.base.pack_client_state(client_id)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin, size_weights
+from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, size_weights
 from repro.data.sampler import BalancedBatchSampler
 from repro.nn.functional import softmax
 from repro.simulation.context import SimulationContext
@@ -35,7 +35,7 @@ from repro.simulation.context import SimulationContext
 __all__ = ["BalanceFL"]
 
 
-class BalanceFL(LocalSGDMixin, FederatedAlgorithm):
+class BalanceFL(FederatedAlgorithm):
     """Local-rebalancing baseline with knowledge inheritance.
 
     Args:

@@ -4,24 +4,30 @@ Every federated method implements three entry points:
 
 * ``setup(ctx)`` — one-time state initialisation (momentum buffers, control
   variates, scores, ...).
-* ``client_update(ctx, round_idx, client_id, x_global) -> ClientUpdate`` —
-  run local training from the broadcast parameters and return the client's
-  *displacement* ``x_global - x_local`` (a pseudo-gradient scaled by
-  ``lr_local * n_batches``) plus bookkeeping.
+* ``client_updates(ctx, jobs) -> list[ClientUpdate]`` — run local training
+  for a cohort of ``(round_idx, client_id, x_global)`` jobs and return each
+  client's *displacement* ``x_global - x_local`` (a pseudo-gradient scaled by
+  ``lr_local * n_batches``) plus bookkeeping, in job order.
+  ``client_update(ctx, round_idx, client_id, x_global)`` is the one-client
+  entry point.
 * ``aggregate(ctx, round_idx, selected, updates, x_global) -> x_new`` — the
   server step.
 
-``LocalSGDMixin._local_sgd`` implements the inner loop once; algorithms
-customise it through a ``direction_fn(g, x_local) -> step direction`` hook
-(FedProx's proximal term, SCAFFOLD's control variates, FedCM's momentum
-injection are all one-liners under this interface).
+``LocalSGDMixin._local_sgd`` implements the inner loop once, for a whole
+cohort: the clients' parameters form one ``(C, dim)`` block, the model
+points at it, and every client takes its local step ``t`` together, so one
+forward/backward serves the cohort.  Algorithms customise the step through a
+``direction_fn(g, x, rows) -> step direction`` hook over the stepping rows'
+blocks (FedProx's proximal term, SCAFFOLD's control variates, FedCM's
+momentum injection are all one-liners under this interface).  A client's
+arithmetic is the one-client loop's, op for op, whatever cohort it runs in.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +36,9 @@ from repro.simulation.context import SimulationContext
 
 __all__ = ["ClientUpdate", "FederatedAlgorithm", "LocalSGDMixin", "size_weights"]
 
-DirectionFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+DirectionFn = Callable[[np.ndarray, np.ndarray, object], np.ndarray]
+#: one client's training job: ``(round_idx, client_id, x_global)``
+Job = tuple[int, int, np.ndarray]
 
 
 @dataclass
@@ -139,6 +147,13 @@ class FederatedAlgorithm:
     ) -> ClientUpdate:
         raise NotImplementedError
 
+    def client_updates(self, ctx: SimulationContext, jobs: Sequence[Job]) -> list[ClientUpdate]:
+        """Train a cohort of ``(round_idx, client_id, x_global)`` jobs (distinct
+        clients); updates come back in job order.  The default runs
+        ``client_update`` one client at a time, for methods with their own
+        local loops."""
+        return [self.client_update(ctx, r, k, x) for r, k, x in jobs]
+
     def aggregate(
         self,
         ctx: SimulationContext,
@@ -155,84 +170,233 @@ class FederatedAlgorithm:
 
 
 class LocalSGDMixin:
-    """Shared local-training loop over the flattened parameter vector."""
+    """Shared local-training loop over a cohort's ``(C, dim)`` parameter block.
+
+    :meth:`client_updates` is the entry point every executor calls;
+    :meth:`client_update` is its one-client call.  A method customises
+    ``client_updates`` (plain local SGD by default), never ``client_update``.
+    """
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "client_update" in vars(cls):
+            raise TypeError(
+                f"{cls.__name__} overrides client_update; a LocalSGDMixin method "
+                "customises client_updates, the cohort entry point executors call"
+            )
+
+    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
+        """One client: the ``C = 1`` call of :meth:`client_updates`."""
+        return self.client_updates(ctx, [(round_idx, client_id, x_global)])[0]
+
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
+        """Plain local SGD (FedAvg's local rule) for every job."""
+        x_local, n_batches, losses = self._local_sgd(ctx, jobs)
+        return self._client_results(ctx, jobs, x_local, n_batches, losses)
+
+    @staticmethod
+    def _client_results(ctx, jobs, x_local, n_batches, losses, extras=None) -> list[ClientUpdate]:
+        """One :class:`ClientUpdate` per job: displacement ``x_global -
+        x_local``, sample and step counts, the method's ``extras`` and the
+        client's mean training loss."""
+        out = []
+        for i, (_, k, x_global) in enumerate(jobs):
+            ex = dict(extras[i]) if extras is not None else {}
+            if losses[i] is not None:
+                ex["train_loss"] = losses[i]
+            out.append(ClientUpdate(
+                client_id=k,
+                displacement=x_global - x_local[i],
+                n_samples=len(ctx.client_xy(k)[1]),
+                n_batches=n_batches[i],
+                extras=ex,
+            ))
+        return out
 
     def _local_sgd(
         self,
         ctx: SimulationContext,
-        round_idx: int,
-        client_id: int,
-        x_global: np.ndarray,
+        jobs: Sequence[Job],
         direction_fn: DirectionFn | None = None,
-        lr: float | None = None,
+        lr: Sequence[float] | None = None,
         epochs: int | None = None,
         grad_eval=None,
-    ) -> tuple[np.ndarray, int]:
-        """Run local SGD and return ``(x_local, n_batches)``.
+    ) -> tuple[np.ndarray, list[int], list[float | None]]:
+        """Run a cohort's local SGD in lockstep.
+
+        Returns ``(x_local, n_batches, train_losses)``: the ``(C, dim)`` block
+        of local parameters (row ``i`` is job ``i``'s client), each client's
+        step count and its mean training loss (None when it evaluated none).
+
+        Each client's batches are drawn up front from its own
+        ``ctx.client_rng`` and sampler, epoch by epoch, cut at
+        ``max_batches_per_round``.  Step ``t`` runs every client that still
+        has a batch ``t`` through one forward/backward; when their batch
+        sizes differ, each size gets a pass of its own in which only the
+        clients with that size step.
 
         Args:
-            direction_fn: maps ``(grad, x_local)`` to the applied direction;
-                identity when None.
-            lr: override the local learning rate.
+            jobs: ``(round_idx, client_id, x_global)`` triples, distinct clients.
+            direction_fn: maps ``(g, x, rows)`` to the applied direction, a
+                fresh array: ``g`` and ``x`` are the stepping group's ``(c,
+                dim)`` gradient and parameter blocks, and ``rows`` (a slice or
+                an index array) picks the group's clients out of per-client
+                ``(C, ...)`` operand stacks.  Identity when None.
+            lr: per-client learning rates (default ``ctx.lr_at(round_idx)``).
             epochs: override the number of local epochs.
-            grad_eval: optional callable ``(xb, yb, loss, x_local) -> grad``
-                replacing the plain gradient evaluation (used by SAM, which
-                needs an extra forward/backward at a perturbed point).
+            grad_eval: optional callable ``(xb, yb, loss, x, rows) -> g``
+                replacing the plain gradient evaluation (the SAM family,
+                which needs extra forward/backward passes at perturbed
+                points through :meth:`_plain_gradient`).
         """
         cfg = ctx.config
-        lr = ctx.lr_at(round_idx) if lr is None else lr
+        model = ctx.model
         epochs = cfg.local_epochs if epochs is None else epochs
-        xs, ys = ctx.client_xy(client_id)
-        sampler = ctx.sampler_for(client_id)
-        loss = ctx.loss_for(client_id)
-        rng = ctx.client_rng(round_idx, client_id)
-
-        x = x_global.copy()
-        nb = 0
-        loss_sum = 0.0
-        loss_batches = 0
         cap = cfg.max_batches_per_round
-        done = False
-        if grad_eval is not None:
-            # grad_eval paths (the SAM family) evaluate the loss inside
-            # _plain_gradient; trace those calls so the batch's first
-            # evaluation — the pre-perturbation loss — still feeds
-            # loss-aware samplers.  The plain path never reads the trace,
-            # so it skips the per-call allocation.
-            self._plain_losses: list[float] = []
-        for _ in range(epochs):
-            if done:
-                break
-            for bidx in sampler.epoch(rng):
-                if grad_eval is None:
-                    ctx.load_params(x)
-                    loss_sum += forward_backward(ctx.model, xs[bidx], ys[bidx], loss)
-                    loss_batches += 1
-                    g = ctx.flat_gradient()
+        n_jobs = len(jobs)
+        ids = [k for _, k, _ in jobs]
+        lrs = [ctx.lr_at(r) for r, _, _ in jobs] if lr is None else lr
+        lr_col = np.array(lrs, dtype=np.float64).reshape(n_jobs, 1)
+        losses = [ctx.loss_for(k) for k in ids]
+        # clients holding one loss object share one call on their rows
+        shared = losses[0] if all(f is losses[0] for f in losses) else None
+
+        # every client's batch schedule, drawn up front: its sampler is the
+        # only reader of its stream, so lockstep order cannot move a draw
+        schedules = []
+        for r, k, _ in jobs:
+            sampler, rng = ctx.sampler_for(k), ctx.client_rng(r, k)
+            batches = []
+            for _ in range(epochs):
+                for bidx in sampler.epoch(rng):
+                    batches.append(bidx)
+                    if cap is not None and len(batches) >= cap:
+                        break
                 else:
-                    mark = len(self._plain_losses)
-                    g = grad_eval(xs[bidx], ys[bidx], loss, x)
-                    if len(self._plain_losses) > mark:
-                        loss_sum += self._plain_losses[mark]
-                        loss_batches += 1
-                d = g if direction_fn is None else direction_fn(g, x)
-                x -= lr * d
-                nb += 1
-                if cap is not None and nb >= cap:
-                    done = True
-                    break
+                    continue
+                break
+            schedules.append(batches)
+        n_batches = [len(b) for b in schedules]
+        steps = max(n_batches, default=0)
+
+        # every batch's rows in the cohort's concatenated data, gathered once
+        # per round in step-major order, so a lockstep step's batches are one
+        # contiguous slice; plan[t] lists (client, batch size) of step t
+        data = [ctx.client_xy(k) for k in ids]
+        xs = data[0][0] if n_jobs == 1 else np.concatenate([x for x, _ in data])
+        ys = data[0][1] if n_jobs == 1 else np.concatenate([y for _, y in data])
+        plan, order, owner = [], [], []
+        for t in range(steps):
+            row = [(i, len(batches[t])) for i, batches in enumerate(schedules) if t < len(batches)]
+            plan.append(row)
+            for i, n in row:
+                order.append(schedules[i][t])
+                owner += [i] * n
+        flat = np.concatenate(order) if order else None
+        if n_jobs > 1 and order:
+            flat += np.cumsum([0] + [len(y) for _, y in data[:-1]])[owner]
+
+        # a cohort of one trains in the model's own arena, as the one-client
+        # loops and evaluation do; a larger cohort in a fresh block
+        if n_jobs == 1:
+            x, grads = ctx.arena
+            x[0] = jobs[0][2]
+        else:
+            x = np.stack([xg for _, _, xg in jobs])
+            grads = np.zeros_like(x)
+        loss_sum = np.zeros(n_jobs)
+        loss_count = np.zeros(n_jobs, dtype=np.int64)
+        trace = self._plain_losses = [] if grad_eval is not None else None
+        subset, xr, gr = None, x, grads
+        live, cursor = [], 0
+        for row in plan:
+            if len(row) != len(live):
+                # the live set only shrinks: once a client finishes, the
+                # survivors train in a gathered copy, written back when it
+                # shrinks again
+                if subset is not None:
+                    x[subset] = xr
+                live = [i for i, _ in row]
+                if len(live) < n_jobs:
+                    subset = np.array(live)
+                    xr, gr = x[subset], np.zeros((len(live), x.shape[1]))
+                every = slice(None) if subset is None else subset
+                model.point_at(xr, gr)
+                loss = shared if shared is not None else [losses[i] for i in live]
+            sizes = [n for _, n in row]
+            uniform = sizes.count(sizes[0]) == len(sizes)
+            for n in sizes[:1] if uniform else sorted(set(sizes)):
+                if uniform:
+                    # one batch size: the step's batches are one slice
+                    members, rows = None, every
+                    index = flat[cursor:cursor + len(row) * n]
+                else:
+                    # one pass per size over every live row; the rows whose
+                    # batch has another size run a stand-in and do not step
+                    members = np.array([p for p, m in enumerate(sizes) if m == n])
+                    rows = members if isinstance(every, slice) else every[members]
+                    starts = np.cumsum([cursor] + sizes[:-1])
+                    filler = np.zeros(n, np.int64)  # a stand-in batch: any valid rows
+                    index = np.concatenate(
+                        [flat[s:s + n] if m == n else filler for s, m in zip(starts, sizes)]
+                    )
+                xb = xs[index]
+                yb = ys[index].reshape(-1, n)
+                if grad_eval is None:
+                    value = forward_backward(model, xb, yb, loss)
+                    g = model.flat_grads
+                else:
+                    mark = len(trace)
+                    g = grad_eval(xb, yb, loss, xr, every)
+                    model.point_at(xr, gr)  # it evaluates at other points
+                    value = trace[mark] if len(trace) > mark else None
+                xm = xr
+                if members is not None:
+                    g, xm = g[members], xr[members]
+                    value = None if value is None else value[members]
+                if value is not None:
+                    loss_sum[rows] += value
+                    loss_count[rows] += 1
+                if direction_fn is None:
+                    d = lr_col[rows] * g
+                else:
+                    d = direction_fn(g, xm, rows)
+                    d *= lr_col[rows]  # a fresh array: scaled in place
+                if members is None:
+                    xr -= d
+                else:
+                    xr[members] -= d
+            cursor += sum(sizes)
+        if subset is not None:
+            x[subset] = xr
+        if n_jobs > 1:
+            # back on the model's own arena, without the folded batch's
+            # activations: C clients' caches would outlive the cohort
+            model.point_at(*ctx.arena)
+            model.drop_caches()
+        else:
+            # a cohort of one never left the arena and leaves one client's
+            # caches, as a one-client pass does; the next load_params
+            # overwrites the arena, so the result is a copy
+            x = x.copy()
         self._plain_losses = []
-        # mean training loss of this client's local pass, for loss-aware
+        # each client's mean training loss of its local pass, for loss-aware
         # samplers (Oort statistical utility); the grad_eval trace above keeps
         # SAM-family methods reporting instead of falling back to the prior
-        self.last_train_loss = loss_sum / loss_batches if loss_batches else None
-        return x, nb
+        train_losses = [
+            float(loss_sum[i] / loss_count[i]) if loss_count[i] else None
+            for i in range(n_jobs)
+        ]
+        return x, n_batches, train_losses
 
     def _plain_gradient(self, ctx: SimulationContext, x: np.ndarray, xb, yb, loss) -> np.ndarray:
-        """Gradient of ``loss`` at parameters ``x`` on batch ``(xb, yb)``."""
-        ctx.load_params(x)
-        value = forward_backward(ctx.model, xb, yb, loss)
+        """Gradient block (a copy) of ``loss`` at the ``(c, dim)`` parameters
+        ``x`` on the rows' folded batch ``(xb, yb)``."""
+        model = ctx.model
+        if x is not model.flat_params:
+            model.point_at(x, np.zeros_like(x))
+        value = forward_backward(model, xb, yb, loss)
         trace = getattr(self, "_plain_losses", None)
         if trace is not None:
-            trace.append(float(value))
-        return ctx.flat_gradient()
+            trace.append(value)
+        return model.flat_grads.copy()

@@ -63,20 +63,21 @@ class CReFF(FedAvg):
             h = m.forward(h, train=False)
         return h
 
-    def client_update(self, ctx, round_idx, client_id, x_global):
-        update = super().client_update(ctx, round_idx, client_id, x_global)
-        # report per-class feature statistics under the *broadcast* model
-        ctx.load_params(x_global)
-        xs, ys = ctx.client_xy(client_id)
-        feats = np.concatenate(
-            [self._features(ctx, xs[lo : lo + 256]) for lo in range(0, len(xs), 256)]
-        )
-        stats = {}
-        for c in np.unique(ys):
-            f = feats[ys == c]
-            stats[int(c)] = (f.mean(axis=0), f.var(axis=0), f.shape[0])
-        update.extras["feature_stats"] = stats
-        return update
+    def client_updates(self, ctx, jobs):
+        updates = super().client_updates(ctx, jobs)
+        for (_, k, x_global), update in zip(jobs, updates):
+            # report per-class feature statistics under the *broadcast* model
+            ctx.load_params(x_global)
+            xs, ys = ctx.client_xy(k)
+            feats = np.concatenate(
+                [self._features(ctx, xs[lo : lo + 256]) for lo in range(0, len(xs), 256)]
+            )
+            stats = {}
+            for c in np.unique(ys):
+                f = feats[ys == c]
+                stats[int(c)] = (f.mean(axis=0), f.var(axis=0), f.shape[0])
+            update.extras = {"feature_stats": stats, **update.extras}
+        return updates
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         x_new = super().aggregate(ctx, round_idx, selected, updates, x_global)

@@ -23,15 +23,6 @@ class FedAvg(LocalSGDMixin, FederatedAlgorithm):
     def __init__(self, weighted: bool = True) -> None:
         self.weighted = weighted
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
-        x_local, nb = self._local_sgd(ctx, round_idx, client_id, x_global)
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
-
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         w = size_weights(updates) if self.weighted else np.full(
             len(updates), 1.0 / len(updates)
@@ -51,21 +42,15 @@ class FedProx(FedAvg):
             raise ValueError(f"mu must be >= 0, got {mu}")
         self.mu = mu
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
         mu = self.mu
+        x_global = np.stack([x for _, _, x in jobs])
 
-        def direction(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return g + mu * (x - x_global)
+        def direction(g: np.ndarray, x: np.ndarray, rows) -> np.ndarray:
+            return g + mu * (x - x_global[rows])
 
-        x_local, nb = self._local_sgd(
-            ctx, round_idx, client_id, x_global, direction_fn=direction
-        )
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
+        x_local, nbs, losses = self._local_sgd(ctx, jobs, direction_fn=direction)
+        return self._client_results(ctx, jobs, x_local, nbs, losses)
 
 
 class FedAvgM(FedAvg):

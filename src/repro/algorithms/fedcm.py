@@ -20,7 +20,24 @@ import numpy as np
 from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin, size_weights
 from repro.simulation.context import SimulationContext
 
-__all__ = ["FedCM"]
+__all__ = ["FedCM", "momentum_direction"]
+
+
+def momentum_direction(a: float, delta: np.ndarray):
+    """The client-momentum step ``v = a * g + (1 - a) * delta`` (Eq. 2 / 6).
+
+    ``(1 - a) * delta`` is built from server state alone, so it is computed
+    once per cohort: the same op on the same operands gives every step the
+    bits it would compute itself.
+    """
+    md = (1.0 - a) * delta
+
+    def direction(g: np.ndarray, x: np.ndarray, rows) -> np.ndarray:
+        v = a * g
+        v += md
+        return v
+
+    return direction
 
 
 class FedCM(LocalSGDMixin, FederatedAlgorithm):
@@ -46,21 +63,11 @@ class FedCM(LocalSGDMixin, FederatedAlgorithm):
     def setup(self, ctx: SimulationContext) -> None:
         self._delta = np.zeros(ctx.dim, dtype=np.float64)
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
-        a, delta = self.alpha, self._delta
-
-        def direction(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return a * g + (1.0 - a) * delta
-
-        x_local, nb = self._local_sgd(
-            ctx, round_idx, client_id, x_global, direction_fn=direction
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
+        x_local, nbs, losses = self._local_sgd(
+            ctx, jobs, direction_fn=momentum_direction(self.alpha, self._delta)
         )
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
+        return self._client_results(ctx, jobs, x_local, nbs, losses)
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         w = size_weights(updates) if self.weighted else np.full(

@@ -47,23 +47,18 @@ class FedDyn(LocalSGDMixin, FederatedAlgorithm):
         # per-arrival analogue of aggregate's h += alpha * (m/K) * mean(disp)
         self._h += self.alpha * weight * update.displacement
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
         a = self.alpha
-        hi = self._hi[client_id]
+        hi = self._hi[[k for _, k, _ in jobs]]
+        x_global = np.stack([x for _, _, x in jobs])
 
-        def direction(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return g - hi + a * (x - x_global)
+        def direction(g: np.ndarray, x: np.ndarray, rows) -> np.ndarray:
+            return g - hi[rows] + a * (x - x_global[rows])
 
-        x_local, nb = self._local_sgd(
-            ctx, round_idx, client_id, x_global, direction_fn=direction
-        )
-        self._hi[client_id] = hi - a * (x_local - x_global)
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
+        x_local, nbs, losses = self._local_sgd(ctx, jobs, direction_fn=direction)
+        for i, (_, k, xg) in enumerate(jobs):
+            self._hi[k] = hi[i] - a * (x_local[i] - xg)
+        return self._client_results(ctx, jobs, x_local, nbs, losses)
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         disp = np.stack([u.displacement for u in updates])

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin, size_weights
+from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, size_weights
 from repro.nn.functional import one_hot, softmax
 from repro.simulation.context import SimulationContext
 
@@ -84,7 +84,7 @@ class GradientBalancer:
         return pos + neg * gains
 
 
-class FedGraB(LocalSGDMixin, FederatedAlgorithm):
+class FedGraB(FederatedAlgorithm):
     """Federated long-tailed learning with a self-adjusting gradient balancer."""
 
     name = "fedgrab"

@@ -12,9 +12,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin, size_weights
+from repro.algorithms.fedcm import momentum_direction
 from repro.simulation.context import SimulationContext
 
-__all__ = ["FedSAM", "MoFedSAM"]
+__all__ = ["FedSAM", "MoFedSAM", "perturbed_gradient"]
+
+
+def perturbed_gradient(algo, ctx, xb, yb, loss, x, g, d, rho: float) -> np.ndarray:
+    """SAM's second evaluation for a stepping group's rows.
+
+    Each row whose ascent direction ``d`` has norm above 1e-12 gets the
+    gradient at ``x + rho * d / ||d||`` in place of its row of ``g``; the
+    others keep ``g``.  Every norm is its row's own 1-D norm: an ``axis=1``
+    norm of the block differs in the last bit.
+    """
+    norms = np.array([np.linalg.norm(row) for row in d])
+    hot = norms > 1e-12
+    if hot.all():
+        return algo._plain_gradient(ctx, x + rho * d / norms[:, None], xb, yb, loss)
+    if hot.any():
+        rows = np.flatnonzero(hot)
+        batch = xb.reshape(len(norms), -1, *xb.shape[1:])[rows].reshape(-1, *xb.shape[1:])
+        g[rows] = algo._plain_gradient(
+            ctx, x[rows] + rho * d[rows] / norms[rows, None], batch, yb[rows],
+            loss if callable(loss) else [loss[i] for i in rows],
+        )
+    return g
 
 
 class FedSAM(LocalSGDMixin, FederatedAlgorithm):
@@ -31,26 +54,17 @@ class FedSAM(LocalSGDMixin, FederatedAlgorithm):
     def _sam_grad_eval(self, ctx: SimulationContext):
         rho = self.rho
 
-        def grad_eval(xb, yb, loss, x):
-            g = self._plain_gradient(ctx, x, xb, yb, loss).copy()
-            norm = np.linalg.norm(g)
-            if norm > 1e-12:
-                x_adv = x + rho * g / norm
-                g = self._plain_gradient(ctx, x_adv, xb, yb, loss).copy()
-            return g
+        def grad_eval(xb, yb, loss, x, rows):
+            g = self._plain_gradient(ctx, x, xb, yb, loss)
+            return perturbed_gradient(self, ctx, xb, yb, loss, x, g, g, rho)
 
         return grad_eval
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
-        x_local, nb = self._local_sgd(
-            ctx, round_idx, client_id, x_global, grad_eval=self._sam_grad_eval(ctx)
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
+        x_local, nbs, losses = self._local_sgd(
+            ctx, jobs, grad_eval=self._sam_grad_eval(ctx)
         )
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
+        return self._client_results(ctx, jobs, x_local, nbs, losses)
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         w = size_weights(updates) if self.weighted else np.full(
@@ -77,26 +91,14 @@ class MoFedSAM(FedSAM):
     def setup(self, ctx: SimulationContext) -> None:
         self._delta = np.zeros(ctx.dim, dtype=np.float64)
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
-        a, delta = self.alpha, self._delta
-
-        def direction(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return a * g + (1.0 - a) * delta
-
-        x_local, nb = self._local_sgd(
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
+        x_local, nbs, losses = self._local_sgd(
             ctx,
-            round_idx,
-            client_id,
-            x_global,
-            direction_fn=direction,
+            jobs,
+            direction_fn=momentum_direction(self.alpha, self._delta),
             grad_eval=self._sam_grad_eval(ctx),
         )
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
+        return self._client_results(ctx, jobs, x_local, nbs, losses)
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         w = size_weights(updates) if self.weighted else np.full(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin
+from repro.algorithms.fedcm import momentum_direction
 from repro.core.momentum import GlobalMomentum, adaptive_alpha, score_ratio
 from repro.core.scoring import client_scores, global_distribution
 from repro.core.weighting import compute_temperature, l1_discrepancy, softmax_weights
@@ -80,22 +81,12 @@ class FedWCM(LocalSGDMixin, FederatedAlgorithm):
         self.momentum = GlobalMomentum(dim=ctx.dim, alpha=self.alpha0)
 
     # -- local update (Eq. 6) ---------------------------------------------------
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
         mom = self.momentum
-        a, delta = mom.alpha, mom.delta
-
-        def direction(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return a * g + (1.0 - a) * delta
-
-        x_local, nb = self._local_sgd(
-            ctx, round_idx, client_id, x_global, direction_fn=direction
+        x_local, nbs, losses = self._local_sgd(
+            ctx, jobs, direction_fn=momentum_direction(mom.alpha, mom.delta)
         )
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
+        return self._client_results(ctx, jobs, x_local, nbs, losses)
 
     # -- server step (Algorithm 1) ------------------------------------------------
     def _aggregation_weights(self, ctx, selected, updates) -> np.ndarray:
@@ -143,28 +134,21 @@ class FedWCMX(FedWCM):
 
     name = "fedwcm-x"
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
         mom = self.momentum
-        a, delta = mom.alpha, mom.delta
-
-        def direction(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return a * g + (1.0 - a) * delta
-
-        n_k = len(ctx.client_xy(client_id)[1])
-        per_epoch = max(1, int(np.ceil(n_k / ctx.config.batch_size)))
-        b_k = per_epoch * ctx.config.local_epochs
         b_hat = ctx.nominal_batches()
-        lr_k = ctx.lr_at(round_idx) * (b_hat / max(b_k, 1))
+        lr_k = []
+        for r, k, _ in jobs:
+            n_k = len(ctx.client_xy(k)[1])
+            per_epoch = max(1, int(np.ceil(n_k / ctx.config.batch_size)))
+            b_k = per_epoch * ctx.config.local_epochs
+            lr_k.append(ctx.lr_at(r) * (b_hat / max(b_k, 1)))
 
-        x_local, nb = self._local_sgd(
-            ctx, round_idx, client_id, x_global, direction_fn=direction, lr=lr_k
+        x_local, nbs, losses = self._local_sgd(
+            ctx, jobs, direction_fn=momentum_direction(mom.alpha, mom.delta), lr=lr_k
         )
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=n_k,
-            n_batches=nb,
-            extras={"lr_k": lr_k},
+        return self._client_results(
+            ctx, jobs, x_local, nbs, losses, extras=[{"lr_k": lr} for lr in lr_k]
         )
 
     def _aggregation_weights(self, ctx, selected, updates) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin, size_weights
+from repro.algorithms.fedsam import perturbed_gradient
 from repro.simulation.context import SimulationContext
 
 __all__ = ["FedSpeed", "FedSMOO", "FedLESAM"]
@@ -45,25 +46,17 @@ class FedSpeed(LocalSGDMixin, FederatedAlgorithm):
         self.lam = lam
         self.weighted = weighted
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
         rho, lam = self.rho, self.lam
+        x_global = np.stack([x for _, _, x in jobs])
 
-        def grad_eval(xb, yb, loss, x):
-            g = self._plain_gradient(ctx, x, xb, yb, loss).copy()
-            norm = np.linalg.norm(g)
-            if norm > 1e-12:
-                g = self._plain_gradient(ctx, x + rho * g / norm, xb, yb, loss).copy()
-            return g + lam * (x - x_global)
+        def grad_eval(xb, yb, loss, x, rows):
+            g = self._plain_gradient(ctx, x, xb, yb, loss)
+            g = perturbed_gradient(self, ctx, xb, yb, loss, x, g, g, rho)
+            return g + lam * (x - x_global[rows])
 
-        x_local, nb = self._local_sgd(
-            ctx, round_idx, client_id, x_global, grad_eval=grad_eval
-        )
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
+        x_local, nbs, losses = self._local_sgd(ctx, jobs, grad_eval=grad_eval)
+        return self._client_results(ctx, jobs, x_local, nbs, losses)
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         w = size_weights(updates) if self.weighted else np.full(
@@ -107,31 +100,24 @@ class FedSMOO(LocalSGDMixin, FederatedAlgorithm):
     def unpack_client_state(self, client_id: int, state: dict) -> None:
         self._hi[client_id] = state["hi"]
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
         rho, a = self.rho, self.alpha
-        hi = self._hi[client_id]
+        hi = self._hi[[k for _, k, _ in jobs]]
+        x_global = np.stack([x for _, _, x in jobs])
         mu = self._mu
         mu_norm = np.linalg.norm(mu)
 
-        def grad_eval(xb, yb, loss, x):
-            g = self._plain_gradient(ctx, x, xb, yb, loss).copy()
+        def grad_eval(xb, yb, loss, x, rows):
+            g = self._plain_gradient(ctx, x, xb, yb, loss)
             # couple the ascent direction with the shared estimate
             d = g if mu_norm <= 1e-12 else 0.5 * g + 0.5 * mu
-            norm = np.linalg.norm(d)
-            if norm > 1e-12:
-                g = self._plain_gradient(ctx, x + rho * d / norm, xb, yb, loss).copy()
-            return g - hi + a * (x - x_global)
+            g = perturbed_gradient(self, ctx, xb, yb, loss, x, g, d, rho)
+            return g - hi[rows] + a * (x - x_global[rows])
 
-        x_local, nb = self._local_sgd(
-            ctx, round_idx, client_id, x_global, grad_eval=grad_eval
-        )
-        self._hi[client_id] = hi - a * (x_local - x_global)
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
+        x_local, nbs, losses = self._local_sgd(ctx, jobs, grad_eval=grad_eval)
+        for i, (_, k, xg) in enumerate(jobs):
+            self._hi[k] = hi[i] - a * (x_local[i] - xg)
+        return self._client_results(ctx, jobs, x_local, nbs, losses)
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         w = size_weights(updates) if self.weighted else np.full(
@@ -167,24 +153,22 @@ class FedLESAM(LocalSGDMixin, FederatedAlgorithm):
     def setup(self, ctx: SimulationContext) -> None:
         self._x_prev = ctx.x0.copy()
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
         rho = self.rho
-        est = self._x_prev - x_global  # estimated global ascent direction
-        est_norm = np.linalg.norm(est)
-        perturb = np.zeros_like(x_global) if est_norm <= 1e-12 else rho * est / est_norm
+        perturb = []
+        for _, _, x_global in jobs:
+            est = self._x_prev - x_global  # estimated global ascent direction
+            est_norm = np.linalg.norm(est)
+            perturb.append(
+                np.zeros_like(x_global) if est_norm <= 1e-12 else rho * est / est_norm
+            )
+        perturb = np.stack(perturb)
 
-        def grad_eval(xb, yb, loss, x):
-            return self._plain_gradient(ctx, x + perturb, xb, yb, loss).copy()
+        def grad_eval(xb, yb, loss, x, rows):
+            return self._plain_gradient(ctx, x + perturb[rows], xb, yb, loss)
 
-        x_local, nb = self._local_sgd(
-            ctx, round_idx, client_id, x_global, grad_eval=grad_eval
-        )
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
+        x_local, nbs, losses = self._local_sgd(ctx, jobs, grad_eval=grad_eval)
+        return self._client_results(ctx, jobs, x_local, nbs, losses)
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         w = size_weights(updates) if self.weighted else np.full(

@@ -43,28 +43,21 @@ class Scaffold(LocalSGDMixin, FederatedAlgorithm):
         # per-arrival analogue of aggregate's (m/K) * mean(delta_ci)
         self._c += weight * update.extras["delta_ci"]
 
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
-        c, ci = self._c, self._ci[client_id]
-        correction = c - ci  # added to every local gradient
+    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
+        c, ci = self._c, self._ci[[k for _, k, _ in jobs]]
+        correction = c - ci  # row i is added to every local gradient of client i
 
-        def direction(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-            return g + correction
+        def direction(g: np.ndarray, x: np.ndarray, rows) -> np.ndarray:
+            return g + correction[rows]
 
-        x_local, nb = self._local_sgd(
-            ctx, round_idx, client_id, x_global, direction_fn=direction
-        )
-        disp = x_global - x_local
-        lr = ctx.lr_at(round_idx)
-        ci_new = ci - c + disp / (max(nb, 1) * lr)
-        delta_ci = ci_new - ci
-        self._ci[client_id] = ci_new
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=disp,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-            extras={"delta_ci": delta_ci},
-        )
+        x_local, nbs, losses = self._local_sgd(ctx, jobs, direction_fn=direction)
+        updates = self._client_results(ctx, jobs, x_local, nbs, losses)
+        for (r, k, _), ci_k, u in zip(jobs, ci, updates):
+            lr = ctx.lr_at(r)
+            ci_new = ci_k - c + u.displacement / (max(u.n_batches, 1) * lr)
+            u.extras = {"delta_ci": ci_new - ci_k, **u.extras}
+            self._ci[k] = ci_new
+        return updates
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         m = len(updates)

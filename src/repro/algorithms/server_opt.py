@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin, size_weights
+from repro.algorithms.base import FederatedAlgorithm, LocalSGDMixin, size_weights
 from repro.simulation.context import SimulationContext
 
 __all__ = ["FedAdam", "FedYogi", "FedNova"]
@@ -48,15 +48,6 @@ class _ServerAdaptive(LocalSGDMixin, FederatedAlgorithm):
     def setup(self, ctx: SimulationContext) -> None:
         self._m = np.zeros(ctx.dim, dtype=np.float64)
         self._v = np.full(ctx.dim, self.tau**2, dtype=np.float64)
-
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
-        x_local, nb = self._local_sgd(ctx, round_idx, client_id, x_global)
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
 
     def _second_moment(self, g: np.ndarray) -> None:
         raise NotImplementedError
@@ -105,15 +96,6 @@ class FedNova(LocalSGDMixin, FederatedAlgorithm):
     """
 
     name = "fednova"
-
-    def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
-        x_local, nb = self._local_sgd(ctx, round_idx, client_id, x_global)
-        return ClientUpdate(
-            client_id=client_id,
-            displacement=x_global - x_local,
-            n_samples=len(ctx.client_xy(client_id)[1]),
-            n_batches=nb,
-        )
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         w = size_weights(updates)

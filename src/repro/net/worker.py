@@ -9,9 +9,10 @@ A worker is openfl's *collaborator* shape: a long-lived process that
    — the *same* dataset / model / algorithm construction the pool workers
    get via fork, but rebuilt from the spec because closures cannot cross
    machines (:func:`repro.parallel.build_job_runtime`),
-4. loops: ``JOB`` / ``JOB_BATCH`` in, :func:`repro.parallel.execute_client_job`
-   (the exact pool-worker compute path) per job, one ``RESULT`` out per job
-   — a job that raises ships its traceback back instead of killing the
+4. loops: ``JOB`` / ``JOB_BATCH`` in, one :func:`repro.parallel.execute_jobs`
+   call per message (the exact pool-worker compute path, so a batch trains
+   as stacked cohorts), one ``RESULT`` out per job — a batch that raises
+   ships its traceback back for each of its jobs instead of killing the
    worker.  Batched jobs may carry an
    :class:`~repro.net.framing.XRefToken` in place of the broadcast vector,
    resolved from a small version cache mirrored with the aggregator,
@@ -171,7 +172,7 @@ class WorkerClient:
             self._sock = None
 
     def _job_loop(self, ctx, algorithm) -> None:
-        from repro.parallel import execute_client_job
+        from repro.parallel import execute_jobs
 
         # broadcast-vector cache, the exact mirror of the aggregator's
         # per-connection `sent_versions`: versions are inserted in the order
@@ -205,6 +206,7 @@ class WorkerClient:
                         del xref_cache[version]
             else:
                 raise FrameError(f"expected JOB, got {msg_type.name}")
+            seqs, jobs = [], []
             for seq, job in batch:
                 token = job.x_ref if isinstance(job.x_ref, XRefToken) else None
                 if token is not None:
@@ -216,15 +218,20 @@ class WorkerClient:
                         )))
                         continue
                     job = replace(job, x_ref=cached)
-                try:
-                    result = execute_client_job(ctx, algorithm, job)
-                except Exception:
-                    self._send(
-                        MsgType.RESULT, (seq, None, traceback.format_exc())
-                    )
-                else:
+                seqs.append(seq)
+                jobs.append(job)
+            if not jobs:
+                continue
+            try:
+                results = execute_jobs(ctx, algorithm, jobs)
+            except Exception:
+                error = traceback.format_exc()
+                for seq in seqs:
+                    self._send(MsgType.RESULT, (seq, None, error))
+            else:
+                for seq, result in zip(seqs, results):
                     self._send(MsgType.RESULT, (seq, result, None))
-                    self.jobs_done += 1
+                self.jobs_done += len(results)
 
 
 def run_worker(address: str, connect_timeout: float = 30.0) -> int:

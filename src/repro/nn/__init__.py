@@ -1,8 +1,9 @@
 """Pure-NumPy neural-network engine with manual backprop.
 
 Substitutes for the paper's PyTorch substrate (see DESIGN.md).  Public
-surface: modules/layers, the model zoo, losses, training helpers and
-flat-vector optimizers.
+surface: modules/layers, the model zoo, losses and training helpers.  The
+local update rules live with the federated algorithms, which step the
+model's ``(C, dim)`` parameter blocks directly.
 """
 
 from repro.nn.module import Module
@@ -25,7 +26,6 @@ from repro.nn.losses import (
     ClassBalancedLoss,
     make_loss,
 )
-from repro.nn.optim import SGD, MomentumInjectedSGD
 from repro.nn.train import forward_backward, evaluate, iterate_minibatches
 from repro.nn.schedules import (
     ConstantSchedule,
@@ -62,8 +62,6 @@ __all__ = [
     "LDAMLoss",
     "ClassBalancedLoss",
     "make_loss",
-    "SGD",
-    "MomentumInjectedSGD",
     "forward_backward",
     "evaluate",
     "iterate_minibatches",

@@ -84,14 +84,15 @@ class BasicBlock(Module):
                 in_channels, out_channels, 1, rng, stride=stride, padding=0, bias=False
             )
         self._bind()
-        self._skip: np.ndarray | None = None
 
     def _named_children(self) -> list[tuple[str, Module]]:
         out = [
             ("conv1", self.conv1),
             ("norm1", self.norm1),
+            ("relu1", self.relu1),
             ("conv2", self.conv2),
             ("norm2", self.norm2),
+            ("relu2", self.relu2),
         ]
         if self.project is not None:
             out.append(("project", self.project))

@@ -1,13 +1,14 @@
 """Convolution and pooling layers (NCHW layout).
 
-``Conv2d`` lowers convolution to one GEMM over im2col rows.  The data
-movement on either side of that GEMM runs on two index plans that depend
-only on the layer geometry:
+``Conv2d`` lowers convolution to one GEMM per client row over that client's
+im2col rows; the client rows run one at a time, so the largest temporaries
+are one client's.  The data movement on either side of each GEMM runs on two
+index plans that depend only on the layer geometry:
 
 * forward: ``x`` is copied into a zero-padded buffer with one slice
   assignment, and one ``np.take`` over the gather plan lays out the
   ``(n*oh*ow, c*kh*kw)`` column matrix;
-* backward: one ``np.bincount`` over the scatter plan sums the column
+* backward: one ``np.bincount`` over the scatter plan sums a client's column
   gradients back into image layout.  Entries that fall on padding go to a
   dump bin past the end, so the unpadded ``dx`` comes back directly.
 
@@ -118,44 +119,65 @@ class Conv2d(Module):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
+        w = self.params["W"]
+        rows = w.shape[0]
+        if x.ndim != 4 or x.shape[1] != self.in_channels or x.shape[0] % rows:
             raise ValueError(
-                f"Conv2d expected (n, {self.in_channels}, h, w), got {x.shape}"
+                f"Conv2d expected ({rows} * n, {self.in_channels}, h, w), got {x.shape}"
             )
-        n, c, h, w = x.shape
+        n, c, h, w_ = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
-        hp, wp = h + 2 * p, w + 2 * p
+        hp, wp = h + 2 * p, w_ + 2 * p
         if min(hp, wp) < k:
             raise ValueError(f"Conv2d kernel {k} exceeds padded input {hp}x{wp}")
         oh, ow = (hp - k) // s + 1, (wp - k) // s + 1
         xp = x
         if p:
             xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
-            xp[:, :, p : p + h, p : p + w] = x
+            xp[:, :, p : p + h, p : p + w_] = x
         plan = _gather_plan(c, hp, wp, k, s)
-        cols = np.take(xp.reshape(n, -1), plan, axis=1).reshape(n * oh * ow, -1)
-        w_mat = self.params["W"].reshape(self.out_channels, -1)
-        out = cols @ w_mat.T
-        if self.use_bias:
-            out += self.params["b"]
-        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        self._cache = (cols, x.shape) if train else None
-        return np.ascontiguousarray(out)
+        w_mat = w.reshape(rows, self.out_channels, -1)
+        m = n // rows
+        out = np.empty((n, self.out_channels, oh, ow))
+        # one client row at a time: its im2col rows and its GEMM, so a
+        # cohort's folded batch never holds every client's columns at once
+        for i in range(rows):
+            cols = np.take(xp[i * m:(i + 1) * m].reshape(m, -1), plan, axis=1)
+            o = cols.reshape(m * oh * ow, -1) @ w_mat[i].T
+            if self.use_bias:
+                o += self.params["b"][i]
+            out[i * m:(i + 1) * m] = o.reshape(m, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+        # the padded input, not its ~k*k/s^2 times larger im2col rows: the
+        # folded batch would hold every layer's columns at once
+        self._cache = (xp, x.shape) if train else None
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
-        cols, (n, c, h, w) = self._cache
-        dout_mat = dout.transpose(0, 2, 3, 1).reshape(cols.shape[0], self.out_channels)
-        w_mat = self.params["W"].reshape(self.out_channels, -1)
-        self.grads["W"] += (dout_mat.T @ cols).reshape(self.params["W"].shape)
-        if self.use_bias:
-            self.grads["b"] += dout_mat.sum(axis=0)
-        dcols = dout_mat @ w_mat  # (n*oh*ow, c*k*k)
-        plan = _scatter_plan(n, c, h, w, self.kernel_size, self.stride, self.padding)
-        size = n * c * h * w
-        dx = np.bincount(plan, weights=dcols.reshape(-1)[::-1], minlength=size + 1)
-        return dx[:size].reshape(n, c, h, w)
+        xp, (n, c, h, w) = self._cache
+        k, s, p = self.kernel_size, self.stride, self.padding
+        rows = self.params["W"].shape[0]
+        m = n // rows
+        gather = _gather_plan(c, xp.shape[2], xp.shape[3], k, s)
+        # scatter plans key on the client batch size, however many clients
+        # share the step
+        scatter = _scatter_plan(m, c, h, w, k, s, p)
+        size = m * c * h * w
+        dx = np.empty((n, c, h, w))
+        for i in range(rows):
+            lo, hi = i * m, (i + 1) * m
+            cols = np.take(xp[lo:hi].reshape(m, -1), gather, axis=1).reshape(-1, c * k * k)
+            dout_mat = dout[lo:hi].transpose(0, 2, 3, 1).reshape(cols.shape[0], self.out_channels)
+            w_mat = self.params["W"][i].reshape(self.out_channels, -1)
+            self.grads["W"][i] += (dout_mat.T @ cols).reshape(w_mat.shape[:1] + (c, k, k))
+            if self.use_bias:
+                self.grads["b"][i] += dout_mat.sum(axis=0)
+            dcols = dout_mat @ w_mat  # (m*oh*ow, c*k*k)
+            dx[lo:hi] = np.bincount(
+                scatter, weights=dcols.reshape(-1)[::-1], minlength=size + 1
+            )[:size].reshape(m, c, h, w)
+        return dx
 
 
 class MaxPool2d(Module):
@@ -198,25 +220,25 @@ class AvgPool2d(Module):
         if kernel_size <= 0:
             raise ValueError(f"kernel_size must be positive, got {kernel_size}")
         self.k = kernel_size
-        self._shape: tuple | None = None
+        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         n, c, h, w = x.shape
         k = self.k
         if h % k or w % k:
             raise ValueError(f"spatial dims {h}x{w} not divisible by pool {k}")
-        self._shape = x.shape if train else None
+        self._cache = x.shape if train else None
         return x.reshape(n, c, h // k, k, w // k, k).mean(axis=(3, 5))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._shape is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
-        n, c, h, w = self._shape
+        n, c, h, w = self._cache
         k = self.k
         dx = np.broadcast_to(
             dout[:, :, :, None, :, None] / (k * k), (n, c, h // k, k, w // k, k)
         )
-        return dx.reshape(self._shape).copy()
+        return dx.reshape(self._cache).copy()
 
 
 class GlobalAvgPool2d(Module):
@@ -224,16 +246,16 @@ class GlobalAvgPool2d(Module):
 
     def __init__(self) -> None:
         super().__init__()
-        self._shape: tuple | None = None
+        self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 4:
             raise ValueError(f"expected NCHW input, got shape {x.shape}")
-        self._shape = x.shape if train else None
+        self._cache = x.shape if train else None
         return x.mean(axis=(2, 3))
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._shape is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
-        n, c, h, w = self._shape
-        return np.broadcast_to(dout[:, :, None, None] / (h * w), self._shape).copy()
+        n, c, h, w = self._cache
+        return np.broadcast_to(dout[:, :, None, None] / (h * w), self._cache).copy()

@@ -11,7 +11,7 @@ __all__ = ["Dense", "ReLU", "Flatten", "Dropout"]
 
 
 class Dense(Module):
-    """Fully-connected layer ``y = x @ W + b``.
+    """Fully-connected layer ``y = x @ W + b``, per client row.
 
     Args:
         in_features: input dimensionality.
@@ -39,26 +39,32 @@ class Dense(Module):
         if bias:
             self.params["b"] = init_mod.zeros((out_features,))
         self._bind()
-        self._x: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.in_features:
+        w = self.params["W"]
+        rows = w.shape[0]
+        if x.ndim != 2 or x.shape[1] != self.in_features or x.shape[0] % rows:
             raise ValueError(
-                f"Dense expected (n, {self.in_features}), got {x.shape}"
+                f"Dense expected ({rows} * n, {self.in_features}), got {x.shape}"
             )
-        self._x = x if train else None
-        y = x @ self.params["W"]
+        # per-client GEMMs: one stacked matmul over the client axis
+        x3 = x.reshape(rows, -1, self.in_features)
+        self._cache = x3 if train else None
+        y = np.matmul(x3, w)
         if self.use_bias:
-            y += self.params["b"]
-        return y
+            y += self.params["b"][:, None, :]
+        return y.reshape(-1, self.out_features)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._x is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
-        self.grads["W"] += self._x.T @ dout
+        w = self.params["W"]
+        d3 = dout.reshape(w.shape[0], -1, self.out_features)
+        self.grads["W"] += np.matmul(self._cache.transpose(0, 2, 1), d3)
         if self.use_bias:
-            self.grads["b"] += dout.sum(axis=0)
-        return dout @ self.params["W"].T
+            self.grads["b"] += np.add.reduce(d3, axis=1)
+        return np.matmul(d3, w.transpose(0, 2, 1)).reshape(-1, self.in_features)
 
 
 class ReLU(Module):
@@ -66,17 +72,17 @@ class ReLU(Module):
 
     def __init__(self) -> None:
         super().__init__()
-        self._mask: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         mask = x > 0
-        self._mask = mask if train else None
+        self._cache = mask if train else None
         return x * mask
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
-        return dout * self._mask
+        return dout * self._cache
 
 
 class Flatten(Module):
@@ -84,16 +90,16 @@ class Flatten(Module):
 
     def __init__(self) -> None:
         super().__init__()
-        self._shape: tuple[int, ...] | None = None
+        self._cache: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        self._shape = x.shape if train else None
+        self._cache = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._shape is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
-        return dout.reshape(self._shape)
+        return dout.reshape(self._cache)
 
 
 class Dropout(Module):
@@ -109,17 +115,17 @@ class Dropout(Module):
             raise ValueError(f"dropout p must be in [0, 1), got {p}")
         self.p = p
         self.rng = rng
-        self._mask: np.ndarray | None = None
+        self._cache: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if not train or self.p == 0.0:
-            self._mask = None
+            self._cache = None
             return x
         keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
+        self._cache = (self.rng.random(x.shape) < keep) / keep
+        return x * self._cache
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._cache is None:
             return dout
-        return dout * self._mask
+        return dout * self._cache

@@ -1,7 +1,11 @@
 """Classification losses, each returning ``(mean_loss, dlogits)``.
 
-All gradients already include the ``1/n`` batch-mean factor, so callers can
-feed ``dlogits`` straight into ``model.backward``.
+A loss takes ``(..., n, K)`` logits and ``(..., n)`` labels: one client's
+``(n, K)`` batch gives a scalar mean loss, and a cohort's ``(c, n, K)``
+batches give the ``(c,)`` per-client mean losses.  Every leading index is
+reduced on its own, with the arithmetic of a one-client call.  All gradients
+already include the ``1/n`` batch-mean factor, so callers can feed
+``dlogits`` straight into ``model.backward``.
 
 Implemented (paper section 2.2 / 7.2):
 
@@ -29,37 +33,47 @@ __all__ = [
 ]
 
 
+def _rows(p: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(flat, index)``: ``p`` as ``(rows, K)`` and the fancy index of each
+    row's label entry (raises on labels >= K like a direct index does)."""
+    flat = p.reshape(-1, p.shape[-1])
+    return flat, (np.arange(flat.shape[0]), labels.reshape(-1))
+
+
 class CrossEntropyLoss:
-    """Mean softmax cross-entropy."""
+    """Mean softmax cross-entropy (stateless, so clients may share one)."""
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        n, c = logits.shape
+        k = logits.shape[-1]
         eps = 1e-12
-        if n == 1:
-            # single-sample lane (one-sample-per-client populations hit this
-            # every batch): scalar indexing replaces the fancy-index
-            # machinery.  mean() of one element is that element, log of a
-            # 0-d value runs the same ufunc loop, and x / 1 == x, so the
-            # returned bits match the general path exactly.
-            lab = labels[0]
+        if labels.size == 1:
+            # one sample (the one-job lane of one-sample-per-client
+            # populations): scalar indexing replaces the fancy-index
+            # machinery.  A mean over one value is that value and x / 1 == x,
+            # so the bits match the general path exactly.
+            lab = labels.reshape(-1)[0]
             if lab < 0:
-                raise ValueError(f"labels out of range [0, {c}): min={lab}")
+                raise ValueError(f"labels out of range [0, {k}): min={lab}")
             p = softmax(logits)
-            pt = p[0, lab]  # raises on lab >= c like the fancy index does
-            loss = float(-np.log(pt + eps))
-            p[0, lab] -= 1.0
-            return loss, p
+            row = p.reshape(-1)
+            pt = row[lab]  # raises on lab >= k like the fancy index does
+            row[lab] -= 1.0
+            loss = -np.log(pt + eps)
+            return (loss if labels.ndim == 1 else np.full(labels.shape[:-1], loss)), p
         if labels.size and labels.min() < 0:
-            raise ValueError(f"labels out of range [0, {c}): min={labels.min()}")
+            raise ValueError(f"labels out of range [0, {k}): min={labels.min()}")
         p = softmax(logits)
-        idx = np.arange(n)
-        pt = p[idx, labels]  # fancy-indexed copy; raises on labels >= c
-        loss = float(-np.log(pt + eps).mean())
+        flat, idx = _rows(p, labels)
+        pt = flat[idx]  # fancy-indexed copy; raises on labels >= k
+        # np.mean's own arithmetic (sum, then divide by the count), minus
+        # its Python-level wrapper
+        n = labels.shape[-1]
+        loss = -(np.add.reduce(np.log(pt + eps).reshape(labels.shape), axis=-1) / n)
         # in-place (p - one_hot) / n without materialising the one-hot:
         # off-label entries are p - 0.0 == p bit for bit, the label entry
         # subtracts the same 1.0, and the division is the same elementwise
-        # op — identical to the allocating form, minus two (n, c) temporaries
-        p[idx, labels] -= 1.0
+        # op — identical to the allocating form, minus two temporaries
+        flat[idx] -= 1.0
         p /= n
         return loss, p
 
@@ -73,18 +87,18 @@ class FocalLoss:
         self.gamma = gamma
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        n, c = logits.shape
+        k, n = logits.shape[-1], labels.shape[-1]
         g = self.gamma
         p = softmax(logits)
-        idx = np.arange(n)
-        pt = np.clip(p[idx, labels], 1e-12, 1.0)
+        flat, idx = _rows(p, labels)
+        pt = np.clip(flat[idx], 1e-12, 1.0)
         log_pt = np.log(pt)
-        loss = float(np.mean(-((1.0 - pt) ** g) * log_pt))
+        loss = np.mean((-((1.0 - pt) ** g) * log_pt).reshape(labels.shape), axis=-1)
         # dL/dz_j = (1-pt)^(g-1) * (g*pt*log(pt) - (1-pt)) * (1[j==y] - p_j)
         coef = ((1.0 - pt) ** (g - 1.0)) * (g * pt * log_pt - (1.0 - pt))
-        y = one_hot(labels, c)
-        dlogits = coef[:, None] * (y - p) / n
-        return loss, dlogits
+        y = one_hot(idx[1], k)
+        dlogits = coef[:, None] * (y - flat) / n
+        return loss, dlogits.reshape(logits.shape)
 
 
 class PriorCELoss:
@@ -130,9 +144,9 @@ class LDAMLoss:
         self._ce = CrossEntropyLoss()
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        n, c = logits.shape
         adjusted = logits.copy()
-        adjusted[np.arange(n), labels] -= self.margins[labels]
+        flat, idx = _rows(adjusted, labels)
+        flat[idx] -= self.margins[idx[1]]
         loss, dadj = self._ce(self.scale * adjusted, labels)
         return loss, self.scale * dadj
 
@@ -155,14 +169,15 @@ class ClassBalancedLoss:
         self.weights = w * (len(w) / w.sum())
 
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-        n, c = logits.shape
+        k, n = logits.shape[-1], labels.shape[-1]
         p = softmax(logits)
-        y = one_hot(labels, c)
-        w = self.weights[labels]
+        flat, idx = _rows(p, labels)
+        y = one_hot(idx[1], k)
+        w = self.weights[idx[1]]
         eps = 1e-12
-        loss = float(np.mean(-w * np.log(p[np.arange(n), labels] + eps)))
-        dlogits = w[:, None] * (p - y) / n
-        return loss, dlogits
+        loss = np.mean((-w * np.log(flat[idx] + eps)).reshape(labels.shape), axis=-1)
+        dlogits = w[:, None] * (flat - y) / n
+        return loss, dlogits.reshape(logits.shape)
 
 
 def make_loss(name: str, class_counts: np.ndarray | None = None, **kwargs):

@@ -4,7 +4,9 @@ GroupNorm is the library default: it has no cross-client state, so federated
 aggregation of parameters is exact and runs are seed-deterministic.
 BatchNorm2d is provided for fidelity with the paper's ResNet-18/34 backbones;
 its running statistics live in ``buffers`` and never enter the flattened
-parameter vector (hence never the momentum algebra).
+parameter vector (hence never the momentum algebra).  Its batch statistics
+are per client, so it trains one client row at a time; GroupNorm and
+LayerNorm normalise per sample and apply each client row's affine transform.
 """
 
 from __future__ import annotations
@@ -40,35 +42,42 @@ class GroupNorm(Module):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if x.ndim != 4 or x.shape[1] != self.c:
-            raise ValueError(f"GroupNorm expected (n, {self.c}, h, w), got {x.shape}")
+        gamma = self.params["gamma"]
+        rows = gamma.shape[0]
+        if x.ndim != 4 or x.shape[1] != self.c or x.shape[0] % rows:
+            raise ValueError(
+                f"GroupNorm expected ({rows} * n, {self.c}, h, w), got {x.shape}"
+            )
         n, c, h, w = x.shape
         xg = x.reshape(n, self.g, -1)
         diff = xg - xg.mean(axis=2, keepdims=True)
         # np.var's own formula on the centred tensor, so the bits match it
         var = (diff * diff).sum(axis=2, keepdims=True) / xg.shape[2]
-        xhat = (diff / np.sqrt(var + _EPS)).reshape(n, c, h, w)
-        out = xhat * self.params["gamma"][None, :, None, None]
-        out += self.params["beta"][None, :, None, None]
-        self._cache = (xhat, var, x.shape) if train else None
-        return out
+        xhat = (diff / np.sqrt(var + _EPS)).reshape(rows, -1, c, h, w)
+        out = xhat * gamma[:, None, :, None, None]
+        out += self.params["beta"][:, None, :, None, None]
+        self._cache = (xhat, var) if train else None
+        return out.reshape(n, c, h, w)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
-        xhat, var, x_shape = self._cache
-        n, c, h, w = x_shape
-        self.grads["gamma"] += (dout * xhat).sum(axis=(0, 2, 3))
-        self.grads["beta"] += dout.sum(axis=(0, 2, 3))
-        dxhat = dout * self.params["gamma"][None, :, None, None]
+        xhat, var = self._cache
+        gamma = self.params["gamma"]
+        d = dout.reshape(xhat.shape)
+        self.grads["gamma"] += (d * xhat).sum(axis=(1, 3, 4))
+        self.grads["beta"] += d.sum(axis=(1, 3, 4))
+        dxhat = d * gamma[:, None, :, None, None]
+        n = dout.shape[0]
         dxg = dxhat.reshape(n, self.g, -1)
         xg = xhat.reshape(n, self.g, -1)
         m = dxg.shape[2]
         istd = 1.0 / np.sqrt(var + _EPS)
         dx = istd * (
-            dxg - dxg.mean(axis=2, keepdims=True) - xg * (dxg * xg).mean(axis=2, keepdims=True)
+            dxg - dxg.sum(axis=2, keepdims=True) / m
+            - xg * ((dxg * xg).sum(axis=2, keepdims=True) / m)
         )
-        return dx.reshape(x_shape)
+        return dx.reshape(dout.shape)
 
 
 class BatchNorm2d(Module):
@@ -87,9 +96,23 @@ class BatchNorm2d(Module):
         self._bind()
         self._cache: tuple | None = None
 
+    def _affine(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The one client's ``(gamma, beta, dgamma, dbeta)`` rows.
+
+        Batch statistics and running buffers are per client, so the layer
+        trains one client at a time (execution runs buffer models' cohorts
+        job by job)."""
+        if self.num_clients != 1:
+            raise ValueError(
+                f"BatchNorm2d trains one client at a time, got {self.num_clients} rows"
+            )
+        p, g = self.params, self.grads
+        return p["gamma"][0], p["beta"][0], g["gamma"][0], g["beta"][0]
+
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         if x.ndim != 4 or x.shape[1] != self.c:
             raise ValueError(f"BatchNorm2d expected (n, {self.c}, h, w), got {x.shape}")
+        gamma, beta, _, _ = self._affine()
         if train:
             mu = x.mean(axis=(0, 2, 3))
             var = x.var(axis=(0, 2, 3))
@@ -102,8 +125,8 @@ class BatchNorm2d(Module):
             mu = self.buffers["running_mean"]
             var = self.buffers["running_var"]
         xhat = (x - mu[None, :, None, None]) / np.sqrt(var + _EPS)[None, :, None, None]
-        out = xhat * self.params["gamma"][None, :, None, None]
-        out += self.params["beta"][None, :, None, None]
+        out = xhat * gamma[None, :, None, None]
+        out += beta[None, :, None, None]
         self._cache = (xhat, var, x.shape) if train else None
         return out
 
@@ -111,11 +134,10 @@ class BatchNorm2d(Module):
         if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
         xhat, var, x_shape = self._cache
-        n, c, h, w = x_shape
-        m = n * h * w
-        self.grads["gamma"] += (dout * xhat).sum(axis=(0, 2, 3))
-        self.grads["beta"] += dout.sum(axis=(0, 2, 3))
-        dxhat = dout * self.params["gamma"][None, :, None, None]
+        gamma, _, dgamma, dbeta = self._affine()
+        dgamma += (dout * xhat).sum(axis=(0, 2, 3))
+        dbeta += dout.sum(axis=(0, 2, 3))
+        dxhat = dout * gamma[None, :, None, None]
         istd = (1.0 / np.sqrt(var + _EPS))[None, :, None, None]
         mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
         mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
@@ -134,21 +156,27 @@ class LayerNorm(Module):
         self._cache: tuple | None = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.dim:
-            raise ValueError(f"LayerNorm expected (n, {self.dim}), got {x.shape}")
+        gamma = self.params["gamma"]
+        rows = gamma.shape[0]
+        if x.ndim != 2 or x.shape[1] != self.dim or x.shape[0] % rows:
+            raise ValueError(f"LayerNorm expected ({rows} * n, {self.dim}), got {x.shape}")
         mu = x.mean(axis=1, keepdims=True)
         var = x.var(axis=1, keepdims=True)
         xhat = (x - mu) / np.sqrt(var + _EPS)
         self._cache = (xhat, var) if train else None
-        return xhat * self.params["gamma"] + self.params["beta"]
+        out = xhat.reshape(rows, -1, self.dim) * gamma[:, None, :]
+        out += self.params["beta"][:, None, :]
+        return out.reshape(x.shape)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
         xhat, var = self._cache
-        self.grads["gamma"] += (dout * xhat).sum(axis=0)
-        self.grads["beta"] += dout.sum(axis=0)
-        dxhat = dout * self.params["gamma"]
+        gamma = self.params["gamma"]
+        d = dout.reshape(gamma.shape[0], -1, self.dim)
+        self.grads["gamma"] += (d * xhat.reshape(d.shape)).sum(axis=1)
+        self.grads["beta"] += d.sum(axis=1)
+        dxhat = (d * gamma[:, None, :]).reshape(dout.shape)
         istd = 1.0 / np.sqrt(var + _EPS)
         return istd * (
             dxhat

@@ -1,13 +1,14 @@
 """Training helpers bridging the NN engine and the federated algorithms.
 
-The algorithms in :mod:`repro.algorithms` operate on the model's own flat
-``flat_params`` / ``flat_grads`` vectors; this module provides the glue: a
-fused forward/backward pass, evaluation in minibatches, shuffled epochs.
+The algorithms in :mod:`repro.algorithms` operate on the model's own
+``(C, dim)`` ``flat_params`` / ``flat_grads`` blocks; this module provides the
+glue: a fused forward/backward pass over every client row at once,
+evaluation in minibatches, shuffled epochs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,12 +19,30 @@ __all__ = ["forward_backward", "evaluate", "iterate_minibatches"]
 LossFn = Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]]
 
 
-def forward_backward(model: Module, x: np.ndarray, y: np.ndarray, loss_fn: LossFn) -> float:
-    """One fused forward/backward pass; leaves gradients in ``model.flat_grads``."""
+def forward_backward(
+    model: Module, x: np.ndarray, y: np.ndarray, loss_fn: LossFn | Sequence[LossFn]
+):
+    """One fused forward/backward pass over the model's client rows.
+
+    ``x`` folds the rows' batches into one ``(c * n, ...)`` batch and ``y``
+    holds their labels as ``(c, n)`` — or ``(n,)`` for a one-client model.
+    ``loss_fn`` is one loss for every row, or one per row: rows holding the
+    same loss object share one call.  Returns the mean loss per row (a
+    scalar for ``(n,)`` labels) and leaves gradients in ``model.flat_grads``.
+    """
     model.zero_grad()
     logits = model.forward(x, train=True)
-    loss, dlogits = loss_fn(logits, y)
-    model.backward(dlogits)
+    z = logits.reshape(y.shape + logits.shape[-1:])
+    if callable(loss_fn):
+        loss, dz = loss_fn(z, y)
+    else:
+        loss, dz = np.empty(len(loss_fn)), np.empty_like(z)
+        groups: dict[int, list[int]] = {}
+        for i, fn in enumerate(loss_fn):
+            groups.setdefault(id(fn), []).append(i)
+        for rows in groups.values():
+            loss[rows], dz[rows] = loss_fn[rows[0]](z[rows], y[rows])
+    model.backward(dz.reshape(logits.shape))
     return loss
 
 

@@ -20,8 +20,8 @@ from repro.parallel.backend import (
     SerialBackend,
     ThreadBackend,
     build_job_runtime,
-    execute_client_job,
     execute_job,
+    execute_jobs,
     make_backend,
     resolve_backend,
     resolve_job_batch,
@@ -49,7 +49,7 @@ __all__ = [
     "resolve_shared_memory",
     "resolve_streaming",
     "execute_job",
-    "execute_client_job",
+    "execute_jobs",
     "build_job_runtime",
     "parallel_map",
     "resolve_workers",

@@ -24,7 +24,7 @@ The contract makes every job a pure function of its inputs::
 * ``buffers`` — the server's current BatchNorm-style buffer estimate the
   client starts training from; the post-training buffers come back in the
   result.
-* ``broadcast_state`` — server-side state the method's ``client_update``
+* ``broadcast_state`` — server-side state the method's ``client_updates``
   reads (SCAFFOLD's ``c``, FedCM's ``Delta``), declared per method via
   ``broadcast_attrs``; ``None`` when the executing algorithm instance is
   the live one.
@@ -39,6 +39,12 @@ worker compute with its own event processing::
 
 Every backend implements ``submit`` and ``collect``; ``submit_many`` batches
 the hand-off for transports that pay per call.
+
+Whatever holds a job list — the serial backend, a pool task, a thread
+replica, a remote worker's ``JOB_BATCH`` — runs it with one
+:func:`execute_jobs` call, which trains consecutive runs of jobs as one
+stacked cohort (:meth:`~repro.algorithms.base.FederatedAlgorithm.client_updates`).
+A job's result does not depend on the jobs it is stacked with.
 
 Because jobs are pure, the three implementations are interchangeable and
 bit-identical (``tests/test_backends.py`` pins this across all four engine
@@ -79,7 +85,6 @@ import numpy as np
 from repro.parallel.pool import parallel_map, resolve_workers
 from repro.parallel.shm import BroadcastStore, resolve_job_refs
 from repro.simulation.context import SimulationContext
-from repro.simulation.engine import attach_train_loss
 
 __all__ = [
     "ClientJob",
@@ -97,7 +102,7 @@ __all__ = [
     "resolve_shared_memory",
     "prepare_engine_backend",
     "execute_job",
-    "execute_client_job",
+    "execute_jobs",
     "build_job_runtime",
     "warn_on_replica_config_mismatch",
 ]
@@ -108,7 +113,7 @@ class ClientJob:
     """One unit of client work, self-contained and order-independent.
 
     Attributes:
-        round_idx: RNG round key for ``client_update`` (the round for
+        round_idx: RNG round key for ``client_updates`` (the round for
             barrier/deadline engines, the dispatch sequence for async).
         client_id: which client trains.
         x_ref: the broadcast parameter vector trained from.  In transit a
@@ -120,7 +125,7 @@ class ClientJob:
             methods, or the serial backend under synchronous rounds).
         buffers: model buffers (BatchNorm running stats) to start from, or
             None for buffer-free models.
-        broadcast_state: server-side method state ``client_update`` reads
+        broadcast_state: server-side method state ``client_updates`` reads
             (see ``FederatedAlgorithm.broadcast_attrs``), or None when the
             executing instance is the live one.
         collect_timing: stamp the result with queue-wait/compute timing
@@ -181,80 +186,127 @@ class JobHandle:
     job: ClientJob = field(repr=False, compare=False)
 
 
-def execute_job(ctx: SimulationContext, algorithm, job: ClientJob) -> ClientResult:
-    """Run one job against ``(ctx, algorithm)`` — the single job semantics.
+def execute_job(ctx: SimulationContext, algorithm, *jobs: ClientJob) -> list[ClientResult]:
+    """Run one stacked cohort of jobs against ``(ctx, algorithm)``.
 
-    Every backend funnels through here, which is what makes them
-    interchangeable: restore buffers, broadcast state and client state from
-    the job, run ``client_update``, pack what changed back into the result.
+    ``execute_job(ctx, algorithm, job)`` is the one-job case; several jobs
+    must be a cohort :func:`execute_jobs` would stack (distinct clients, one
+    ``broadcast_state`` object, no model buffers).  Restore buffers,
+    broadcast state and every job's client state, train the cohort through
+    ``algorithm.client_updates``, and pack what changed into each job's
+    result, in job order.
     """
-    if job.buffers is not None:
-        ctx.model.set_buffers(job.buffers)
-    if job.broadcast_state is not None:
-        algorithm.unpack_broadcast_state(job.broadcast_state)
-    if job.client_state is not None:
-        algorithm.unpack_client_state(job.client_id, job.client_state)
-    update = algorithm.client_update(ctx, job.round_idx, job.client_id, job.x_ref)
-    update = attach_train_loss(algorithm, update)
-    new_state = (
-        algorithm.pack_client_state(job.client_id)
-        if job.client_state is not None
-        else None
+    head = jobs[0]
+    if head.buffers is not None:
+        ctx.model.set_buffers(head.buffers)
+    if head.broadcast_state is not None:
+        algorithm.unpack_broadcast_state(head.broadcast_state)
+    for job in jobs:
+        if job.client_state is not None:
+            algorithm.unpack_client_state(job.client_id, job.client_state)
+    updates = algorithm.client_updates(
+        ctx, [(job.round_idx, job.client_id, job.x_ref) for job in jobs]
     )
-    buffers = ctx.model.get_buffers(copy=True) if job.buffers is not None else None
-    loss = update.extras.get("train_loss")
-    return ClientResult(
-        update=update,
-        new_state=new_state,
-        buffers=buffers,
-        train_loss=float(loss) if loss is not None else None,
+    results = []
+    for job, update in zip(jobs, updates):
+        loss = update.extras.get("train_loss")
+        results.append(ClientResult(
+            update=update,
+            new_state=(
+                algorithm.pack_client_state(job.client_id)
+                if job.client_state is not None
+                else None
+            ),
+            buffers=ctx.model.get_buffers(copy=True) if job.buffers is not None else None,
+            train_loss=float(loss) if loss is not None else None,
+        ))
+    return results
+
+
+def _same_broadcast(a: dict | None, b: dict | None) -> bool:
+    """Whether two jobs carry one broadcast state: the same dict, or dicts
+    holding the same value objects (a pool worker resolves each job's
+    shared-memory refs into a dict of its own over one cached array)."""
+    if a is b:
+        return True
+    return (
+        a is not None and b is not None and a.keys() == b.keys()
+        and all(a[k] is b[k] for k in a)
     )
 
 
-def execute_client_job(
-    ctx: SimulationContext, algorithm, job: ClientJob, job_bytes: int | None = None
-) -> ClientResult:
-    """:func:`execute_job`, stamping timing when the job asks for it.
+def _cohorts(ctx: SimulationContext, jobs: Sequence[ClientJob]) -> list[list[ClientJob]]:
+    """Split a job list, in order, into the consecutive runs that stack.
 
-    This is *the* worker-side compute path, shared by every executor that
-    runs jobs against a replica — the serial backend, pool workers, thread
-    replicas, and :mod:`repro.net`'s remote worker processes — so every
-    execution path reports the same fields: ``queue_wait_s`` (submission to
-    compute start; ``time.monotonic`` is cross-process comparable on one
-    machine), ``compute_s`` (client_update wall time) and — where the job
-    actually crossed a process boundary — ``pickle_bytes``, the serialized
-    job size the *transport* already measured (``job_bytes``: the pool's
-    chunk payload share, the net worker's frame share).  Executors never
-    re-pickle a job just to weigh it.  Remote transports additionally stamp
-    ``send_bytes`` / ``recv_bytes`` on the service side, where the framed
-    sizes are known.
+    A run ends before a client id it already holds (the unpacked state would
+    be overwritten), before a different broadcast state, and after every job
+    when the model has buffers (BatchNorm statistics are per client, so
+    those models train one job at a time).
     """
-    if not job.collect_timing:
-        return execute_job(ctx, algorithm, job)
-    start = time.monotonic()
-    result = execute_job(ctx, algorithm, job)
-    timing = {
-        "queue_wait_s": (
-            start - job.submitted_at if job.submitted_at is not None else 0.0
-        ),
-        "compute_s": time.monotonic() - start,
-    }
-    if job_bytes is not None:
-        timing["pickle_bytes"] = int(job_bytes)
-    return ClientResult(
-        update=result.update,
-        new_state=result.new_state,
-        buffers=result.buffers,
-        train_loss=result.train_loss,
-        timing=timing,
-    )
+    cohorts: list[list[ClientJob]] = []
+    ids: set[int] = set()
+    alone = bool(ctx.model.buffers)
+    for job in jobs:
+        run = cohorts[-1] if cohorts else None
+        if (
+            run is None or alone or job.client_id in ids
+            or not _same_broadcast(job.broadcast_state, run[0].broadcast_state)
+        ):
+            cohorts.append([job])
+            ids = {job.client_id}
+        else:
+            run.append(job)
+            ids.add(job.client_id)
+    return cohorts
+
+
+def execute_jobs(
+    ctx: SimulationContext, algorithm, jobs: Sequence[ClientJob], job_bytes: int | None = None
+) -> list[ClientResult]:
+    """Run a job list against ``(ctx, algorithm)``; results in job order.
+
+    *The* worker-side compute path, shared by every executor — the serial
+    backend, pool tasks, thread replicas, and :mod:`repro.net`'s remote
+    worker processes — so every execution path computes and reports alike.
+    The list runs as consecutive stacked cohorts (:func:`execute_job`).
+    Jobs that ask for timing (``collect_timing``) get ``queue_wait_s``
+    (submission to the start of their cohort; ``time.monotonic`` is
+    cross-process comparable on one machine), ``compute_s`` (their cohort's
+    wall time split evenly across its jobs) and — where the jobs actually
+    crossed a process boundary — ``pickle_bytes``, the serialized size per
+    job the *transport* already measured (``job_bytes``: the pool's chunk
+    payload share).  Executors never re-pickle a job just to weigh it.
+    Remote transports additionally stamp ``send_bytes`` / ``recv_bytes`` on
+    the service side, where the framed sizes are known.
+    """
+    results: list[ClientResult] = []
+    for cohort in _cohorts(ctx, jobs):
+        if not any(job.collect_timing for job in cohort):
+            results += execute_job(ctx, algorithm, *cohort)
+            continue
+        start = time.monotonic()
+        done = execute_job(ctx, algorithm, *cohort)
+        compute_s = (time.monotonic() - start) / len(cohort)
+        for job, res in zip(cohort, done):
+            if job.collect_timing:
+                timing = {
+                    "queue_wait_s": (
+                        start - job.submitted_at if job.submitted_at is not None else 0.0
+                    ),
+                    "compute_s": compute_s,
+                }
+                if job_bytes is not None:
+                    timing["pickle_bytes"] = int(job_bytes)
+                res = replace(res, timing=timing)
+            results.append(res)
+    return results
 
 
 def warn_on_replica_config_mismatch(algorithm) -> None:
     """Default worker replicas are ``type(algorithm)()`` — flag silently
     diverging hyperparameters.
 
-    Workers only run ``client_update``, so a replica built with default
+    Workers only run ``client_updates``, so a replica built with default
     constructor arguments is correct as long as every non-default
     hyperparameter is server-side.  Algorithms declare such knobs via a
     ``replica_safe_hyperparams`` class attribute (FedAsync/FedBuff whitelist
@@ -273,7 +325,7 @@ def warn_on_replica_config_mismatch(algorithm) -> None:
         return
     # private attributes are runtime state (buffers, last-alpha traces), not
     # constructor config, and declared server-side knobs cannot affect
-    # client_update — only the remaining public knobs are compared
+    # client_updates — only the remaining public knobs are compared
     safe = getattr(algorithm, "replica_safe_hyperparams", frozenset())
 
     def config_of(obj) -> dict:
@@ -295,7 +347,7 @@ def warn_on_replica_config_mismatch(algorithm) -> None:
             f"worker replicas of {type(algorithm).__name__} are built with "
             f"default hyperparameters but the main instance differs in "
             f"{sorted(mismatched)}; pass algo_builder if any of these affect "
-            "client_update, or results will differ from the serial backend",
+            "client_updates, or results will differ from the serial backend",
             stacklevel=3,
         )
 
@@ -463,11 +515,17 @@ class SerialBackend(ExecutionBackend):
         return self
 
     def submit(self, job: ClientJob) -> JobHandle:
+        return self.submit_many([job])[0]
+
+    def submit_many(self, jobs: Sequence[ClientJob]) -> list[JobHandle]:
+        """Execute the batch now, as one :func:`execute_jobs` call, so a
+        recorded cohort stacks exactly like an unrecorded one."""
         if self._ctx is None:
             raise RuntimeError("SerialBackend.submit before bind()")
-        handle = self._make_handle(self._stamp(job))
-        self._done[handle] = execute_client_job(self._ctx, self._algo, handle.job)
-        return handle
+        handles = [self._make_handle(self._stamp(job)) for job in jobs]
+        results = execute_jobs(self._ctx, self._algo, [h.job for h in handles])
+        self._done.update(zip(handles, results))
+        return handles
 
     def collect(self, handles=None, block=True):
         # everything completed at submit time; block never has to wait
@@ -476,16 +534,16 @@ class SerialBackend(ExecutionBackend):
     def run_jobs_inline(self, jobs: Sequence[ClientJob]) -> list[ClientResult]:
         """Execute a batch without handle bookkeeping, results in job order.
 
-        Same compute path as ``submit`` (:func:`execute_client_job` against
-        the live context), minus the handle/dict churn that only exists to
-        serve the streaming contract.  The core's ``run_backend_jobs`` —
-        which discards handles anyway — takes this lane on unrecorded runs,
-        where nothing (journal, timing stamps) observes the difference.
+        Same compute path as ``submit_many`` (one :func:`execute_jobs` call
+        against the live context), minus the handle/dict churn that only
+        exists to serve the streaming contract.  The core's
+        ``run_backend_jobs`` — which discards handles anyway — takes this
+        lane on unrecorded runs, where nothing (journal, timing stamps)
+        observes the difference.
         """
         if self._ctx is None:
             raise RuntimeError("SerialBackend.run_jobs_inline before bind()")
-        ctx, algo = self._ctx, self._algo
-        return [execute_client_job(ctx, algo, self._stamp(job)) for job in jobs]
+        return execute_jobs(self._ctx, self._algo, [self._stamp(job) for job in jobs])
 
     def close(self) -> None:
         self._done = {}
@@ -537,13 +595,10 @@ def _pool_worker_run_payload(payload: bytes) -> list[ClientResult]:
     """
     jobs = pickle.loads(payload)
     share = len(payload) // max(len(jobs), 1)
-    return [
-        execute_client_job(
-            _WORKER["ctx"], _WORKER["algo"], resolve_job_refs(job),
-            job_bytes=share,
-        )
-        for job in jobs
-    ]
+    return execute_jobs(
+        _WORKER["ctx"], _WORKER["algo"], [resolve_job_refs(job) for job in jobs],
+        job_bytes=share,
+    )
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -712,9 +767,10 @@ class ThreadBackend(ExecutionBackend):
 
     Each worker thread lazily builds its own context and algorithm from the
     bound builders (models are mutable and must not be shared), then runs
-    jobs through the same :func:`execute_job` semantics.  Meant for
-    smoke/CI runs and platforms without ``fork``; NumPy holds the GIL for
-    most of a job, so speed-ups are modest.
+    its share of a batch through one :func:`execute_jobs` call:
+    :meth:`submit_many` cuts the batch into one contiguous chunk per worker.
+    Meant for smoke/CI runs and platforms without ``fork``; NumPy holds the
+    GIL for most of a job, so speed-ups are modest.
     """
 
     name = "thread"
@@ -724,7 +780,8 @@ class ThreadBackend(ExecutionBackend):
         self._local = threading.local()
         self._builders = None
         self._executor: ThreadPoolExecutor | None = None
-        self._inflight: dict[JobHandle, object] = {}
+        # handle -> (chunk future, index into the chunk's result list)
+        self._inflight: dict[JobHandle, tuple[object, int]] = {}
 
     def bind(self, ctx, algorithm, model_builder=None, algo_builder=None,
              loss_builder=None, sampler_builder=None) -> "ThreadBackend":
@@ -752,22 +809,29 @@ class ThreadBackend(ExecutionBackend):
             )
         return self._local.ctx, self._local.algo
 
-    def _run_one(self, job: ClientJob) -> ClientResult:
+    def _run_chunk(self, jobs: list[ClientJob]) -> list[ClientResult]:
         ctx, algo = self._replica()
-        return execute_client_job(ctx, algo, job)
+        return execute_jobs(ctx, algo, jobs)
 
     def submit(self, job: ClientJob) -> JobHandle:
+        return self.submit_many([job])[0]
+
+    def submit_many(self, jobs: Sequence[ClientJob]) -> list[JobHandle]:
         if self._executor is None:
             raise RuntimeError("ThreadBackend.submit before bind()")
-        handle = self._make_handle(self._stamp(job))
-        self._inflight[handle] = self._executor.submit(self._run_one, handle.job)
-        return handle
+        handles = [self._make_handle(self._stamp(job)) for job in jobs]
+        size = max(1, -(-len(handles) // self.workers))
+        for start in range(0, len(handles), size):
+            chunk = handles[start:start + size]
+            fut = self._executor.submit(self._run_chunk, [h.job for h in chunk])
+            self._inflight.update((h, (fut, i)) for i, h in enumerate(chunk))
+        return handles
 
     def collect(self, handles=None, block=True):
         out = []
         for h in list(self._inflight) if handles is None else handles:
             try:
-                fut = self._inflight[h]
+                fut, idx = self._inflight[h]
             except KeyError:
                 if block:
                     raise KeyError(
@@ -776,9 +840,9 @@ class ThreadBackend(ExecutionBackend):
                 continue
             if not block and not fut.done():
                 continue
-            result = fut.result()  # re-raises a worker exception here
+            results = fut.result()  # re-raises a worker exception here
             del self._inflight[h]
-            out.append((h, result))
+            out.append((h, results[idx]))
         return out
 
     def map(self, fn: Callable, items: list) -> list:

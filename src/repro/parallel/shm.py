@@ -309,7 +309,7 @@ def resolve_job_refs(job):
     """Restore a job's :class:`ArrayRef` fields to real (read-only) arrays.
 
     Called in the pool worker before :func:`~repro.parallel.backend.
-    execute_client_job`; a job without refs passes through untouched.
+    execute_jobs`; a job without refs passes through untouched.
     """
     updates: dict = {}
     keep: set = set()

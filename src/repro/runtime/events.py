@@ -379,13 +379,20 @@ class EventCore:
         policies bit-identical across backends.  Model buffers follow the
         FedAvg-with-BN treatment: every job starts from the model's current
         buffers and the server commits their post-training mean (same
-        accumulation order and arithmetic as the serial path).
+        accumulation order and arithmetic as the serial path).  A profiler
+        sees ``job_build`` and ``collect``.
         """
+        prof = self.profiler
+        t0 = time.perf_counter() if prof is not None else 0.0
         model = self.ctx.model
         buffers = model.get_buffers(copy=True) if model.buffers else None
         jobs = self.make_jobs(
             [(round_idx, k) for k in clients], buffers=buffers
         )
+        if prof is not None:
+            t1 = time.perf_counter()
+            prof.add("job_build", t1 - t0)
+            t0 = t1
         results = self.run_backend_jobs(jobs)
         for k, res in zip(clients, results):
             self.state_store.commit(int(k), res.new_state)
@@ -398,14 +405,30 @@ class EventCore:
                     acc[name] += v
             inv = 1.0 / max(n, 1)
             model.set_buffers({name: v * inv for name, v in acc.items()})
+        if prof is not None:
+            prof.add("collect", time.perf_counter() - t0)
         return results
 
+    def aggregate(self, round_idx: int, selected, updates) -> None:
+        """The round's server step into ``self.x``, timed as ``apply`` when
+        profiled."""
+        prof = self.profiler
+        t0 = time.perf_counter() if prof is not None else 0.0
+        self.x = self.algorithm.aggregate(self.ctx, round_idx, selected, updates, self.x)
+        if prof is not None:
+            prof.add("apply", time.perf_counter() - t0)
+
     def record(self, rec: RoundRecord, evaluate: bool, round_idx: int) -> RoundRecord:
-        """Optionally evaluate into ``rec``, stamp extras, append to history."""
+        """Optionally evaluate into ``rec``, stamp extras, append to history;
+        a profiler sees the ``eval`` phase."""
+        prof = self.profiler
+        t0 = time.perf_counter() if prof is not None else 0.0
         if evaluate:
             evaluate_into_record(self.ctx, rec, round_idx, self.x, self.metric_hooks)
         rec.extras.update(self.algorithm.round_extras())
         self.history.records.append(rec)
+        if prof is not None:
+            prof.add("eval", time.perf_counter() - t0)
         return rec
 
     # -- the loop ------------------------------------------------------------
@@ -590,10 +613,10 @@ class BarrierPolicy(_RoundPolicy):
         core.post(0.0, DeadlineTick(r, "close"))
 
     def close_round(self, core: EventCore, r: int) -> None:
-        ctx, cfg, algo = core.ctx, core.ctx.config, core.algorithm
+        cfg = core.ctx.config
         updates = [c.update for c in self._stash]  # pop order == cohort order
         self._stash = []
-        core.x = algo.aggregate(ctx, r, self._selected, updates, core.x)
+        core.aggregate(r, self._selected, updates)
         rec = RoundRecord(
             round=r, selected=self._selected, wall_time=time.perf_counter() - self._t0
         )
@@ -739,7 +762,7 @@ class DeadlinePolicy(_RoundPolicy):
         self._round_meta = (selected, on_time, deadline, round_time)
 
     def close_round(self, core: EventCore, r: int) -> None:
-        ctx, cfg, algo = core.ctx, core.ctx.config, core.algorithm
+        cfg = core.ctx.config
         sampler = core.client_sampler
         selected, on_time, deadline, round_time = self._round_meta
 
@@ -763,9 +786,7 @@ class DeadlinePolicy(_RoundPolicy):
                 if "train_loss" in u.extras:
                     sampler.observe_loss(int(u.client_id), float(u.extras["train_loss"]))
 
-        core.x = algo.aggregate(
-            ctx, r, np.asarray(included_ids, dtype=np.int64), updates, core.x
-        )
+        core.aggregate(r, np.asarray(included_ids, dtype=np.int64), updates)
 
         n_late = int((~on_time).sum())
         rec = TimedRoundRecord(
@@ -1274,11 +1295,7 @@ class AsyncPolicy:
             # ClientStateStore.commit); keyed off the store so stateless
             # histories keep their exact pre-existing extras schema
             rec.extras["state_stale_commits"] = core.state_store.stale_commits
-        prof = core.profiler
-        t0 = time.perf_counter() if prof is not None else 0.0
         core.record(rec, do_eval, round_idx)
-        if prof is not None:
-            prof.add("eval", time.perf_counter() - t0)
         if core.verbose and not np.isnan(rec.test_accuracy):
             print(
                 f"[{core.history.algorithm}] window {round_idx:4d}  "

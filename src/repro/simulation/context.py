@@ -1,9 +1,13 @@
 """Shared state handed to algorithms during a simulation.
 
-The context owns the single model instance (reused across clients — the
-engine serialises client execution; :mod:`repro.parallel` provides the
-process-pool variant), the flattened parameter layout, per-client data and
-deterministic per-(round, client) RNG streams.
+The context owns the single model instance, the flattened parameter layout,
+per-client data and deterministic per-(round, client) RNG streams.  One
+model serves every client: a cohort's local training points it at the
+cohort's ``(C, dim)`` parameter block and runs the clients through it
+together (:class:`repro.algorithms.base.LocalSGDMixin`), while
+:meth:`SimulationContext.load_params` puts it back on its own one-client
+arena for evaluation and the one-client training loops.  Execution backends
+(:mod:`repro.parallel`) give every worker its own context.
 """
 
 from __future__ import annotations
@@ -26,8 +30,12 @@ LossBuilder = Callable[["SimulationContext", int], object]
 SamplerBuilder = Callable[[np.ndarray, int], object]
 
 
+# stateless, so every client shares it and a cohort's rows take one call
+_SHARED_CE = CrossEntropyLoss()
+
+
 def _default_loss_builder(ctx: "SimulationContext", client_id: int) -> object:
-    return CrossEntropyLoss()
+    return _SHARED_CE
 
 
 def _default_sampler_builder(labels: np.ndarray, batch_size: int) -> object:
@@ -54,9 +62,12 @@ class SimulationContext:
         # a cheap per-round call and specs can carry schedules through JSON
         self._lr_schedule = resolve_lr_schedule(config.lr_schedule, config.rounds)
 
-        self.spec: ParamSpec = ParamSpec.from_tree(model.params)
-        self.x0: np.ndarray = model.flat_params.copy()  # initial parameters
+        self.spec: ParamSpec = ParamSpec.from_tree(model.get_params(copy=False))
+        self.x0: np.ndarray = model.flat_params[0].copy()  # initial parameters
         self.dim: int = self.spec.size
+        #: the model's own one-client ``(flat_params, flat_grads)`` arena,
+        #: which load_params points it back at
+        self.arena = (model.flat_params, model.flat_grads)
 
         self._client_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._loss_cache: dict[int, object] = {}
@@ -93,15 +104,17 @@ class SimulationContext:
 
     # -- model parameter plumbing ---------------------------------------------
     def load_params(self, flat: np.ndarray) -> None:
-        """Copy a ``(dim,)`` vector into the model's flat-parameter arena."""
+        """Point the model at its own one-client arena and copy a ``(dim,)``
+        vector into it."""
         if flat.shape != (self.dim,):  # copyto would broadcast (1,) or a scalar
             raise ValueError(f"load_params got shape {flat.shape}, expected ({self.dim},)")
-        np.copyto(self.model.flat_params, flat)
+        self.model.point_at(*self.arena)
+        np.copyto(self.arena[0][0], flat)
 
     def flat_gradient(self) -> np.ndarray:
-        """The model's gradient vector itself, live until the next
+        """The one-client model's gradient vector itself, live until the next
         ``forward_backward`` / ``zero_grad``: copy it to keep it past those."""
-        return self.model.flat_grads
+        return self.model.flat_grads[0]
 
     def lr_at(self, round_idx: int) -> float:
         """Local learning rate for a round (base lr x optional schedule)."""
@@ -121,7 +134,9 @@ class SimulationContext:
 
     # -- client sampling --------------------------------------------------------
     def sample_clients(self, round_idx: int) -> np.ndarray:
-        """Sample the round's cohort: ceil(participation * K) distinct clients."""
+        """Sample the round's cohort: ``max(1, round(participation * K))``
+        distinct clients, ``round`` taking halves to even (0.75 of 6 clients
+        is 4.5, which samples 4)."""
         k = self.num_clients
         m = max(1, int(round(self.config.participation * k)))
         rng = self.round_rng(round_idx)

@@ -27,25 +27,7 @@ __all__ = [
     "FederatedSimulation",
     "evaluate_into_record",
     "BufferAverager",
-    "attach_train_loss",
 ]
-
-
-def attach_train_loss(algorithm, update) -> "object":
-    """Copy the algorithm's last mean local training loss into ``update.extras``.
-
-    Engines (and pool workers) call this right after ``client_update`` so the
-    loss reaches loss-aware samplers
-    (:class:`repro.runtime.scheduling.UtilitySampler`) without every algorithm
-    having to thread it through by hand.  ``LocalSGDMixin._local_sgd`` records
-    the loss as ``algorithm.last_train_loss``; a no-op for algorithms whose
-    local loop never evaluates the plain loss (e.g. the SAM family's
-    perturbed-gradient path).
-    """
-    loss = getattr(algorithm, "last_train_loss", None)
-    if loss is not None and "train_loss" not in update.extras:
-        update.extras["train_loss"] = float(loss)
-    return update
 
 
 class BufferAverager:

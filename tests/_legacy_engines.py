@@ -24,7 +24,6 @@ from repro.simulation.engine import (
     History,
     RoundRecord,
     TimedRoundRecord,
-    attach_train_loss,
     evaluate_into_record,
 )
 
@@ -57,7 +56,6 @@ def legacy_sync_run(
         for k in selected:
             bufavg.before_client()
             u = algo.client_update(ctx, r, int(k), x)
-            attach_train_loss(algo, u)
             updates.append(u)
             bufavg.after_client()
         bufavg.commit()
@@ -145,7 +143,6 @@ def legacy_semisync_run(
                 continue
             bufavg.before_client()
             u = algo.client_update(ctx, r, int(k), x)
-            attach_train_loss(algo, u)
             if not on_time[i]:
                 u.displacement = u.displacement * late_weight
             updates.append(u)
@@ -253,7 +250,7 @@ def legacy_async_run(
             for s, c, _ in group:
                 if buf0 is not None:
                     ctx.model.set_buffers(buf0)
-                outs.append(attach_train_loss(algo, algo.client_update(ctx, s, c, x_ref)))
+                outs.append(algo.client_update(ctx, s, c, x_ref))
             for (s, _, _), upd in zip(group, outs):
                 results[s] = upd
 

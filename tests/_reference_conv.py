@@ -115,6 +115,6 @@ def reference_groupnorm_forward(gn, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     mu = xg.mean(axis=2, keepdims=True)
     var = xg.var(axis=2, keepdims=True)
     xhat = ((xg - mu) / np.sqrt(var + _EPS)).reshape(n, c, h, w)
-    out = xhat * gn.params["gamma"][None, :, None, None]
-    out += gn.params["beta"][None, :, None, None]
+    out = xhat * gn.params["gamma"][0][None, :, None, None]
+    out += gn.params["beta"][0][None, :, None, None]
     return out, xhat, var

@@ -425,7 +425,6 @@ class TestSamFamilyTrainLoss:
     )
     def test_grad_eval_methods_report_train_loss(self, small_problem, name):
         from repro.simulation.context import SimulationContext
-        from repro.simulation.engine import attach_train_loss
 
         algo = make_method(name).algorithm
         ctx = SimulationContext(
@@ -433,14 +432,13 @@ class TestSamFamilyTrainLoss:
             FLConfig(rounds=1, local_epochs=1, max_batches_per_round=2, seed=0),
         )
         algo.setup(ctx)
-        u = attach_train_loss(algo, algo.client_update(ctx, 0, 0, ctx.x0))
+        u = algo.client_update(ctx, 0, 0, ctx.x0)
         assert "train_loss" in u.extras
         assert np.isfinite(u.extras["train_loss"])
         assert u.extras["train_loss"] > 0.0
 
     def test_plain_methods_unchanged(self, small_problem):
         from repro.simulation.context import SimulationContext
-        from repro.simulation.engine import attach_train_loss
 
         algo = make_method("fedavg").algorithm
         ctx = SimulationContext(
@@ -448,5 +446,5 @@ class TestSamFamilyTrainLoss:
             FLConfig(rounds=1, local_epochs=1, max_batches_per_round=2, seed=0),
         )
         algo.setup(ctx)
-        u = attach_train_loss(algo, algo.client_update(ctx, 0, 0, ctx.x0))
+        u = algo.client_update(ctx, 0, 0, ctx.x0)
         assert "train_loss" in u.extras

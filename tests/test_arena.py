@@ -1,5 +1,6 @@
-"""The flat-parameter arena: every module's params/grads are views into one
-contiguous vector pair owned by the outermost model, in ``ParamSpec`` order."""
+"""The flat-parameter arena: every module's params/grads are ``(C, *shape)``
+views into one contiguous ``(C, dim)`` block pair owned by the outermost
+model, in ``ParamSpec`` order along each client row."""
 
 from __future__ import annotations
 
@@ -72,9 +73,9 @@ class TestLayout:
     def test_flat_params_match_flattened_tree(self, case):
         model, _ = case
         for vec in (model.flat_params, model.flat_grads):
-            assert vec.ndim == 1 and vec.dtype == np.float64
+            assert vec.shape == (1, model.num_params) and vec.dtype == np.float64
             assert vec.flags.c_contiguous and vec.base is None
-        np.testing.assert_array_equal(model.flat_params, flatten_params(model.params)[0])
+        np.testing.assert_array_equal(model.flat_params[0], flatten_params(model.get_params())[0])
         assert model.flat_grads.size == model.flat_params.size
         assert not np.shares_memory(model.flat_params, model.flat_grads)
 
@@ -122,6 +123,48 @@ class TestLayout:
             for g in leaf.grads.values():
                 assert not np.any(g)
 
+    def test_point_at_gives_every_entry_the_client_axis(self, case):
+        model, _ = case
+        tree = model.get_params()
+        block = np.stack([model.flat_params[0] + i for i in range(3)])
+        grads = np.zeros_like(block)
+        model.point_at(block, grads)
+        assert model.flat_params is block and model.num_clients == 3
+        spec = ParamSpec.from_tree(tree)
+        for name, shape, off in zip(spec.names, spec.shapes, spec.offsets):
+            for root, a in ((block, model.params[name]), (grads, model.grads[name])):
+                assert a.shape == (3,) + shape and np.shares_memory(a, root)
+                assert _addr(a) == _addr(root) + off * root.itemsize
+            for i in range(3):
+                np.testing.assert_array_equal(model.params[name][i], tree[name] + i)
+
+    def test_stacked_pass_is_each_clients_pass(self, case):
+        """Three clients' batches through one pass of a three-row arena give
+        each client the bits of its own one-row pass."""
+        model, shape = case
+        if model.buffers:  # batch statistics are per client: one row only
+            model.point_at(np.zeros((2, model.num_params)), np.zeros((2, model.num_params)))
+            with pytest.raises(ValueError, match="one client"):
+                model.forward(np.ones((2 * shape[0],) + shape[1:]))
+            return
+        rng = np.random.default_rng(2)
+        block = model.flat_params[0] + rng.normal(scale=0.1, size=(3, model.num_params))
+        x = rng.normal(size=(3 * shape[0],) + shape[1:])
+        one = []
+        for i in range(3):
+            model.point_at(block[i:i + 1].copy(), np.zeros((1, model.num_params)))
+            out = model.forward(x[i * shape[0]:(i + 1) * shape[0]], train=True)
+            dx = model.backward(np.ones_like(out))
+            one.append((out, dx, model.flat_grads[0].copy()))
+        model.point_at(block, np.zeros_like(block))
+        out = model.forward(x, train=True)
+        dx = model.backward(np.ones_like(out))
+        n = shape[0]
+        for i, (o, d, g) in enumerate(one):
+            np.testing.assert_array_equal(out[i * n:(i + 1) * n], o)
+            np.testing.assert_array_equal(dx[i * n:(i + 1) * n], d)
+            np.testing.assert_array_equal(model.flat_grads[i], g)
+
     def test_views_give_the_same_bits_as_standalone_arrays(self, case):
         """BLAS and numpy reductions see offset views exactly like fresh arrays."""
         model, shape = case
@@ -155,12 +198,22 @@ class TestContext:
         arena, x0 = ctx.model.flat_params, ctx.x0.copy()
         ctx.load_params(x0 + 1.0)
         assert ctx.model.flat_params is arena
-        np.testing.assert_array_equal(arena, x0 + 1.0)
+        np.testing.assert_array_equal(arena[0], x0 + 1.0)
         np.testing.assert_array_equal(ctx.x0, x0)
+
+    def test_load_params_points_the_model_back_at_its_arena(self, ds):
+        ctx = self._ctx(ds)
+        arena = ctx.model.flat_params
+        block = np.zeros((3, ctx.dim))
+        ctx.model.point_at(block, np.zeros_like(block))  # as a cohort leaves it
+        ctx.load_params(ctx.x0)
+        assert ctx.model.flat_params is arena and ctx.model.num_clients == 1
+        assert not np.any(block)
 
     def test_flat_gradient_is_the_live_gradient_vector(self, ds):
         ctx = self._ctx(ds)
-        assert ctx.flat_gradient() is ctx.model.flat_grads
+        g = ctx.flat_gradient()
+        assert g.shape == (ctx.dim,) and g.base is ctx.model.flat_grads
 
     @pytest.mark.parametrize(
         "shape_of",

@@ -168,10 +168,11 @@ class TestJobContract:
 
     def test_execute_client_job_is_the_shared_compute_path(self):
         """Every executor (serial, pool worker, thread replica, remote
-        worker) funnels through ``execute_client_job`` on a replica from
-        ``build_job_runtime`` — the same job gives the same result, and
-        timing stamps appear exactly when the job asks for them."""
-        from repro.parallel import build_job_runtime, execute_client_job
+        worker) funnels through ``execute_jobs`` (which replaced the per-job
+        ``execute_client_job``) on a replica from ``build_job_runtime`` — the
+        same job gives the same result, and timing stamps appear exactly
+        when the job asks for them."""
+        from repro.parallel import build_job_runtime, execute_jobs
 
         ds = load_federated_dataset(
             "fashion-mnist-lite", imbalance_factor=0.3, beta=0.3,
@@ -187,7 +188,7 @@ class TestJobContract:
         bcast0 = algo.pack_broadcast_state()
         job = ClientJob(round_idx=0, client_id=0, x_ref=ctx.x0.copy(),
                         client_state=state0, broadcast_state=bcast0)
-        plain = execute_client_job(ctx, algo, job)
+        (plain,) = execute_jobs(ctx, algo, [job])
         assert plain.timing is None  # no collect_timing, no stamps
         timed_job = ClientJob(
             round_idx=0, client_id=0, x_ref=ctx.x0.copy(),
@@ -195,7 +196,7 @@ class TestJobContract:
             collect_timing=True, submitted_at=time.monotonic(),
         )
         # the transport measured the serialized size; no re-pickle happens
-        timed = execute_client_job(ctx, algo, timed_job, job_bytes=4096)
+        (timed,) = execute_jobs(ctx, algo, [timed_job], job_bytes=4096)
         assert {"queue_wait_s", "compute_s", "pickle_bytes"} <= set(timed.timing)
         assert timed.timing["pickle_bytes"] == 4096
         np.testing.assert_array_equal(

@@ -98,10 +98,10 @@ def assert_backward_matches_naive(conv, x, rng):
     dout = rng.normal(size=conv.forward(x, train=True).shape)
     conv.zero_grad()
     dx = conv.backward(dout)
-    ndx, ndw, ndb = naive_conv2d_backward(x, conv.params["W"], dout, conv.stride, conv.padding)
+    ndx, ndw, ndb = naive_conv2d_backward(x, conv.params["W"][0], dout, conv.stride, conv.padding)
     np.testing.assert_allclose(dx, ndx, atol=1e-10, err_msg="dx")
-    np.testing.assert_allclose(conv.grads["W"], ndw, atol=1e-10, err_msg="dW")
-    np.testing.assert_allclose(conv.grads["b"], ndb, atol=1e-10, err_msg="db")
+    np.testing.assert_allclose(conv.grads["W"][0], ndw, atol=1e-10, err_msg="dW")
+    np.testing.assert_allclose(conv.grads["b"][0], ndb, atol=1e-10, err_msg="db")
 
 
 class TestConvCrossCheck:
@@ -111,7 +111,7 @@ class TestConvCrossCheck:
         conv = Conv2d(cin, cout, k, np.random.default_rng(0), stride=stride, padding=pad)
         x = rng.normal(size=(2, cin, size, size))
         fast = conv.forward(x, train=False)
-        slow = naive_conv2d(x, conv.params["W"], conv.params.get("b"), stride, pad)
+        slow = naive_conv2d(x, conv.params["W"][0], conv.params["b"][0], stride, pad)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
     @settings(max_examples=10, deadline=None)
@@ -119,7 +119,7 @@ class TestConvCrossCheck:
     def test_matches_naive_random_geometry(self, seed):
         conv, x = random_conv_geometry(seed)
         fast = conv.forward(x, train=False)
-        slow = naive_conv2d(x, conv.params["W"], conv.params.get("b"), conv.stride, conv.padding)
+        slow = naive_conv2d(x, conv.params["W"][0], conv.params["b"][0], conv.stride, conv.padding)
         np.testing.assert_allclose(fast, slow, atol=1e-10)
 
     @pytest.mark.parametrize("cin,cout,k,stride,pad,size", CONV_GEOMETRIES)

@@ -361,3 +361,29 @@ class TestProfiler:
         np.testing.assert_array_equal(
             recorded.final_params, plain.final_params
         )
+
+    @pytest.mark.parametrize("kind", ["sync", "semisync"])
+    def test_round_kinds_attribute_phases(self, kind):
+        """The round kinds feed job_build / collect / apply / eval, and a
+        profiled run's history equals the unprofiled one."""
+        from repro.experiments import build
+        from repro.observe import HotPathProfiler
+
+        timed = {"latency": "lognormal"} if kind == "semisync" else {}
+        spec = ExperimentSpec(
+            method=MethodSpec(name="fedwcm"),
+            runtime=RuntimeSpec(kind=kind, **timed),
+            **_TINY,
+        )
+        profiler = HotPathProfiler()
+        profiled = build(spec)
+        history = profiled.run(profiler=profiler)
+        plain = build(spec)
+        reference = plain.run()
+        assert [r.test_accuracy for r in history.records] == [
+            r.test_accuracy for r in reference.records
+        ]
+        np.testing.assert_array_equal(profiled.final_params, plain.final_params)
+        for phase in ("job_build", "collect", "apply", "eval"):
+            assert profiler.seconds[phase] > 0.0, phase
+        assert profiler.seconds["collect"] > profiler.seconds["job_build"]

@@ -216,8 +216,8 @@ class TestJobContractOverTheWire:
         _deep_equal(job2.client_state, job.client_state)
         _deep_equal(job2.broadcast_state, job.broadcast_state)
 
-        from repro.parallel import execute_client_job
-        result = execute_client_job(ctx, algo, job2)
+        from repro.parallel import execute_jobs
+        (result,) = execute_jobs(ctx, algo, [job2])
         [(msg_type, (seq, result2, err), _)] = FrameDecoder().feed(
             encode_frame(MsgType.RESULT, (11, result, None))
         )

@@ -19,9 +19,7 @@ from repro.nn import (
     LayerNorm,
     MaxPool2d,
     MODEL_REGISTRY,
-    MomentumInjectedSGD,
     ReLU,
-    SGD,
     Sequential,
     build_model,
     evaluate,
@@ -91,11 +89,11 @@ class TestFunctional:
 class TestModuleStateManagement:
     def test_set_params_copies_values(self):
         m = Dense(3, 2, np.random.default_rng(0))
-        new = {k: np.zeros_like(v) for k, v in m.params.items()}
+        new = {k: np.zeros_like(v) for k, v in m.get_params().items()}
         m.set_params(new)
         assert np.all(m.params["W"] == 0)
         new["W"][0, 0] = 5.0  # mutating the source must not affect the module
-        assert m.params["W"][0, 0] == 0.0
+        assert m.params["W"][0, 0, 0] == 0.0
 
     def test_set_params_key_mismatch(self):
         m = Dense(3, 2, np.random.default_rng(0))
@@ -111,7 +109,7 @@ class TestModuleStateManagement:
     def test_sequential_param_aliasing(self):
         # writing through the parent's namespaced params must reach children
         m = Sequential(Dense(3, 2, np.random.default_rng(0)))
-        flat, spec = flatten_params(m.params)
+        flat, spec = flatten_params(m.get_params())
         flat2 = np.zeros_like(flat)
         m.set_params(unflatten_params(flat2, spec))
         assert np.all(m.children_[0].params["W"] == 0)
@@ -242,51 +240,6 @@ class TestModels:
             make_resnet_lite(3, 7, 10)
         with pytest.raises(ValueError):
             make_resnet_lite(3, 8, 10, depth="50")
-
-
-class TestOptim:
-    def test_sgd_step(self):
-        opt = SGD(lr=0.5)
-        x = np.array([1.0, 2.0])
-        opt.step(x, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(x, [0.5, 1.5])
-
-    def test_sgd_momentum_accumulates(self):
-        opt = SGD(lr=1.0, momentum=0.5)
-        x = np.zeros(1)
-        g = np.ones(1)
-        opt.step(x, g)  # v=1, x=-1
-        opt.step(x, g)  # v=1.5, x=-2.5
-        np.testing.assert_allclose(x, [-2.5])
-
-    def test_sgd_weight_decay(self):
-        opt = SGD(lr=1.0, weight_decay=0.1)
-        x = np.array([10.0])
-        opt.step(x, np.zeros(1))
-        np.testing.assert_allclose(x, [9.0])
-
-    def test_momentum_injected_mixing(self):
-        opt = MomentumInjectedSGD(lr=1.0)
-        opt.configure(alpha=0.25, delta=np.array([4.0]))
-        x = np.zeros(1)
-        opt.step(x, np.array([8.0]))
-        # v = 0.25*8 + 0.75*4 = 5
-        np.testing.assert_allclose(x, [-5.0])
-
-    def test_momentum_injected_no_delta(self):
-        opt = MomentumInjectedSGD(lr=1.0)
-        opt.configure(alpha=0.5, delta=None)
-        x = np.zeros(1)
-        opt.step(x, np.array([2.0]))
-        np.testing.assert_allclose(x, [-1.0])
-
-    def test_invalid_hyperparams(self):
-        with pytest.raises(ValueError):
-            SGD(lr=0)
-        with pytest.raises(ValueError):
-            SGD(lr=0.1, momentum=1.0)
-        with pytest.raises(ValueError):
-            MomentumInjectedSGD(lr=0.1).configure(alpha=0.0, delta=None)
 
 
 class TestTrainHelpers:

@@ -264,10 +264,10 @@ class TestCollectContract:
             assert stats["shm_segments_live"] == stats["shm_versions"]
             # batched siblings share one pool task but results stay per-job
             # and match the in-process reference execution exactly
-            from repro.parallel import execute_client_job
+            from repro.parallel import execute_jobs
 
             for h, job in zip(handles, jobs):
-                want = execute_client_job(ctx, algo, job)
+                (want,) = execute_jobs(ctx, algo, [job])
                 np.testing.assert_array_equal(
                     results[h].update.displacement,
                     want.update.displacement)

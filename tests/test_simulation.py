@@ -68,8 +68,12 @@ class TestContext:
         assert not all_same
 
     def test_sample_size(self, ds):
-        ctx = self._ctx(ds)
-        assert len(ctx.sample_clients(0)) == 3  # 50% of 6
+        # round(), not ceil: 0.75 of 6 is 4.5, which rounds half to even
+        for participation, expected in [(0.5, 3), (0.75, 4), (0.25, 2)]:
+            ctx = SimulationContext(
+                make_mlp(32, 10, seed=0), ds, FLConfig(seed=1, participation=participation)
+            )
+            assert len(ctx.sample_clients(0)) == expected, participation
 
     def test_client_rng_independent_of_order(self, ds):
         ctx = self._ctx(ds)
