@@ -96,6 +96,19 @@ _SPEC_DEFAULTS = {
 }
 
 
+def _seconds(text: str) -> float:
+    """argparse type of ``repro serve``'s timing flags: argparse names the
+    flag in its error and exits 2, before the aggregator listens."""
+    from repro.net.service import positive_seconds
+
+    try:
+        return positive_seconds(float(text), "value")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of seconds > 0, got {text!r}"
+        ) from None
+
+
 def _hd(text: str, path: str) -> str:
     """Help text carrying the dataclass-derived default."""
     return f"{text} (default: {_SPEC_DEFAULTS[path]})"
@@ -202,15 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker count for the process/thread backends")
         p.add_argument("--job-batch", type=int, default=_SUPPRESS,
                        help="jobs per pool task / wire frame for the "
-                            "process and remote backends (default: "
-                            "REPRO_JOB_BATCH, else per-job dispatch); "
-                            "histories are bit-identical at any value")
+                            "process and remote backends (default: per-job "
+                            "dispatch); histories are bit-identical at any "
+                            "value")
         p.add_argument("--shared-memory", action=argparse.BooleanOptionalAction,
                        default=_SUPPRESS,
                        help="process backend: ship the broadcast vector via "
                             "POSIX shared memory once per version instead of "
-                            "pickling it into every job (default: "
-                            "REPRO_SHARED_MEMORY, else off)")
+                            "pickling it into every job (default: off)")
         p.add_argument("--buffer-ema", default=_SUPPRESS,
                        choices=("fixed", "staleness"),
                        help="async BatchNorm-buffer EMA: fixed 1/window blend, or "
@@ -289,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--address", required=True, metavar="HOST:PORT",
                          help="address to listen on (port 0 = ephemeral); "
                               "workers join with `repro worker --connect`")
-    serve_p.add_argument("--heartbeat-interval", type=float, default=None,
+    serve_p.add_argument("--heartbeat-interval", type=_seconds, default=None,
                          metavar="SECONDS",
                          help="worker heartbeat period (default: 1.0)")
-    serve_p.add_argument("--heartbeat-timeout", type=float, default=None,
+    serve_p.add_argument("--heartbeat-timeout", type=_seconds, default=None,
                          metavar="SECONDS",
                          help="silence after which a worker is declared dead and "
                               "its in-flight jobs requeued (default: 5.0)")
-    serve_p.add_argument("--worker-timeout", type=float, default=None,
+    serve_p.add_argument("--worker-timeout", type=_seconds, default=None,
                          metavar="SECONDS",
                          help="how long to wait for the first --workers "
                               "registrations before failing (default: 60)")
@@ -648,7 +660,10 @@ def cmd_serve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # deployment knobs travel to the service via its env defaults
+    # deployment knobs travel to the service via its env defaults; each is
+    # checked here, so a bad value exits 2 before the aggregator listens
+    from repro.net.service import env_seconds
+
     for flag, env in (
         ("heartbeat_interval", "REPRO_NET_HEARTBEAT"),
         ("heartbeat_timeout", "REPRO_NET_HEARTBEAT_TIMEOUT"),
@@ -657,6 +672,11 @@ def cmd_serve(args) -> int:
         value = getattr(args, flag)
         if value is not None:
             os.environ[env] = str(value)
+        try:
+            env_seconds(env)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     _warn_unused_runtime_flags(args, spec.runtime.kind)
     return _execute(args, spec, verbose=True)
 

@@ -16,6 +16,7 @@ feature lands in one file instead of being threaded through each caller.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -27,9 +28,8 @@ from repro.data.registry import FederatedDataset
 from repro.experiments.spec import ExperimentSpec
 from repro.parallel import (
     ProcessPoolBackend,
+    make_backend,
     resolve_backend,
-    resolve_job_batch,
-    resolve_shared_memory,
     resolve_streaming,
 )
 from repro.nn import build_model, make_linear, make_mlp
@@ -218,29 +218,25 @@ def build(spec: ExperimentSpec):
         # for such methods, so reaching here means a blanket REPRO_BACKEND
         # default — quietly keep the only backend that runs them correctly
         backend_name = "serial"
-    job_batch = resolve_job_batch(rt.job_batch, env=True)
-    shared_memory = resolve_shared_memory(rt.shared_memory, env=True)
-    backend: "str | object" = backend_name
+    # the one place a spec becomes a backend instance; the engine closes it
+    # at the end of every run()
     if backend_name == "remote":
         # the remote backend needs run-scoped configuration a bare name
         # cannot carry: the listen address and the spec itself (shipped to
-        # workers in the WELCOME handshake so they rebuild replicas).  The
-        # instance is engine_owned — engines close it at the end of run()
+        # workers in the WELCOME handshake so they rebuild replicas)
         from repro.net import RemoteBackend
 
         backend = RemoteBackend(
             workers=rt.workers, address=rt.backend_address, spec=spec,
-            job_batch=job_batch,
+            job_batch=rt.job_batch,
         )
-    elif backend_name == "process" and (job_batch is not None or shared_memory):
-        # transport knobs a bare name cannot carry: build the pool backend
-        # here and mark it engine_owned so engines close it (unlinking any
-        # shared-memory segments) at the end of run()
+    elif backend_name == "process":
         backend = ProcessPoolBackend(
-            workers=rt.workers, job_batch=job_batch,
-            shared_memory=shared_memory,
+            workers=rt.workers, job_batch=rt.job_batch,
+            shared_memory=rt.shared_memory,
         )
-        backend.engine_owned = True
+    else:
+        backend = make_backend(backend_name, rt.workers)
 
     def make_latency():
         # price_comm must reach the engine even under the default latency:
@@ -256,20 +252,16 @@ def build(spec: ExperimentSpec):
     # worker replicas (pool, thread, remote) and the engine's live instance
     # are constructed the same way — replica_builders is the single source
     algo_builder, loss_builder, sampler_builder = replica_builders(spec)
+    problem = (algo_builder(), model_builder(), ds, cfg)
+    # what every engine kind hands its shell besides the problem
+    shell = dict(
+        backend=backend, model_builder=model_builder, algo_builder=algo_builder,
+        loss_builder=loss_builder, sampler_builder=sampler_builder,
+    )
 
     if rt.kind == "sync":
         return FederatedSimulation(
-            algo_builder(),
-            model_builder(),
-            ds,
-            cfg,
-            backend=backend,
-            workers=rt.workers,
-            model_builder=model_builder,
-            algo_builder=algo_builder,
-            loss_builder=loss_builder,
-            sampler_builder=sampler_builder,
-            client_sampler=_build_sampler(spec, timed=False),
+            *problem, client_sampler=_build_sampler(spec, timed=False), **shell
         )
 
     if rt.kind == "semisync":
@@ -279,46 +271,30 @@ def build(spec: ExperimentSpec):
                 target_drop_rate=rt.adaptive_deadline, initial=rt.deadline
             )
         return SemiSyncFederatedSimulation(
-            algo_builder(),
-            model_builder(),
-            ds,
-            cfg,
+            *problem,
             latency_model=make_latency(),
             deadline=deadline,
             late_weight=rt.late_weight,
             late_policy=rt.late_policy,
-            backend=backend,
-            workers=rt.workers,
-            model_builder=model_builder,
-            algo_builder=algo_builder,
-            loss_builder=loss_builder,
-            sampler_builder=sampler_builder,
             client_sampler=_build_sampler(spec, timed=True),
+            **shell,
         )
 
     controller = None
     if rt.staleness_budget is not None:
         controller = ConcurrencyController(staleness_budget=rt.staleness_budget)
     return AsyncFederatedSimulation(
-        algo_builder(),
-        model_builder(),
-        ds,
-        cfg,
+        *problem,
         latency_model=make_latency(),
         concurrency=rt.concurrency,
         concurrency_controller=controller,
         max_updates=rt.max_updates,
-        backend=backend,
-        workers=rt.workers,
-        model_builder=model_builder,
-        algo_builder=algo_builder,
         sampler=_build_sampler(spec, timed=True),
         buffer_ema=rt.buffer_ema,
         # spec-driven runs opt into the REPRO_STREAMING environment
         # default, mirroring the backend resolution above
         streaming=resolve_streaming(rt.streaming, env=True),
-        loss_builder=loss_builder,
-        sampler_builder=sampler_builder,
+        **shell,
     )
 
 
@@ -335,36 +311,11 @@ def run(
     checkpoints-and-stops at that round boundary.
     """
     engine = build(spec)
-    recorder = None
-    profiler = None
-    if spec.runtime.record:
-        import os
-
-        from repro.observe import HotPathProfiler, RunRecorder
-
-        run_dir = spec.runtime.run_dir
+    run_dir = spec.runtime.run_dir if spec.runtime.record else None
+    if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
         spec.save(os.path.join(run_dir, "spec.json"))
-        recorder = RunRecorder(run_dir)
-        # recorded runs profile themselves: the hot-path summary lands in
-        # the journal (a "profile" record) and on RunResult.profile
-        profiler = HotPathProfiler()
-    try:
-        history = engine.run(
-            verbose=verbose, recorder=recorder, stop_after_rounds=stop_after_rounds,
-            profiler=profiler,
-        )
-    finally:
-        if recorder is not None:
-            recorder.close()
-    return RunResult(
-        spec=spec,
-        history=history,
-        final_params=getattr(engine, "final_params", None),
-        total_virtual_time=getattr(engine, "total_virtual_time", 0.0),
-        engine=engine,
-        profile=profiler.as_dict() if profiler is not None else None,
-    )
+    return _run_engine(spec, engine, run_dir, verbose, stop_after_rounds)
 
 
 def resume_run(
@@ -386,14 +337,7 @@ def resume_run(
         ValueError: the snapshot was written under another
             ``SNAPSHOT_SCHEMA_VERSION``; the run directory is left untouched.
     """
-    import os
-
-    from repro.observe import (
-        HotPathProfiler,
-        RunRecorder,
-        latest_snapshot,
-        load_snapshot,
-    )
+    from repro.observe import latest_snapshot, load_snapshot
 
     snap_path = latest_snapshot(run_dir)
     if snap_path is None:
@@ -406,16 +350,29 @@ def resume_run(
     # retired keys), before a pool is built and before the journal is opened
     snap = load_snapshot(snap_path)
     spec = ExperimentSpec.load(os.path.join(run_dir, "spec.json"))
-    engine = build(spec)
-    recorder = RunRecorder(run_dir) if record else None
-    profiler = HotPathProfiler() if record else None
+    return _run_engine(
+        spec, build(spec), run_dir if record else None, verbose,
+        stop_after_rounds, resume=snap,
+    )
+
+
+def _run_engine(
+    spec: ExperimentSpec, engine, run_dir: str | None, verbose: bool,
+    stop_after_rounds: int | None, resume: dict | None = None,
+) -> RunResult:
+    """Run a built engine and package the outcome; with a ``run_dir`` the
+    run journals there and profiles itself (the hot-path summary lands in
+    the journal's ``profile`` record and on ``RunResult.profile``)."""
+    recorder = profiler = None
+    if run_dir is not None:
+        from repro.observe import HotPathProfiler, RunRecorder
+
+        recorder = RunRecorder(run_dir)
+        profiler = HotPathProfiler()
     try:
         history = engine.run(
-            verbose=verbose,
-            recorder=recorder,
-            resume=snap,
-            stop_after_rounds=stop_after_rounds,
-            profiler=profiler,
+            verbose=verbose, recorder=recorder, resume=resume,
+            stop_after_rounds=stop_after_rounds, profiler=profiler,
         )
     finally:
         if recorder is not None:
@@ -423,8 +380,8 @@ def resume_run(
     return RunResult(
         spec=spec,
         history=history,
-        final_params=getattr(engine, "final_params", None),
-        total_virtual_time=getattr(engine, "total_virtual_time", 0.0),
+        final_params=engine.final_params,
+        total_virtual_time=engine.total_virtual_time,
         engine=engine,
         profile=profiler.as_dict() if profiler is not None else None,
     )

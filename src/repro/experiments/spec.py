@@ -233,16 +233,16 @@ class RuntimeSpec:
             (``backend="process"``) or one wire frame
             (``backend="remote"``) carries up to this many jobs, amortizing
             pickling and per-message overhead across the batch.  None
-            (default) resolves via ``REPRO_JOB_BATCH``, else per-job
-            dispatch.  Histories are bit-identical at any value (jobs are
-            stamped at dispatch and results applied in virtual-time order).
+            (default) ships one job per unit.  Histories are bit-identical
+            at any value (jobs are stamped at dispatch and results applied
+            in virtual-time order).
             Transport-only, so serial/thread backends reject it.
         shared_memory: ``backend="process"`` only — publish the broadcast
             vector (and round-stable broadcast arrays) into POSIX shared
             memory once per version; jobs carry small descriptors and pool
             workers attach read-only, so the model is no longer pickled
-            into every job.  None (default) resolves via
-            ``REPRO_SHARED_MEMORY``, else off.  Bit-identical either way.
+            into every job.  None (default) leaves it off.  Bit-identical
+            either way.
         buffer_ema: async server-side buffer EMA mode — ``"fixed"``
             (1/window blend, default) or ``"staleness"`` (stale arrivals
             discounted at ``1/(window * (1 + tau))``, mirroring the

@@ -33,6 +33,7 @@ science ride environment variables (overridable per constructor):
 
 from __future__ import annotations
 
+import math
 import os
 import selectors
 import socket
@@ -63,7 +64,35 @@ _RECV_CHUNK = 1 << 16
 
 def _env_float(name: str, default: float) -> float:
     raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else default
+    if not raw:
+        return default
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be a number, got {raw!r}") from None
+
+
+def positive_seconds(value: float, name: str) -> float:
+    """``value`` if finite and > 0, else a ValueError naming its source.
+
+    A heartbeat timeout <= 0 drops every worker as soon as it registers; a
+    negative interval spins the worker's heartbeat loop."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number of seconds > 0, got {value!r}")
+    return float(value)
+
+
+#: the service's timing knobs: environment variable -> default seconds
+TIMING_ENV = {
+    "REPRO_NET_HEARTBEAT": 1.0,
+    "REPRO_NET_HEARTBEAT_TIMEOUT": 5.0,
+    "REPRO_NET_WORKER_TIMEOUT": 60.0,
+}
+
+
+def env_seconds(name: str) -> float:
+    """The :data:`TIMING_ENV` knob ``name``: the environment, else its default."""
+    return positive_seconds(_env_float(name, TIMING_ENV[name]), name)
 
 
 class WorkerError(RuntimeError):
@@ -120,14 +149,14 @@ class AggregatorService:
         #: behavior — broadcast-vector dedup is on either way
         self.batch_limit = max(1, batch_limit or 1)
         self.heartbeat_interval = (
-            heartbeat_interval
+            positive_seconds(heartbeat_interval, "heartbeat_interval")
             if heartbeat_interval is not None
-            else _env_float("REPRO_NET_HEARTBEAT", 1.0)
+            else env_seconds("REPRO_NET_HEARTBEAT")
         )
         self.heartbeat_timeout = (
-            heartbeat_timeout
+            positive_seconds(heartbeat_timeout, "heartbeat_timeout")
             if heartbeat_timeout is not None
-            else _env_float("REPRO_NET_HEARTBEAT_TIMEOUT", 5.0)
+            else env_seconds("REPRO_NET_HEARTBEAT_TIMEOUT")
         )
         self.inflight_cap = max(
             1,
@@ -632,14 +661,13 @@ class RemoteBackend(ExecutionBackend):
             rebuild bit-identical replicas.  The spec facade wires this;
             constructing by name (``make_backend("remote")``) leaves it
             unset and ``bind`` raises.
-        job_batch: jobs per wire frame (``runtime.job_batch`` /
-            ``REPRO_JOB_BATCH``); 1 (default) keeps per-job least-loaded
-            scheduling.  Broadcast-vector dedup is always on.
+        job_batch: jobs per wire frame (``runtime.job_batch``); 1
+            (default) keeps per-job least-loaded scheduling.
+            Broadcast-vector dedup is always on.
     """
 
     name = "remote"
     shares_state = False
-    engine_owned = True  # the facade builds one per run; engines close it
 
     def __init__(self, workers: int | None = None, address: str | None = None,
                  spec=None, job_batch: int | None = None) -> None:
@@ -670,6 +698,7 @@ class RemoteBackend(ExecutionBackend):
                 "(runtime.backend='remote' / REPRO_BACKEND=remote) rather "
                 "than by bare name"
             )
+        worker_timeout = env_seconds("REPRO_NET_WORKER_TIMEOUT")
         self.close()
         self._service = AggregatorService(
             self._address,
@@ -682,10 +711,7 @@ class RemoteBackend(ExecutionBackend):
             file=sys.stderr,
         )
         try:
-            self._service.wait_for_workers(
-                self.min_workers,
-                timeout=_env_float("REPRO_NET_WORKER_TIMEOUT", 60.0),
-            )
+            self._service.wait_for_workers(self.min_workers, timeout=worker_timeout)
         except BaseException:
             self.close()
             raise

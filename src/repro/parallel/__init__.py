@@ -24,8 +24,6 @@ from repro.parallel.backend import (
     execute_jobs,
     make_backend,
     resolve_backend,
-    resolve_job_batch,
-    resolve_shared_memory,
     resolve_streaming,
 )
 from repro.parallel.pool import parallel_map, resolve_workers
@@ -45,8 +43,6 @@ __all__ = [
     "resolve_job_refs",
     "make_backend",
     "resolve_backend",
-    "resolve_job_batch",
-    "resolve_shared_memory",
     "resolve_streaming",
     "execute_job",
     "execute_jobs",

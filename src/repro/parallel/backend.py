@@ -61,11 +61,13 @@ kinds, batch and streaming):
   a live future.
 
 Backends have an explicit lifecycle — ``bind`` → submit/collect →
-``close()`` — and double as context managers, so a run that raises
-mid-stream still reaps its worker pool.  They also double as coarse-grained
-parallel mappers (:meth:`ExecutionBackend.map`) so
-:func:`repro.experiments.run_sweep` can dispatch whole grid points through
-the same abstraction.
+``close()`` — and double as context managers.  An engine builds or takes
+one backend at construction and closes it at the end of every ``run()``,
+whether the run raises or not, so a failed run still reaps its worker
+pool; a closed backend binds again, so the next run re-uses the same
+instance.  Backends also double as coarse-grained parallel mappers
+(:meth:`ExecutionBackend.map`) so :func:`repro.experiments.run_sweep` can
+dispatch whole grid points through the same abstraction.
 """
 
 from __future__ import annotations
@@ -98,9 +100,6 @@ __all__ = [
     "make_backend",
     "resolve_backend",
     "resolve_streaming",
-    "resolve_job_batch",
-    "resolve_shared_memory",
-    "prepare_engine_backend",
     "execute_job",
     "execute_jobs",
     "build_job_runtime",
@@ -374,11 +373,6 @@ class ExecutionBackend:
 
     name = "base"
     shares_state = False
-    #: True when an engine must close this backend even though it received
-    #: it as a pre-built instance (the facade hands engines a configured
-    #: :class:`~repro.net.service.RemoteBackend` whose listener lifetime is
-    #: the run's; plain instances stay caller-owned as before)
-    engine_owned = False
     # class-level defaults so subclasses need not call super().__init__();
     # the first mutation creates the instance attribute
     _handle_seq = 0
@@ -621,8 +615,8 @@ class ProcessPoolBackend(ExecutionBackend):
       :class:`~repro.parallel.shm.ArrayRef` descriptors instead; workers
       attach the segments read-only.  Segments are reference-counted per
       in-flight job and the store is unlinked from :meth:`close`, so a run
-      that raises mid-stream (the engines close ``engine_owned`` backends
-      in a ``finally``) still reaps its shared memory.
+      that raises mid-stream (engines close their backend in a
+      ``finally``) still reaps its shared memory.
     """
 
     name = "process"
@@ -893,43 +887,6 @@ def make_backend(name: str, workers: int | None = None) -> ExecutionBackend:
     return _resolve_backend_class(name)(workers=workers)
 
 
-def prepare_engine_backend(
-    backend: "ExecutionBackend | str | None",
-    workers: int | None,
-    algorithm,
-    model_builder: Callable | None,
-    algo_builder: Callable | None,
-) -> tuple[str, "ExecutionBackend | None", Callable]:
-    """Shared engine-constructor plumbing for the ``backend`` argument.
-
-    Returns ``(backend_name, instance_or_None, algo_builder)``: an instance
-    only when the caller passed one (the engine then must not close it);
-    otherwise the engine builds a fresh backend per run from the name.
-    Validates the model-builder requirement and emits the replica-config
-    warning at construction time, before any compute is spent.
-    """
-    if isinstance(backend, ExecutionBackend):
-        name: str = backend.name
-        instance: ExecutionBackend | None = backend
-    else:
-        name, instance = resolve_backend(backend, workers), None
-    if name != "serial":
-        if not getattr(algorithm, "parallel_safe", True):
-            raise ValueError(
-                f"{getattr(algorithm, 'name', type(algorithm).__name__)} keeps "
-                "client-visible state outside the pack/unpack and "
-                "broadcast_attrs contracts; worker replicas would silently "
-                "diverge — run it on the serial backend"
-            )
-        if model_builder is None:
-            raise ValueError(
-                f"backend {name!r} requires a model_builder for worker replicas"
-            )
-        if algo_builder is None:
-            warn_on_replica_config_mismatch(algorithm)
-    return name, instance, algo_builder or type(algorithm)
-
-
 def resolve_backend(
     name: str | None = None,
     workers: int | None = None,
@@ -943,16 +900,24 @@ def resolve_backend(
     tests and libraries keep explicit control) > ``"process"`` when
     ``workers`` asks for more than one > ``"serial"``.
 
-    Inside a daemonic pool worker the implicit choices collapse to
-    ``"serial"``: nested process pools cannot fork.
+    Inside a daemonic pool worker (a grid point of a process sweep) the
+    implicit choices collapse to ``"serial"``, because nested process pools
+    cannot fork; an explicit ``"process"`` there is refused.
     """
+    daemon = mp.current_process().daemon
     if name is not None and name != "auto":
         if name.lower() not in BACKENDS:
             raise ValueError(
                 f"unknown backend {name!r}; available: {sorted(BACKENDS)}"
             )
+        if daemon and name.lower() == "process":
+            raise ValueError(
+                "backend 'process' cannot run inside a process-pool worker "
+                "(e.g. a grid point of a process sweep): a daemonic process "
+                "cannot fork its own pool; set runtime.backend='auto' or "
+                "'serial' for the runs inside the pool"
+            )
         return name.lower()
-    daemon = mp.current_process().daemon
     if env:
         env_name = os.environ.get("REPRO_BACKEND", "").strip().lower()
         if env_name:
@@ -971,61 +936,6 @@ def resolve_backend(
     if workers is not None and workers > 1:
         return "serial" if daemon else "process"
     return "serial"
-
-
-def resolve_job_batch(value: int | None = None, env: bool = False) -> int | None:
-    """Resolve the transport batch size (jobs per pool task / wire frame).
-
-    Precedence: explicit ``value`` > the ``REPRO_JOB_BATCH`` environment
-    variable (only when ``env=True`` — the spec facade opts in, mirroring
-    ``REPRO_BACKEND``) > None (per-job transport, the pre-batching
-    behavior).  Batch size is a transport knob with zero effect on
-    histories, so any value is valid for every engine kind.
-    """
-    if value is not None:
-        value = int(value)
-        if value < 1:
-            raise ValueError(f"job_batch must be >= 1, got {value}")
-        return value
-    if env:
-        raw = os.environ.get("REPRO_JOB_BATCH", "").strip()
-        if raw:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_JOB_BATCH must be an integer >= 1, got {raw!r}"
-                ) from None
-            if value < 1:
-                raise ValueError(
-                    f"REPRO_JOB_BATCH must be an integer >= 1, got {raw!r}"
-                )
-            return value
-    return None
-
-
-def resolve_shared_memory(value: bool | None = None, env: bool = False) -> bool:
-    """Resolve the zero-copy broadcast flag for the process pool.
-
-    Precedence: explicit ``value`` > the ``REPRO_SHARED_MEMORY``
-    environment variable (only when ``env=True``) > off.  Off by default
-    because below a few thousand simulated clients (or with tiny models)
-    the segment publish + attach overhead can exceed the pickle saved.
-    """
-    if value is not None:
-        return bool(value)
-    if env:
-        raw = os.environ.get("REPRO_SHARED_MEMORY", "").strip().lower()
-        if raw:
-            if raw in ("1", "true", "on", "yes"):
-                return True
-            if raw in ("0", "false", "off", "no"):
-                return False
-            raise ValueError(
-                "REPRO_SHARED_MEMORY must be boolean-like "
-                f"(1/0/true/false/on/off), got {raw!r}"
-            )
-    return False
 
 
 def resolve_streaming(streaming: bool | None = None, env: bool = False) -> bool:

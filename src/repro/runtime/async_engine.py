@@ -54,27 +54,19 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Callable, Sequence
 
-import numpy as np
-
 from repro.data.registry import FederatedDataset
 from repro.nn.module import Module
-from repro.parallel.backend import (
-    ExecutionBackend,
-    make_backend,
-    prepare_engine_backend,
-    resolve_streaming,
-)
+from repro.parallel.backend import ExecutionBackend, resolve_streaming
 from repro.runtime.clock import ConstantLatency, LatencyModel
-from repro.runtime.events import BUFFER_EMA_MODES, AsyncPolicy, EventCore
+from repro.runtime.events import BUFFER_EMA_MODES, AsyncPolicy
 from repro.runtime.scheduling import ConcurrencyController, resolve_auto_comm
 from repro.simulation.config import FLConfig, resolve_lr_schedule
-from repro.simulation.context import SimulationContext
-from repro.simulation.engine import History
+from repro.simulation.engine import EngineShell
 
 __all__ = ["AsyncFederatedSimulation"]
 
 
-class AsyncFederatedSimulation:
+class AsyncFederatedSimulation(EngineShell):
     """Run a staleness-aware algorithm under an event-driven virtual clock.
 
     Args:
@@ -98,17 +90,8 @@ class AsyncFederatedSimulation:
         max_updates: total client updates to process (default
             ``config.rounds * cohort``, i.e. the same client work as the
             synchronous run — this makes time-to-accuracy comparisons fair).
-        backend: execution backend for batched client training — an
-            :class:`~repro.parallel.backend.ExecutionBackend` instance, a
-            registry name (``"serial"`` / ``"process"`` / ``"thread"``), or
-            None to derive one from ``workers`` (>1 selects the process
-            pool, the historical behavior).
-        workers: worker count for pool backends (None keeps the backend's
-            default: ``REPRO_MAX_WORKERS`` or the capped CPU count).
-        model_builder / algo_builder: zero-arg factories for worker replicas;
-            ``model_builder`` is required by the non-serial backends
-            (``algo_builder`` defaults to the algorithm's class called with
-            no arguments).
+        workers / backend / model_builder / algo_builder: as
+            :class:`repro.simulation.FederatedSimulation`.
         sampler: optional :class:`~repro.runtime.scheduling.TimeAwareSampler`
             picking each replacement dispatch (``pick_next``); None keeps the
             uniform idle draw.
@@ -158,7 +141,6 @@ class AsyncFederatedSimulation:
             raise ValueError(
                 f"buffer_ema must be one of {BUFFER_EMA_MODES}, got {buffer_ema!r}"
             )
-        self.algorithm = algorithm
         self.window = max(1, int(round(config.participation * dataset.num_clients)))
         schedule = resolve_lr_schedule(config.lr_schedule, config.rounds)
         if schedule is not None:
@@ -168,12 +150,6 @@ class AsyncFederatedSimulation:
             # keeping scheduled-lr runs comparable to the sync baseline
             window = self.window
             config = replace(config, lr_schedule=lambda seq: schedule(seq // window))
-        self.ctx = SimulationContext(
-            model, dataset, config, loss_builder=loss_builder, sampler_builder=sampler_builder
-        )
-        latency_model = latency_model or ConstantLatency()
-        resolve_auto_comm(latency_model, algorithm)
-        self.latency_model = latency_model.bind(self.ctx)
         self.concurrency = concurrency if concurrency is not None else self.window
         if self.concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
@@ -186,15 +162,17 @@ class AsyncFederatedSimulation:
         self.max_updates = max_updates if max_updates is not None else config.rounds * self.window
         if self.max_updates < 1:
             raise ValueError(f"max_updates must be >= 1, got {self.max_updates}")
+        super().__init__(
+            algorithm, model, dataset, config, loss_builder=loss_builder,
+            sampler_builder=sampler_builder, backend=backend, workers=workers,
+            model_builder=model_builder, algo_builder=algo_builder,
+            metric_hooks=metric_hooks,
+        )
+        latency_model = latency_model or ConstantLatency()
+        resolve_auto_comm(latency_model, algorithm)
+        self.latency_model = latency_model.bind(self.ctx)
         self.buffer_ema = buffer_ema
         self.streaming = resolve_streaming(streaming)
-        self._workers = workers
-        self.backend_name, self._backend, self._algo_builder = prepare_engine_backend(
-            backend, workers, algorithm, model_builder, algo_builder
-        )
-        self._model_builder = model_builder
-        self._loss_builder = loss_builder
-        self._sampler_builder = sampler_builder
         self.sampler = sampler
         if sampler is not None:
             if not hasattr(sampler, "pick_next"):
@@ -203,25 +181,9 @@ class AsyncFederatedSimulation:
                     "async dispatch needs a TimeAwareSampler"
                 )
             sampler.bind(self.ctx, self.latency_model)
-        self.metric_hooks = list(metric_hooks)
-        self.final_params: np.ndarray | None = None
-        self.total_virtual_time = 0.0
 
-    def run(
-        self,
-        verbose: bool = False,
-        recorder=None,
-        resume: dict | None = None,
-        stop_after_rounds: int | None = None,
-        profiler=None,
-    ) -> History:
-        owned = self._backend is None
-        backend = (
-            make_backend(self.backend_name, workers=self._workers)
-            if owned
-            else self._backend
-        )
-        policy = AsyncPolicy(
+    def _run_policy(self) -> AsyncPolicy:
+        return AsyncPolicy(
             self.latency_model,
             window=self.window,
             concurrency=self.concurrency,
@@ -231,31 +193,3 @@ class AsyncFederatedSimulation:
             buffer_ema=self.buffer_ema,
             streaming=self.streaming,
         )
-        core = EventCore(
-            self.ctx, self.algorithm, policy, metric_hooks=self.metric_hooks,
-            backend=backend,
-        )
-        # bind inside the guard: a failed bind (or run) must still reap an
-        # owned backend's workers instead of leaking the fork pool
-        try:
-            backend.bind(
-                self.ctx,
-                self.algorithm,
-                model_builder=self._model_builder,
-                algo_builder=self._algo_builder,
-                loss_builder=self._loss_builder,
-                sampler_builder=self._sampler_builder,
-            )
-            history = core.run(
-                verbose=verbose, recorder=recorder, resume=resume,
-                stop_after_rounds=stop_after_rounds, profiler=profiler,
-            )
-        finally:
-            # engine_owned instances (the facade's RemoteBackend) carry
-            # run-scoped resources — a listener and its worker fleet — and
-            # are reaped here too, unlike plain caller-owned instances
-            if owned or getattr(backend, "engine_owned", False):
-                backend.close()
-        self.final_params = core.x
-        self.total_virtual_time = core.clock.now
-        return history

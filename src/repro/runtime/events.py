@@ -61,7 +61,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.parallel.backend import ClientJob, SerialBackend
+from repro.parallel.backend import ClientJob
 from repro.runtime.clock import VirtualClock
 from repro.runtime.fastpath import IdleTracker, mask_positions
 from repro.utils.rng import keyed_rng
@@ -232,7 +232,8 @@ class EventCore:
     """Shared machinery of every engine kind: one clock, one loop.
 
     The core owns the virtual clock, the global model vector, the history,
-    the client-state store, cohort selection and the execution backend; a
+    the client-state store and cohort selection, and runs client work on
+    the execution backend it is given (bound and closed by the engine); a
     *policy* object decides when to dispatch whom and how completions
     merge.  ``run`` processes the event queue until the policy stops
     scheduling.
@@ -243,16 +244,16 @@ class EventCore:
         ctx,
         algorithm,
         policy,
+        backend,
         metric_hooks: Sequence = (),
         client_sampler=None,
-        backend=None,
     ) -> None:
         self.ctx = ctx
         self.algorithm = algorithm
         self.policy = policy
+        self.backend = backend
         self.metric_hooks = list(metric_hooks)
         self.client_sampler = client_sampler
-        self.backend = backend if backend is not None else SerialBackend().bind(ctx, algorithm)
         self.verbose = False
         self.x: np.ndarray | None = None
         self.clock = VirtualClock()

@@ -41,22 +41,17 @@ import numpy as np
 
 from repro.data.registry import FederatedDataset
 from repro.nn.module import Module
-from repro.parallel.backend import (
-    ExecutionBackend,
-    make_backend,
-    prepare_engine_backend,
-)
+from repro.parallel.backend import ExecutionBackend
 from repro.runtime.clock import ConstantLatency, LatencyModel
-from repro.runtime.events import DeadlinePolicy, EventCore
+from repro.runtime.events import DeadlinePolicy
 from repro.runtime.scheduling import DeadlineController, resolve_auto_comm
 from repro.simulation.config import FLConfig
-from repro.simulation.context import SimulationContext
-from repro.simulation.engine import History
+from repro.simulation.engine import EngineShell
 
 __all__ = ["SemiSyncFederatedSimulation"]
 
 
-class SemiSyncFederatedSimulation:
+class SemiSyncFederatedSimulation(EngineShell):
     """Synchronous round loop with a per-round deadline on the virtual clock.
 
     Args:
@@ -75,14 +70,8 @@ class SemiSyncFederatedSimulation:
         late_policy: ``"downweight"`` (same-round approximation) or
             ``"trickle"`` (late updates merge into the round open at their
             actual arrival).
-        backend / workers / model_builder / algo_builder: execution backend
-            for the round's client updates (see
-            :mod:`repro.parallel.backend`) — a backend instance, a registry
-            name, or None to derive from ``workers``; non-serial backends
-            need a ``model_builder`` for worker replicas and ship packed
-            client state, buffers and broadcast state through the job
-            contract, so results are bit-identical to serial execution.
-        loss_builder / sampler_builder / metric_hooks / client_sampler: as
+        backend / workers / model_builder / algo_builder / loss_builder /
+            sampler_builder / metric_hooks / client_sampler: as
             :class:`repro.simulation.FederatedSimulation`; time-aware
             samplers (:mod:`repro.runtime.scheduling`) are bound to the
             latency model and fed each round's priced completions.
@@ -115,9 +104,11 @@ class SemiSyncFederatedSimulation:
             raise ValueError(f"deadline must be > 0 or None, got {deadline}")
         if not 0.0 <= late_weight <= 1.0:
             raise ValueError(f"late_weight must be in [0, 1], got {late_weight}")
-        self.algorithm = algorithm
-        self.ctx = SimulationContext(
-            model, dataset, config, loss_builder=loss_builder, sampler_builder=sampler_builder
+        super().__init__(
+            algorithm, model, dataset, config, loss_builder=loss_builder,
+            sampler_builder=sampler_builder, backend=backend, workers=workers,
+            model_builder=model_builder, algo_builder=algo_builder,
+            metric_hooks=metric_hooks, client_sampler=client_sampler,
         )
         latency_model = latency_model or ConstantLatency()
         resolve_auto_comm(latency_model, algorithm)
@@ -125,17 +116,8 @@ class SemiSyncFederatedSimulation:
         self.deadline = deadline
         self.late_weight = late_weight
         self.late_policy = late_policy
-        self.metric_hooks = list(metric_hooks)
-        self.client_sampler = client_sampler
         if client_sampler is not None and hasattr(client_sampler, "bind"):
             client_sampler.bind(self.ctx, self.latency_model)
-        self._workers = workers
-        self.backend_name, self._backend, self._algo_builder = prepare_engine_backend(
-            backend, workers, algorithm, model_builder, algo_builder
-        )
-        self._model_builder = model_builder
-        self._loss_builder = loss_builder
-        self._sampler_builder = sampler_builder
         # constructing the policy validates late_policy / late_weight combos
         self._policy = DeadlinePolicy(
             self.latency_model,
@@ -144,56 +126,11 @@ class SemiSyncFederatedSimulation:
             late_weight=self.late_weight,
             late_policy=self.late_policy,
         )
-        self.final_params: np.ndarray | None = None
-        self.total_virtual_time = 0.0
 
     def round_latencies(self, round_idx: int, selected: np.ndarray) -> np.ndarray:
         """Virtual response times of a cohort (unique stream per (round, k))."""
         return self._policy.round_latencies(self.ctx.num_clients, round_idx, selected)
 
-    def run(
-        self,
-        verbose: bool = False,
-        recorder=None,
-        resume: dict | None = None,
-        stop_after_rounds: int | None = None,
-        profiler=None,
-    ) -> History:
-        owned = self._backend is None
-        backend = (
-            make_backend(self.backend_name, workers=self._workers)
-            if owned
-            else self._backend
-        )
-        core = EventCore(
-            self.ctx,
-            self.algorithm,
-            self._policy,
-            metric_hooks=self.metric_hooks,
-            client_sampler=self.client_sampler,
-            backend=backend,
-        )
-        # bind inside the guard: a failed bind (or run) must still reap an
-        # owned backend's workers instead of leaking the fork pool
-        try:
-            backend.bind(
-                self.ctx,
-                self.algorithm,
-                model_builder=self._model_builder,
-                algo_builder=self._algo_builder,
-                loss_builder=self._loss_builder,
-                sampler_builder=self._sampler_builder,
-            )
-            history = core.run(
-                verbose=verbose, recorder=recorder, resume=resume,
-                stop_after_rounds=stop_after_rounds, profiler=profiler,
-            )
-        finally:
-            # engine_owned instances (the facade's RemoteBackend) carry
-            # run-scoped resources — a listener and its worker fleet — and
-            # are reaped here too, unlike plain caller-owned instances
-            if owned or getattr(backend, "engine_owned", False):
-                backend.close()
-        self.final_params = core.x
-        self.total_virtual_time = core.clock.now
-        return history
+    def _run_policy(self) -> DeadlinePolicy:
+        # built once (round_latencies reads it); begin() resets it every run
+        return self._policy

@@ -1,9 +1,9 @@
-"""The federated round loop.
+"""Run histories and the shell every engine kind is built on.
 
-``FederatedSimulation`` owns the outer loop: sample a cohort, run each
-client's local update through the algorithm, aggregate, evaluate, log.
-Algorithms implement the :class:`FederatedAlgorithm` protocol
-(:mod:`repro.algorithms.base`).
+Each engine is a policy over one :class:`repro.runtime.events.EventCore`.
+``EngineShell`` builds an engine's context and backend and owns the only
+``run()``; :class:`FederatedSimulation` is the synchronous engine (the
+barrier policy), and :mod:`repro.runtime` holds the timed ones.
 """
 
 from __future__ import annotations
@@ -26,41 +26,8 @@ __all__ = [
     "History",
     "FederatedSimulation",
     "evaluate_into_record",
-    "BufferAverager",
 ]
 
-
-class BufferAverager:
-    """Per-round FedAvg-with-BN treatment of model buffers.
-
-    BatchNorm-style running statistics: each client starts from the server's
-    buffers; the server averages the post-training buffers afterwards.  A
-    no-op for buffer-free models.  Shared by the synchronous and semi-sync
-    engines so the treatment can't drift between them.
-    """
-
-    def __init__(self, model: Module) -> None:
-        self.model = model
-        self.active = bool(model.buffers)
-        self.n = 0
-        if self.active:
-            self.buf0 = model.get_buffers(copy=True)
-            self.acc = {k: np.zeros_like(v) for k, v in self.buf0.items()}
-
-    def before_client(self) -> None:
-        if self.active:
-            self.model.set_buffers(self.buf0)
-
-    def after_client(self) -> None:
-        self.n += 1
-        if self.active:
-            for name, v in self.model.buffers.items():
-                self.acc[name] += v
-
-    def commit(self) -> None:
-        if self.active:
-            inv = 1.0 / max(self.n, 1)
-            self.model.set_buffers({k: v * inv for k, v in self.acc.items()})
 
 MetricHook = Callable[[SimulationContext, int, np.ndarray, dict], None]
 
@@ -153,27 +120,17 @@ class History:
         return float(vals[-k:].mean())
 
 
-class FederatedSimulation:
-    """Run a federated algorithm over a dataset.
+class EngineShell:
+    """Construction and ``run()`` of every engine kind.
 
-    Args:
-        algorithm: object implementing the FederatedAlgorithm protocol.
-        model: the global model instance (its initial parameters seed x^0).
-        dataset: a :class:`repro.data.FederatedDataset`.
-        config: run hyper-parameters.
-        loss_builder / sampler_builder: optional per-client factories (see
-            :class:`SimulationContext`).
-        backend / workers / model_builder / algo_builder: execution backend
-            for the round's client updates (:mod:`repro.parallel.backend`)
-            — a backend instance, a registry name (``"serial"`` /
-            ``"process"`` / ``"thread"``), or None to derive from
-            ``workers``.  Non-serial backends need a ``model_builder`` for
-            worker replicas; the job contract ships packed client state,
-            buffers and broadcast state, so results stay bit-identical to
-            serial execution.
-        metric_hooks: callables invoked after each evaluation with
-            ``(ctx, round_idx, x_flat, extras_dict)`` — used by the analysis
-            benches to record e.g. neuron concentration.
+    Builds the :class:`SimulationContext` and one backend — from a registry
+    name (or None) through :func:`~repro.parallel.backend.resolve_backend`,
+    or the instance given — and checks it before any compute is spent.  An
+    engine adds its own validation and its policy (:meth:`_run_policy`);
+    the constructor arguments are :class:`FederatedSimulation`'s.
+
+    ``run()`` closes the backend it ran on, whether the run raises or not;
+    a closed backend binds again, so an engine can run more than once.
     """
 
     def __init__(
@@ -191,9 +148,13 @@ class FederatedSimulation:
         metric_hooks: Sequence[MetricHook] = (),
         client_sampler=None,
     ) -> None:
-        # imported lazily — repro.parallel builds on this module's helpers,
-        # not the other way around
-        from repro.parallel.backend import prepare_engine_backend
+        # imported lazily: repro.parallel builds on this package
+        from repro.parallel.backend import (
+            ExecutionBackend,
+            make_backend,
+            resolve_backend,
+            warn_on_replica_config_mismatch,
+        )
 
         self.algorithm = algorithm
         self.ctx = SimulationContext(
@@ -201,13 +162,35 @@ class FederatedSimulation:
         )
         self.metric_hooks = list(metric_hooks)
         self.client_sampler = client_sampler  # see repro.simulation.sampling
-        self._workers = workers
-        self.backend_name, self._backend, self._algo_builder = prepare_engine_backend(
-            backend, workers, algorithm, model_builder, algo_builder
+        if not isinstance(backend, ExecutionBackend):
+            backend = make_backend(resolve_backend(backend, workers), workers)
+        if backend.name != "serial":
+            if not getattr(algorithm, "parallel_safe", True):
+                raise ValueError(
+                    f"{getattr(algorithm, 'name', type(algorithm).__name__)} keeps "
+                    "client-visible state outside the pack/unpack and "
+                    "broadcast_attrs contracts; worker replicas would silently "
+                    "diverge — run it on the serial backend"
+                )
+            if model_builder is None:
+                raise ValueError(
+                    f"backend {backend.name!r} requires a model_builder for worker replicas"
+                )
+            if algo_builder is None:
+                warn_on_replica_config_mismatch(algorithm)
+        self.backend = backend
+        self._builders = dict(
+            model_builder=model_builder,
+            algo_builder=algo_builder or type(algorithm),
+            loss_builder=loss_builder,
+            sampler_builder=sampler_builder,
         )
-        self._model_builder = model_builder
-        self._loss_builder = loss_builder
-        self._sampler_builder = sampler_builder
+        self.final_params: np.ndarray | None = None
+        self.total_virtual_time = 0.0
+
+    def _run_policy(self):
+        """The event-core policy one ``run()`` executes."""
+        raise NotImplementedError
 
     def run(
         self,
@@ -217,50 +200,64 @@ class FederatedSimulation:
         stop_after_rounds: int | None = None,
         profiler=None,
     ) -> History:
-        # the round loop lives in the shared event core: synchronous rounds
-        # are the barrier policy (zero-latency dispatches, a barrier tick
-        # closing each round).  Imported lazily — repro.runtime builds on
-        # this module's records, not the other way around.
-        from repro.parallel.backend import make_backend
-        from repro.runtime.events import BarrierPolicy, EventCore
+        """Run the policy (arguments as :meth:`repro.runtime.events.EventCore.run`),
+        then set ``final_params`` and ``total_virtual_time`` (0.0 in sync rounds)."""
+        # imported lazily: repro.runtime builds on this module's records
+        from repro.runtime.events import EventCore
 
-        owned = self._backend is None
-        backend = (
-            make_backend(self.backend_name, workers=self._workers)
-            if owned
-            else self._backend
-        )
         core = EventCore(
-            self.ctx,
-            self.algorithm,
-            BarrierPolicy(),
-            metric_hooks=self.metric_hooks,
-            client_sampler=self.client_sampler,
-            backend=backend,
+            self.ctx, self.algorithm, self._run_policy(), self.backend,
+            metric_hooks=self.metric_hooks, client_sampler=self.client_sampler,
         )
-        # bind inside the guard: a failed bind (or run) must still reap an
-        # owned backend's workers instead of leaking the fork pool
+        # bind inside the guard: a failed bind (or run) still reaps the
+        # backend's workers instead of leaking them
         try:
-            backend.bind(
-                self.ctx,
-                self.algorithm,
-                model_builder=self._model_builder,
-                algo_builder=self._algo_builder,
-                loss_builder=self._loss_builder,
-                sampler_builder=self._sampler_builder,
-            )
+            self.backend.bind(self.ctx, self.algorithm, **self._builders)
             history = core.run(
                 verbose=verbose, recorder=recorder, resume=resume,
                 stop_after_rounds=stop_after_rounds, profiler=profiler,
             )
         finally:
-            # engine_owned instances (the facade's RemoteBackend) carry
-            # run-scoped resources — a listener and its worker fleet — and
-            # are reaped here too, unlike plain caller-owned instances
-            if owned or getattr(backend, "engine_owned", False):
-                backend.close()
+            self.backend.close()
         self.final_params = core.x
+        self.total_virtual_time = core.clock.now
         return history
+
+
+class FederatedSimulation(EngineShell):
+    """Run a federated algorithm over a dataset in synchronous rounds.
+
+    Args:
+        algorithm: object implementing the FederatedAlgorithm protocol.
+        model: the global model instance (its initial parameters seed x^0).
+        dataset: a :class:`repro.data.FederatedDataset`.
+        config: run hyper-parameters.
+        loss_builder / sampler_builder: optional per-client factories (see
+            :class:`SimulationContext`).
+        backend / workers / model_builder / algo_builder: execution backend
+            for client updates (:mod:`repro.parallel.backend`) — a backend
+            instance, a registry name (``"serial"`` / ``"process"`` /
+            ``"thread"``), or None to derive one from ``workers`` (> 1
+            selects the process pool).  ``workers`` sizes a pool backend
+            built here (None: ``REPRO_MAX_WORKERS`` or the capped CPU
+            count).  Non-serial backends need a ``model_builder`` for worker
+            replicas; ``algo_builder`` defaults to the algorithm's class
+            called with no arguments.  The job contract ships packed client
+            state, buffers and broadcast state, so results stay
+            bit-identical to serial execution.
+        metric_hooks: callables invoked after each evaluation with
+            ``(ctx, round_idx, x_flat, extras_dict)`` — used by the analysis
+            benches to record e.g. neuron concentration.
+        client_sampler: optional cohort sampler (see
+            :mod:`repro.simulation.sampling`); None draws uniformly.
+    """
+
+    def _run_policy(self):
+        # synchronous rounds are the barrier policy: zero-latency dispatches,
+        # a barrier tick closing each round
+        from repro.runtime.events import BarrierPolicy
+
+        return BarrierPolicy()
 
 
 def evaluate_into_record(

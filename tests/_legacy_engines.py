@@ -16,11 +16,11 @@ import time
 
 import numpy as np
 
+from repro.nn.module import Module
 from repro.runtime.clock import ConstantLatency, VirtualClock
 from repro.runtime.scheduling import resolve_auto_comm
 from repro.simulation.context import SimulationContext
 from repro.simulation.engine import (
-    BufferAverager,
     History,
     RoundRecord,
     TimedRoundRecord,
@@ -28,6 +28,39 @@ from repro.simulation.engine import (
 )
 
 __all__ = ["legacy_sync_run", "legacy_semisync_run", "legacy_async_run"]
+
+
+class BufferAverager:
+    """Per-round FedAvg-with-BN treatment of model buffers.
+
+    BatchNorm-style running statistics: each client starts from the server's
+    buffers; the server averages the post-training buffers afterwards.  A
+    no-op for buffer-free models.  Shared by the synchronous and semi-sync
+    engines so the treatment can't drift between them.
+    """
+
+    def __init__(self, model: Module) -> None:
+        self.model = model
+        self.active = bool(model.buffers)
+        self.n = 0
+        if self.active:
+            self.buf0 = model.get_buffers(copy=True)
+            self.acc = {k: np.zeros_like(v) for k, v in self.buf0.items()}
+
+    def before_client(self) -> None:
+        if self.active:
+            self.model.set_buffers(self.buf0)
+
+    def after_client(self) -> None:
+        self.n += 1
+        if self.active:
+            for name, v in self.model.buffers.items():
+                self.acc[name] += v
+
+    def commit(self) -> None:
+        if self.active:
+            inv = 1.0 / max(self.n, 1)
+            self.model.set_buffers({k: v * inv for k, v in self.acc.items()})
 
 
 def legacy_sync_run(

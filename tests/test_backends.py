@@ -40,7 +40,11 @@ from repro.parallel import (
     resolve_backend,
     resolve_streaming,
 )
-from repro.runtime import AsyncFederatedSimulation, LognormalLatency
+from repro.runtime import (
+    AsyncFederatedSimulation,
+    LognormalLatency,
+    SemiSyncFederatedSimulation,
+)
 from repro.simulation import FederatedSimulation, FLConfig
 
 KINDS = ("sync", "semisync", "fedasync", "fedbuff")
@@ -233,15 +237,23 @@ class TestJobContract:
         the backend layer refuses it at engine-construction time.  (No
         registry method trips this anymore: FedGraB's balancers now ride the
         client-state contract, see test_fedgrab_balancers_cross_backends.)"""
-        from repro.parallel.backend import prepare_engine_backend
-
-        algo = make_method("fedavg")
+        ds = load_federated_dataset(
+            "fashion-mnist-lite", imbalance_factor=0.3, beta=0.3,
+            num_clients=6, seed=0, scale=0.3,
+        )
+        algo = make_method("fedavg").algorithm
         algo.parallel_safe = False
         with pytest.raises(ValueError, match="outside the pack"):
-            prepare_engine_backend("process", 2, algo, lambda: None, None)
+            FederatedSimulation(
+                algo, make_mlp(32, 10, seed=0), ds, FLConfig(rounds=1),
+                backend="process", workers=2, model_builder=lambda: None,
+            )
         # the serial backend still runs it: no replicas, nothing to diverge
-        name, _, _ = prepare_engine_backend("serial", None, algo, None, None)
-        assert name == "serial"
+        sim = FederatedSimulation(
+            algo, make_mlp(32, 10, seed=0), ds, FLConfig(rounds=1),
+            backend="serial",
+        )
+        assert sim.backend.name == "serial"
 
     @pytest.mark.parametrize("backend", ("process", "thread"))
     def test_fedgrab_balancers_cross_backends(self, backend):
@@ -524,24 +536,53 @@ class TestBackendLifecycle:
         thread.close()
         thread.close()
 
-    def test_engine_reaps_workers_when_run_raises(self, problem):
-        """A failed run must not leak the owned backend's fork pool — the
-        engines bind and run inside a close() guard."""
+    @staticmethod
+    def _engine(kind, problem, backend, metric_hooks=()):
         ds, cfg = problem
+        kw = dict(backend=backend, workers=2, metric_hooks=metric_hooks,
+                  model_builder=lambda: make_mlp(32, 10, seed=0))
+        model = make_mlp(32, 10, seed=0)
+        if kind == "async":
+            return AsyncFederatedSimulation(
+                make_method("fedasync").algorithm, model, ds, cfg, **kw
+            )
+        engine = FederatedSimulation if kind == "sync" else SemiSyncFederatedSimulation
+        return engine(make_method("fedavg").algorithm, model, ds, cfg, **kw)
+
+    @pytest.mark.parametrize("passed", ("name", "instance"))
+    @pytest.mark.parametrize("kind", ("sync", "semisync", "async"))
+    def test_engine_reaps_workers_when_run_raises(self, problem, kind, passed):
+        """A failed run must not leak the backend's fork pool — the engine
+        binds and runs inside a close() guard, and closes the backend it
+        ran on whether it built it from a name or was handed it."""
 
         def boom(ctx, round_idx, x, extras):
             raise RuntimeError("boom")
 
-        sim = FederatedSimulation(
-            make_method("fedavg").algorithm, make_mlp(32, 10, seed=0), ds,
-            cfg, backend="process", workers=2,
-            model_builder=lambda: make_mlp(32, 10, seed=0),
-            metric_hooks=[boom],
-        )
+        backend = "process" if passed == "name" else ProcessPoolBackend(workers=2)
+        sim = self._engine(kind, problem, backend, metric_hooks=[boom])
         before = {p.pid for p in mp.active_children()}
         with pytest.raises(RuntimeError, match="boom"):
             sim.run()
         assert self._leaked(before) == set()
+        if passed == "instance":
+            assert backend._pool is None
+
+    @pytest.mark.parametrize("kind", ("sync", "semisync", "async"))
+    def test_engine_closes_passed_backend_and_runs_again(self, problem, kind):
+        """A clean run closes the instance it was handed too; the next run
+        binds it again and reproduces the first."""
+        backend = ProcessPoolBackend(workers=2)
+        sim = self._engine(kind, problem, backend)
+        before = {p.pid for p in mp.active_children()}
+        first = sim.run()
+        first_params = sim.final_params.copy()
+        assert backend._pool is None
+        assert self._leaked(before) == set()
+        second = sim.run()
+        assert backend._pool is None
+        assert_history_equal(second, first)
+        np.testing.assert_array_equal(sim.final_params, first_params)
 
 
 class TestStateVersioning:
@@ -719,6 +760,26 @@ class TestParallelSweeps:
         # explicit serial: immune to a REPRO_BACKEND environment default
         result = run_sweep(self._base(), {}, backend="serial", keep_engines=True)
         assert result.results[0].engine is not None
+
+    def test_explicit_process_backend_refused_inside_process_sweep(self):
+        """A grid point asking for its own process pool inside a sweep's
+        pool worker gets a ValueError naming the fix, not a traceback from
+        multiprocessing (an implicit choice quietly runs serial there)."""
+        spec = self._base().override_many([
+            ("runtime.backend", "process"), ("runtime.workers", 2),
+        ])
+        with pytest.raises(ValueError, match="runtime.backend='auto'"):
+            run_sweep(spec, {"config.seed": [0, 1]}, backend="process", workers=2)
+
+    def test_sweep_cli_nested_process_backend_exits_2(self, capsys):
+        rc = cli_main([
+            "sweep", "--clients", "6", "--rounds", "1", "--scale", "0.3",
+            "--max-batches", "2", "--grid", "config.seed=0,1",
+            "--backend", "process", "--workers", "2",
+            "--set", "runtime.backend=process", "--set", "runtime.workers=2",
+        ])
+        assert rc == 2
+        assert "error: backend 'process' cannot run" in capsys.readouterr().err
 
     def test_sweep_cli_smoke(self, capsys):
         rc = cli_main([

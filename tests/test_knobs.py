@@ -1,0 +1,98 @@
+"""Environment knobs: the ratchet on which ones exist, and the federation
+timing knobs' validation (none of these tests opens a socket)."""
+
+from __future__ import annotations
+
+import math
+import pathlib
+import re
+
+import pytest
+
+from repro.cli import build_parser
+from repro.cli import main as cli_main
+from repro.net.service import AggregatorService, env_seconds
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+
+#: every environment variable the library reads; adding or dropping one
+#: edits this set in the same change
+KNOBS = {
+    "REPRO_BACKEND",
+    "REPRO_BACKEND_ADDRESS",
+    "REPRO_MAX_WORKERS",
+    "REPRO_STREAMING",
+    "REPRO_NET_HEARTBEAT",
+    "REPRO_NET_HEARTBEAT_TIMEOUT",
+    "REPRO_NET_INFLIGHT",
+    "REPRO_NET_WORKER_TIMEOUT",
+}
+
+BAD_SECONDS = (0.0, -1.0, math.nan, math.inf)
+
+
+def test_src_reads_exactly_the_listed_knobs():
+    found = {
+        name
+        for path in SRC.rglob("*.py")
+        for name in re.findall(r"REPRO_[A-Z_]+", path.read_text())
+    }
+    assert found == KNOBS
+
+
+class TestNetTimingKnobs:
+    @pytest.mark.parametrize("value", BAD_SECONDS)
+    @pytest.mark.parametrize("param", ("heartbeat_interval", "heartbeat_timeout"))
+    def test_constructor_refuses_non_positive_or_non_finite(self, param, value):
+        with pytest.raises(ValueError, match=param):
+            AggregatorService("127.0.0.1:0", **{param: value})
+
+    def test_constructor_keeps_valid_values(self):
+        svc = AggregatorService(
+            "127.0.0.1:0", heartbeat_interval=0.25, heartbeat_timeout=2.0
+        )
+        assert (svc.heartbeat_interval, svc.heartbeat_timeout) == (0.25, 2.0)
+
+    @pytest.mark.parametrize("raw", ("soon", "0", "-1", "nan", "inf"))
+    @pytest.mark.parametrize("name", (
+        "REPRO_NET_HEARTBEAT",
+        "REPRO_NET_HEARTBEAT_TIMEOUT",
+        "REPRO_NET_WORKER_TIMEOUT",
+    ))
+    def test_environment_names_the_variable(self, monkeypatch, name, raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=name):
+            env_seconds(name)
+
+    def test_environment_reaches_the_service(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NET_HEARTBEAT", raising=False)
+        monkeypatch.setenv("REPRO_NET_HEARTBEAT_TIMEOUT", "2.5")
+        svc = AggregatorService("127.0.0.1:0")
+        assert (svc.heartbeat_interval, svc.heartbeat_timeout) == (1.0, 2.5)
+        monkeypatch.setenv("REPRO_NET_HEARTBEAT_TIMEOUT", "soon")
+        with pytest.raises(ValueError, match="REPRO_NET_HEARTBEAT_TIMEOUT"):
+            AggregatorService("127.0.0.1:0")
+
+    @pytest.mark.parametrize("raw", ("0", "-1", "nan", "inf", "soon"))
+    @pytest.mark.parametrize("flag", (
+        "--heartbeat-interval", "--heartbeat-timeout", "--worker-timeout",
+    ))
+    def test_serve_flags_refused_by_argparse(self, capsys, flag, raw):
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["serve", "--address", "127.0.0.1:0", flag, raw])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        args = parser.parse_args(["serve", "--address", "127.0.0.1:0", flag, "0.5"])
+        assert getattr(args, flag[2:].replace("-", "_")) == 0.5
+
+    def test_serve_exits_2_on_a_bad_environment_value(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_NET_WORKER_TIMEOUT", "-5")
+
+        def listen(self):
+            raise AssertionError("the aggregator listened")
+
+        monkeypatch.setattr(AggregatorService, "start", listen)
+        rc = cli_main(["serve", "--address", "127.0.0.1:0", "--clients", "6"])
+        assert rc == 2
+        assert "REPRO_NET_WORKER_TIMEOUT" in capsys.readouterr().err

@@ -32,9 +32,7 @@ from repro.parallel import (
     ProcessPoolBackend,
     build_job_runtime,
     make_backend,
-    resolve_job_batch,
     resolve_job_refs,
-    resolve_shared_memory,
 )
 from repro.parallel.shm import attach_array
 from repro.runtime.events import ClientStateStore
@@ -297,33 +295,9 @@ class TestCollectContract:
 
 
 # ---------------------------------------------------------------------------
-# env-mirror resolution
+# transport knob validation
 # ---------------------------------------------------------------------------
 class TestKnobResolution:
-    def test_resolve_job_batch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOB_BATCH", raising=False)
-        assert resolve_job_batch(None) is None
-        assert resolve_job_batch(4) == 4
-        monkeypatch.setenv("REPRO_JOB_BATCH", "8")
-        assert resolve_job_batch(None) is None  # env is opt-in
-        assert resolve_job_batch(None, env=True) == 8
-        assert resolve_job_batch(2, env=True) == 2  # explicit wins
-        monkeypatch.setenv("REPRO_JOB_BATCH", "0")
-        with pytest.raises(ValueError, match="REPRO_JOB_BATCH"):
-            resolve_job_batch(None, env=True)
-
-    def test_resolve_shared_memory(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARED_MEMORY", raising=False)
-        assert resolve_shared_memory(None) is False
-        assert resolve_shared_memory(True) is True
-        monkeypatch.setenv("REPRO_SHARED_MEMORY", "1")
-        assert resolve_shared_memory(None) is False
-        assert resolve_shared_memory(None, env=True) is True
-        assert resolve_shared_memory(False, env=True) is False
-        monkeypatch.setenv("REPRO_SHARED_MEMORY", "maybe")
-        with pytest.raises(ValueError, match="REPRO_SHARED_MEMORY"):
-            resolve_shared_memory(None, env=True)
-
     def test_spec_validates_transport_knobs(self):
         with pytest.raises(ValueError, match="job_batch"):
             _spec("fedasync", job_batch=0)
