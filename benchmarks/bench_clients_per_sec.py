@@ -19,8 +19,8 @@ population-scale control-plane cost (which the first leg owns).
 
 PASS/FAIL verdicts (CI surfaces regressions):
 
-* control plane (full run) — >= 2x the PR-9 serial baseline (3396/s) at
-  100k clients;
+* control plane (full run) — >= 2x the serial baseline that
+  ``BENCH_trajectory.json`` records (3396/s) at 100k clients;
 * bit-identity — batched+shm pool history == serial history, exactly;
 * throughput — ``process+shm+batch`` >= the per-job ``process`` baseline.
 
@@ -46,6 +46,7 @@ os.environ.setdefault("REPRO_MAX_WORKERS", str(max(2, os.cpu_count() or 1)))
 import numpy as np
 
 from _harness import WORKERS, format_table, report
+from trajectory import serial_baseline
 from repro.algorithms import make_method
 from repro.data.registry import DatasetInfo, FederatedDataset
 from repro.experiments import (
@@ -72,8 +73,7 @@ JOB_BATCH = 32       # jobs per pool task / wire frame on the batched rows
 WINDOW = 512         # in-flight window: submit a wave, collect it, repeat
 DATA_CLIENTS = 50    # data shards the simulated population cycles over
 
-PR9_SERIAL_BASELINE = 3396.0  # committed PR-9 serial clients/s at 100k
-CTRL_DIM = 16                 # feature dim of the control-plane problem
+CTRL_DIM = 16        # feature dim of the control-plane problem
 
 
 def control_plane_dataset(population: int) -> FederatedDataset:
@@ -156,11 +156,12 @@ def bench_control_plane(sizes: list[int], smoke: bool) -> tuple[str, bool]:
     lines += breakdowns
 
     if not smoke and sizes and sizes[-1] >= 100_000:
-        ok = rate >= 2.0 * PR9_SERIAL_BASELINE
+        baseline = serial_baseline()
+        ok = rate >= 2.0 * baseline
         lines += [
             "",
             f"control plane >= 2x PR-9 serial baseline "
-            f"({PR9_SERIAL_BASELINE:.0f}/s) at {sizes[-1]} clients: "
+            f"({baseline:.0f}/s) at {sizes[-1]} clients: "
             f"{'PASS' if ok else 'FAIL'} ({rate:.0f}/s)",
         ]
     return "\n".join(lines), ok

@@ -97,7 +97,6 @@ class BalanceFL(FederatedAlgorithm):
                 break
             for bidx in sampler.epoch(rng):
                 ctx.load_params(x)
-                ctx.model.zero_grad()
                 logits = ctx.model.forward(xs[bidx], train=True)
                 if teacher is None:
                     _, dlogits = loss(logits, ys[bidx])
@@ -114,7 +113,7 @@ class BalanceFL(FederatedAlgorithm):
                     )
                     target[:, absent] += t_abs * scale[:, None]
                     dlogits = (softmax(logits) - target) / n
-                ctx.model.backward(dlogits)
+                ctx.model.backward_params(dlogits)
                 g = ctx.flat_gradient()
                 x -= lr * g
                 nb += 1

@@ -135,10 +135,9 @@ class FedGraB(FederatedAlgorithm):
                 break
             for bidx in sampler.epoch(rng):
                 ctx.load_params(x)
-                ctx.model.zero_grad()
                 logits = ctx.model.forward(xs[bidx], train=True)
                 dlogits = balancer.rebalance(logits, ys[bidx])
-                ctx.model.backward(dlogits)
+                ctx.model.backward_params(dlogits)
                 x -= lr * ctx.flat_gradient()
                 nb += 1
                 if cap is not None and nb >= cap:

@@ -137,13 +137,25 @@ def _decode_header(header: bytes) -> tuple[int, MsgType]:
         raise FrameError(f"unknown message type {type_code}") from None
 
 
+def _decode_body(msg_type: MsgType, body: bytes) -> object:
+    """Unpickle one frame's payload; a body that does not unpickle is a
+    :class:`FrameError`, whatever the unpickler raised."""
+    try:
+        return pickle.loads(body)
+    except Exception as exc:  # a damaged pickle can raise almost any type
+        raise FrameError(
+            f"undecodable {msg_type.name} payload ({len(body)} bytes): {exc!r}"
+        ) from exc
+
+
 class FrameDecoder:
     """Incremental frame parser for a non-blocking receive loop.
 
     Feed it whatever ``recv`` returned; it buffers partial frames across
     feeds and yields every complete ``(MsgType, payload, frame_bytes)``
     message (``frame_bytes`` includes the header — the aggregator accounts
-    per-job wire bytes from it).
+    per-job wire bytes from it).  A corrupt header or payload raises
+    :class:`FrameError` and nothing else.
     """
 
     def __init__(self) -> None:
@@ -161,7 +173,7 @@ class FrameDecoder:
                 return out
             body = bytes(self._buf[_HEADER.size:end])
             del self._buf[:end]
-            out.append((msg_type, pickle.loads(body), end))
+            out.append((msg_type, _decode_body(msg_type, body), end))
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
@@ -187,7 +199,8 @@ def send_frame(sock: socket.socket, msg_type: MsgType, payload: object = None) -
 
 
 def recv_frame(sock: socket.socket) -> tuple[MsgType, object] | None:
-    """Blocking receive of one frame; None on a clean peer close."""
+    """Blocking receive of one frame; None on a clean peer close, and
+    :class:`FrameError` for a corrupt frame."""
     header = _recv_exact(sock, _HEADER.size)
     if header is None:
         return None
@@ -195,7 +208,7 @@ def recv_frame(sock: socket.socket) -> tuple[MsgType, object] | None:
     body = _recv_exact(sock, length) if length else b""
     if body is None:
         raise FrameError("connection closed between header and payload")
-    return msg_type, pickle.loads(body)
+    return msg_type, _decode_body(msg_type, body)
 
 
 def parse_address(address: str) -> tuple[str, int]:

@@ -50,6 +50,7 @@ from repro.net.framing import (
     PROTOCOL_VERSION,
     XREF_CACHE_VERSIONS,
     FrameDecoder,
+    FrameError,
     MsgType,
     XRefToken,
     encode_frame,
@@ -416,7 +417,7 @@ class AggregatorService:
             if chunk:
                 try:
                     messages = conn.decoder.feed(chunk)
-                except Exception as exc:  # FrameError, unpickling garbage
+                except FrameError as exc:
                     self._drop(conn, f"bad frame: {exc}")
                     return
                 for msg_type, payload, nbytes in messages:

@@ -38,6 +38,11 @@ class Sequential(Module):
             dout = m.backward(dout)
         return dout
 
+    def backward_params(self, dout: np.ndarray) -> None:
+        for m in reversed(self.children_[1:]):
+            dout = m.backward(dout)
+        self.children_[0].backward_params(dout)
+
     def __len__(self) -> int:
         return len(self.children_)
 

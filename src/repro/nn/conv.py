@@ -153,6 +153,14 @@ class Conv2d(Module):
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        return self._backward(dout, input_grad=True)
+
+    def backward_params(self, dout: np.ndarray) -> None:
+        self._backward(dout, input_grad=False)
+
+    def _backward(self, dout: np.ndarray, input_grad: bool) -> np.ndarray | None:
+        """Write ``dW`` (and ``db``) into the arena views, one client row at
+        a time, and return ``dx`` when ``input_grad`` asks for it."""
         if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
         xp, (n, c, h, w) = self._cache
@@ -160,23 +168,26 @@ class Conv2d(Module):
         rows = self.params["W"].shape[0]
         m = n // rows
         gather = _gather_plan(c, xp.shape[2], xp.shape[3], k, s)
-        # scatter plans key on the client batch size, however many clients
-        # share the step
-        scatter = _scatter_plan(m, c, h, w, k, s, p)
-        size = m * c * h * w
-        dx = np.empty((n, c, h, w))
+        dw = self.grads["W"].reshape(rows, self.out_channels, -1)
+        dx = None
+        if input_grad:
+            # scatter plans key on the client batch size, however many
+            # clients share the step
+            scatter = _scatter_plan(m, c, h, w, k, s, p)
+            size = m * c * h * w
+            dx = np.empty((n, c, h, w))
         for i in range(rows):
             lo, hi = i * m, (i + 1) * m
             cols = np.take(xp[lo:hi].reshape(m, -1), gather, axis=1).reshape(-1, c * k * k)
             dout_mat = dout[lo:hi].transpose(0, 2, 3, 1).reshape(cols.shape[0], self.out_channels)
-            w_mat = self.params["W"][i].reshape(self.out_channels, -1)
-            self.grads["W"][i] += (dout_mat.T @ cols).reshape(w_mat.shape[:1] + (c, k, k))
+            np.matmul(dout_mat.T, cols, out=dw[i])
             if self.use_bias:
-                self.grads["b"][i] += dout_mat.sum(axis=0)
-            dcols = dout_mat @ w_mat  # (m*oh*ow, c*k*k)
-            dx[lo:hi] = np.bincount(
-                scatter, weights=dcols.reshape(-1)[::-1], minlength=size + 1
-            )[:size].reshape(m, c, h, w)
+                dout_mat.sum(axis=0, out=self.grads["b"][i])
+            if input_grad:
+                dcols = dout_mat @ self.params["W"][i].reshape(self.out_channels, -1)
+                dx[lo:hi] = np.bincount(
+                    scatter, weights=dcols.reshape(-1)[::-1], minlength=size + 1
+                )[:size].reshape(m, c, h, w)
         return dx
 
 

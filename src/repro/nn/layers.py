@@ -57,14 +57,22 @@ class Dense(Module):
         return y.reshape(-1, self.out_features)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        d3 = self._write_grads(dout)
+        return np.matmul(d3, self.params["W"].transpose(0, 2, 1)).reshape(-1, self.in_features)
+
+    def backward_params(self, dout: np.ndarray) -> None:
+        self._write_grads(dout)
+
+    def _write_grads(self, dout: np.ndarray) -> np.ndarray:
+        """Write ``dW`` (and ``db``) into the arena views; returns ``dout``
+        split per client row."""
         if self._cache is None:
             raise RuntimeError("backward called before forward(train=True)")
-        w = self.params["W"]
-        d3 = dout.reshape(w.shape[0], -1, self.out_features)
-        self.grads["W"] += np.matmul(self._cache.transpose(0, 2, 1), d3)
+        d3 = dout.reshape(self._cache.shape[0], -1, self.out_features)
+        np.matmul(self._cache.transpose(0, 2, 1), d3, out=self.grads["W"])
         if self.use_bias:
-            self.grads["b"] += np.add.reduce(d3, axis=1)
-        return np.matmul(d3, w.transpose(0, 2, 1)).reshape(-1, self.in_features)
+            np.add.reduce(d3, axis=1, out=self.grads["b"])
+        return d3
 
 
 class ReLU(Module):

@@ -3,14 +3,18 @@
 Design: each :class:`Module` owns
 
 * ``params``  — ordered ``dict[str, np.ndarray]`` of trainable arrays,
-* ``grads``   — same-keyed dict of gradient accumulators,
+* ``grads``   — same-keyed dict of parameter gradients,
 * ``buffers`` — non-trainable state (e.g. BatchNorm running stats) that is
   *not* part of the flattened parameter vector and therefore never enters
   the momentum algebra.
 
 ``forward(x, train)`` caches whatever ``backward(dout)`` needs; ``backward``
 returns the gradient w.r.t. the input and writes parameter gradients into
-``grads``.  Composite modules namespace child entries as ``"child.param"``.
+``grads``: every entry is overwritten, nothing accumulates, so no pass needs
+the block zeroed first.  ``backward_params(dout)`` writes the same ``grads``
+and returns nothing, for a module whose input is the data: no caller reads
+its input gradient, and the layers whose input gradient costs a GEMM skip
+it.  Composite modules namespace child entries as ``"child.param"``.
 
 Flat-parameter arena with a leading client axis: ``flat_params`` /
 ``flat_grads`` are ``(C, dim)`` float64 blocks, one row per client (``ParamSpec``
@@ -48,6 +52,10 @@ class Module:
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def backward_params(self, dout: np.ndarray) -> None:
+        """``backward`` without the input gradient: writes ``grads`` only."""
+        self.backward(dout)
 
     def __call__(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         return self.forward(x, train=train)
@@ -105,11 +113,6 @@ class Module:
         self._cache = None
         for _, child in self._named_children():
             child.drop_caches()
-
-    # -- gradient bookkeeping ------------------------------------------------
-    def zero_grad(self) -> None:
-        """Reset all gradient accumulators to zero, in place."""
-        self.flat_grads.fill(0.0)
 
     # -- state management ----------------------------------------------------
     def get_params(self, copy: bool = True) -> dict[str, np.ndarray]:

@@ -65,8 +65,8 @@ class GroupNorm(Module):
         xhat, var = self._cache
         gamma = self.params["gamma"]
         d = dout.reshape(xhat.shape)
-        self.grads["gamma"] += (d * xhat).sum(axis=(1, 3, 4))
-        self.grads["beta"] += d.sum(axis=(1, 3, 4))
+        (d * xhat).sum(axis=(1, 3, 4), out=self.grads["gamma"])
+        d.sum(axis=(1, 3, 4), out=self.grads["beta"])
         dxhat = d * gamma[:, None, :, None, None]
         n = dout.shape[0]
         dxg = dxhat.reshape(n, self.g, -1)
@@ -135,8 +135,8 @@ class BatchNorm2d(Module):
             raise RuntimeError("backward called before forward(train=True)")
         xhat, var, x_shape = self._cache
         gamma, _, dgamma, dbeta = self._affine()
-        dgamma += (dout * xhat).sum(axis=(0, 2, 3))
-        dbeta += dout.sum(axis=(0, 2, 3))
+        (dout * xhat).sum(axis=(0, 2, 3), out=dgamma)
+        dout.sum(axis=(0, 2, 3), out=dbeta)
         dxhat = dout * gamma[None, :, None, None]
         istd = (1.0 / np.sqrt(var + _EPS))[None, :, None, None]
         mean_dxhat = dxhat.mean(axis=(0, 2, 3), keepdims=True)
@@ -174,8 +174,8 @@ class LayerNorm(Module):
         xhat, var = self._cache
         gamma = self.params["gamma"]
         d = dout.reshape(gamma.shape[0], -1, self.dim)
-        self.grads["gamma"] += (d * xhat.reshape(d.shape)).sum(axis=1)
-        self.grads["beta"] += d.sum(axis=1)
+        (d * xhat.reshape(d.shape)).sum(axis=1, out=self.grads["gamma"])
+        d.sum(axis=1, out=self.grads["beta"])
         dxhat = (d * gamma[:, None, :]).reshape(dout.shape)
         istd = 1.0 / np.sqrt(var + _EPS)
         return istd * (

@@ -2,8 +2,9 @@
 
 The algorithms in :mod:`repro.algorithms` operate on the model's own
 ``(C, dim)`` ``flat_params`` / ``flat_grads`` blocks; this module provides the
-glue: a fused forward/backward pass over every client row at once,
-evaluation in minibatches, shuffled epochs.
+glue: a fused forward/backward pass over every client row at once that
+writes exactly the gradient block the step reads, evaluation in minibatches,
+shuffled epochs.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ def forward_backward(
     holds their labels as ``(c, n)`` — or ``(n,)`` for a one-client model.
     ``loss_fn`` is one loss for every row, or one per row: rows holding the
     same loss object share one call.  Returns the mean loss per row (a
-    scalar for ``(n,)`` labels) and leaves gradients in ``model.flat_grads``.
+    scalar for ``(n,)`` labels) and writes every entry of ``model.flat_grads``
+    (the block needs no zeroing; ``x`` gets no input gradient).
     """
-    model.zero_grad()
     logits = model.forward(x, train=True)
     z = logits.reshape(y.shape + logits.shape[-1:])
     if callable(loss_fn):
@@ -42,7 +43,7 @@ def forward_backward(
             groups.setdefault(id(fn), []).append(i)
         for rows in groups.values():
             loss[rows], dz[rows] = loss_fn[rows[0]](z[rows], y[rows])
-    model.backward(dz.reshape(logits.shape))
+    model.backward_params(dz.reshape(logits.shape))
     return loss
 
 

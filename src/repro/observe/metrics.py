@@ -3,7 +3,8 @@
 * :class:`JournalTailer` — incremental reader of a live (or finished)
   ``journal.jsonl``: each :meth:`~JournalTailer.poll` returns the complete
   records appended since the last poll, tolerating a partially written
-  trailing line (the writer may be mid-append or may have crashed mid-line).
+  trailing line (the writer may be mid-append or may have crashed mid-line)
+  and skipping any line that is not one UTF-8 JSON object.
 * :class:`MetricsStore` — ingests journal records in any amount and keeps
   rolling aggregates: throughput (clients per virtual/wall second),
   staleness distribution, drop rate, per-round accuracy, controller
@@ -32,31 +33,31 @@ class JournalTailer:
     def __init__(self, path: str) -> None:
         self.path = path
         self._offset = 0
-        self._partial = ""
+        self._partial = b""
 
     def poll(self) -> list[dict]:
         """Records appended since the last poll (empty if none / no file)."""
         if not os.path.exists(self.path):
             return []
-        with open(self.path) as f:
+        with open(self.path, "rb") as f:
             f.seek(self._offset)
             chunk = f.read()
             self._offset = f.tell()
         if not chunk:
             return []
-        text = self._partial + chunk
-        lines = text.split("\n")
+        lines = (self._partial + chunk).split(b"\n")
         # the final piece is complete only if the chunk ended with a newline
         self._partial = lines.pop()
         out = []
         for line in lines:
-            line = line.strip()
-            if line:
-                try:
-                    out.append(json.loads(line))
-                except json.JSONDecodeError:
-                    # a torn line from a crashed writer; skip it
-                    continue
+            try:
+                rec = json.loads(line.decode())
+            except ValueError:
+                # a torn line from a crashed writer, or bytes that are not
+                # UTF-8 or not JSON; skip it
+                continue
+            if isinstance(rec, dict):
+                out.append(rec)
         return out
 
 

@@ -113,7 +113,7 @@ class SimulationContext:
 
     def flat_gradient(self) -> np.ndarray:
         """The one-client model's gradient vector itself, live until the next
-        ``forward_backward`` / ``zero_grad``: copy it to keep it past those."""
+        backward pass overwrites it: copy it to keep it past that."""
         return self.model.flat_grads[0]
 
     def lr_at(self, round_idx: int) -> float:

@@ -8,7 +8,19 @@ import numpy as np
 import pytest
 
 from repro.data import load_federated_dataset
-from repro.nn import Conv2d, Dense, GroupNorm, make_linear, make_mlp, make_resnet_lite
+from repro.nn import (
+    Conv2d,
+    CrossEntropyLoss,
+    Dense,
+    GroupNorm,
+    LayerNorm,
+    ReLU,
+    Sequential,
+    forward_backward,
+    make_linear,
+    make_mlp,
+    make_resnet_lite,
+)
 from repro.simulation import FLConfig
 from repro.simulation.context import SimulationContext
 from repro.utils import ParamSpec, flatten_params
@@ -62,7 +74,6 @@ def _pass(model, shape):
     """Forward + backward on fixed data: (output, dx, leaf grads in spec order)."""
     rng = np.random.default_rng(1)
     x = rng.normal(size=shape)
-    model.zero_grad()
     out = model.forward(x, train=True)
     dx = model.backward(rng.normal(size=out.shape))
     grads = [g.copy() for m in _leaves(model) for g in m.grads.values()]
@@ -118,7 +129,7 @@ class TestLayout:
         model, shape = case
         _pass(model, shape)
         assert np.any(model.flat_grads != 0)
-        model.zero_grad()
+        model.flat_grads.fill(0.0)
         for leaf in _leaves(model):
             for g in leaf.grads.values():
                 assert not np.any(g)
@@ -180,6 +191,76 @@ class TestLayout:
         assert len(bound[2]) == len(fresh[2])
         for a, b in zip(bound[2], fresh[2]):
             np.testing.assert_array_equal(a, b)
+
+
+def _dense_layernorm():
+    rng = np.random.default_rng(0)
+    return Sequential(Dense(6, 5, rng), LayerNorm(5), ReLU(), Dense(5, 3, rng))
+
+
+# name -> (factory, input shape, classes); models with buffers train one row
+WRITE_CASES = {
+    "linear": (lambda: make_linear(6, 3, seed=0), (4, 6), 3),
+    "mlp": (lambda: make_mlp(6, 3, hidden=(5, 4), seed=0), (4, 6), 3),
+    "resnet-micro-group": (
+        lambda: make_resnet_lite(3, 8, 4, depth="micro", width=4, seed=0), _IMG, 4
+    ),
+    "resnet-18-group": (lambda: make_resnet_lite(3, 8, 4, depth="18", width=4, seed=0), _IMG, 4),
+    "resnet-micro-batch": (
+        lambda: make_resnet_lite(3, 8, 4, depth="micro", width=4, seed=0, norm="batch"), _IMG, 4
+    ),
+    "dense-layernorm": (_dense_layernorm, (4, 6), 3),
+}
+WRITE_GRID = [
+    (name, rows)
+    for name in WRITE_CASES
+    for rows in ((1,) if name.endswith("batch") else (1, 3))
+]
+
+
+class TestWriteContract:
+    """A pass writes every gradient entry and adds to none: started from a
+    block of NaN it leaves the bits it leaves when started from zeros."""
+
+    @staticmethod
+    def _grads_after(name, rows, entry, fill):
+        factory, shape, classes = WRITE_CASES[name]
+        model = factory()
+        rng = np.random.default_rng(3)
+        block = model.flat_params[0] + rng.normal(scale=0.1, size=(rows, model.num_params))
+        grads = np.full_like(block, fill)
+        model.point_at(block, grads)
+        x = rng.normal(size=(rows * shape[0],) + shape[1:])
+        if entry == "forward_backward":
+            y = rng.integers(0, classes, size=(rows, shape[0]))
+            forward_backward(model, x, y, CrossEntropyLoss())
+        else:
+            out = model.forward(x, train=True)
+            getattr(model, entry)(rng.normal(size=out.shape))
+        assert model.flat_grads is grads
+        return grads
+
+    @pytest.mark.parametrize("entry", ["backward", "backward_params", "forward_backward"])
+    @pytest.mark.parametrize("name,rows", WRITE_GRID)
+    def test_pass_overwrites_a_nan_block(self, name, rows, entry):
+        written = self._grads_after(name, rows, entry, np.nan)
+        assert np.isfinite(written).all()
+        np.testing.assert_array_equal(written, self._grads_after(name, rows, entry, 0.0))
+
+    @pytest.mark.parametrize("name,rows", WRITE_GRID)
+    def test_backward_params_writes_backwards_gradient(self, name, rows):
+        """Skipping the data's input gradient changes no parameter gradient."""
+        np.testing.assert_array_equal(
+            self._grads_after(name, rows, "backward_params", 0.0),
+            self._grads_after(name, rows, "backward", 0.0),
+        )
+
+    @pytest.mark.parametrize("name", ["dense", "conv2d", "resnet-micro-group"])
+    def test_backward_params_needs_a_train_forward(self, name):
+        model, shape = CASES[name][0](), CASES[name][1]
+        out = model.forward(np.ones(shape), train=False)
+        with pytest.raises(RuntimeError, match="before forward"):
+            model.backward_params(np.ones_like(out))
 
 
 @pytest.fixture(scope="module")

@@ -69,7 +69,6 @@ def _upstream(conv: Conv2d, x: np.ndarray, seed: int) -> np.ndarray:
 
 def _production(conv: Conv2d, x: np.ndarray, dout: np.ndarray):
     """(output, parameter gradients, dx) of the layer, from zero gradients."""
-    conv.zero_grad()
     out = conv.forward(x, train=True)
     dx = conv.backward(dout)
     return out, conv.grads, dx

@@ -96,7 +96,6 @@ def random_conv_geometry(seed):
 
 def assert_backward_matches_naive(conv, x, rng):
     dout = rng.normal(size=conv.forward(x, train=True).shape)
-    conv.zero_grad()
     dx = conv.backward(dout)
     ndx, ndw, ndb = naive_conv2d_backward(x, conv.params["W"][0], dout, conv.stride, conv.padding)
     np.testing.assert_allclose(dx, ndx, atol=1e-10, err_msg="dx")

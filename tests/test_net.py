@@ -55,6 +55,7 @@ from repro.net import (
     encode_frame,
     parse_address,
     recv_frame,
+    run_worker,
     send_frame,
 )
 from repro.parallel import ClientJob, ClientResult, build_job_runtime, make_backend
@@ -165,6 +166,30 @@ class TestFraming:
                 recv_frame(b)
         finally:
             b.close()
+
+    def test_run_worker_reports_a_corrupt_welcome(self, capsys):
+        """A payload that does not unpickle is a FrameError, so the worker
+        CLI reports it and exits 1 instead of dying with a traceback."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        body = encode_frame(MsgType.WELCOME, {"worker_id": 0, "spec": {}})[5:-3]
+
+        def aggregator():
+            conn, _ = listener.accept()
+            with conn:
+                recv_frame(conn)  # REGISTER
+                conn.sendall(len(body).to_bytes(4, "big") + bytes([MsgType.WELCOME]) + body)
+                conn.recv(1)  # hold the link until the worker hangs up
+
+        thread = threading.Thread(target=aggregator, daemon=True)
+        thread.start()
+        try:
+            port = listener.getsockname()[1]
+            assert run_worker(f"127.0.0.1:{port}", connect_timeout=5.0) == 1
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        err = capsys.readouterr().err
+        assert "repro.net: worker failed: undecodable WELCOME payload" in err
 
     @pytest.mark.parametrize("addr,expected", [
         ("127.0.0.1:7000", ("127.0.0.1", 7000)),
@@ -306,9 +331,10 @@ class TestAggregatorService:
         w1 = _ScriptedWorker(service.address)
         assert w0.welcome[0] is MsgType.WELCOME
         assert w0.welcome[1]["spec"] == {"why": "scripted workers ignore this"}
-        for seq in range(4):
-            service.submit(seq, _job(seq))
-        # burst-submitted jobs split 2/2 under least-loaded scheduling
+        # burst-submitted jobs split 2/2 under least-loaded scheduling; one
+        # submit_many makes the burst (separate submits may each wake the
+        # I/O thread, and w0 answering in between is least loaded again)
+        service.submit_many([(seq, _job(seq)) for seq in range(4)])
         w0.serve(2)
         w1.serve(2)
         results = service.collect(list(range(4)), block=True)
@@ -317,6 +343,20 @@ class TestAggregatorService:
         assert stats["workers_seen"] == 2 and stats["workers_lost"] == 0
         assert stats["bytes_sent"] > 0 and stats["bytes_received"] > 0
         w0.close(), w1.close()
+
+    def test_corrupt_payload_drops_the_worker_and_requeues(self, service):
+        w = _ScriptedWorker(service.address)
+        service.submit(0, _job(0))
+        w.recv_job()
+        body = encode_frame(MsgType.RESULT, (0, None, None))[5:-2]
+        w.sock.sendall(len(body).to_bytes(4, "big") + bytes([MsgType.RESULT]) + body)
+        assert recv_frame(w.sock) is None  # aggregator closed the link
+        deadline = time.monotonic() + 10.0  # it counts the loss after closing
+        while service.stats()["workers_lost"] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        stats = service.stats()
+        assert stats["workers_lost"] == 1 and stats["requeued_jobs"] == 1
+        w.close()
 
     def test_version_mismatch_rejected(self, service):
         w = _ScriptedWorker(service.address, protocol=PROTOCOL_VERSION + 1)

@@ -75,7 +75,6 @@ def _check_module(module, x, atol=1e-5):
     def loss_of_output(o):
         return float((o * w).sum())
 
-    module.zero_grad()
     dx = module.backward(w)
 
     ndx = _numeric_input_grad(module, x.copy(), loss_of_output)
@@ -83,7 +82,6 @@ def _check_module(module, x, atol=1e-5):
 
     for name in module.params:
         # re-run forward in train mode so caches match the analytic pass
-        module.zero_grad()
         module.forward(x, train=True)
         module.backward(w)
         analytic = module.grads[name].copy()
@@ -144,7 +142,6 @@ class TestLayerGradients:
         x = RNG.normal(size=(4, 3, 2, 2))
         out = m.forward(x, train=True)  # momentum=1.0: running stats = batch stats
         w = RNG.normal(size=out.shape)
-        m.zero_grad()
         m.backward(w)
 
         def loss_of_output(o):
@@ -160,7 +157,6 @@ class TestLayerGradients:
         # Check input gradient only on the smooth part: perturb and compare loss
         out = m.forward(x, train=True)
         w = RNG.normal(size=out.shape)
-        m.zero_grad()
         dx = m.backward(w)
         # directional derivative check (avoids ReLU kinks dominating)
         d = RNG.normal(size=x.shape) * 1e-5
@@ -176,7 +172,6 @@ class TestLayerGradients:
         x = RNG.normal(size=(4, 6))
         out = m.forward(x, train=True)
         w = RNG.normal(size=out.shape)
-        m.zero_grad()
         dx = m.backward(w)
         d = RNG.normal(size=x.shape) * 1e-5
         l0 = float((m.forward(x - d, train=False) * w).sum())

@@ -114,13 +114,6 @@ class TestModuleStateManagement:
         m.set_params(unflatten_params(flat2, spec))
         assert np.all(m.children_[0].params["W"] == 0)
 
-    def test_zero_grad(self):
-        m = Dense(3, 2, np.random.default_rng(0))
-        forward_backward(m, RNG.normal(size=(4, 3)), np.array([0, 1, 0, 1]), CrossEntropyLoss())
-        assert np.any(m.grads["W"] != 0)
-        m.zero_grad()
-        assert np.all(m.grads["W"] == 0)
-
     def test_backward_before_forward_raises(self):
         m = Dense(3, 2, np.random.default_rng(0))
         with pytest.raises(RuntimeError):
