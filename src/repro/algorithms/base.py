@@ -230,10 +230,13 @@ class LocalSGDMixin:
 
         Each client's batches are drawn up front from its own
         ``ctx.client_rng`` and sampler, epoch by epoch, cut at
-        ``max_batches_per_round``.  Step ``t`` runs every client that still
-        has a batch ``t`` through one forward/backward; when their batch
-        sizes differ, each size gets a pass of its own in which only the
-        clients with that size step.
+        ``max_batches_per_round``; one stream serves all of a client's
+        epochs, and it is built only when the sampler reads it (a
+        ``fixed_order`` sampler, such as a one-sample client's, gets
+        ``None``).  Step ``t`` runs every client that still has a batch
+        ``t`` through one forward/backward; when their batch sizes differ,
+        each size gets a pass of its own in which only the clients with
+        that size step.
 
         Args:
             jobs: ``(round_idx, client_id, x_global)`` triples, distinct clients.
@@ -265,7 +268,8 @@ class LocalSGDMixin:
         # only reader of its stream, so lockstep order cannot move a draw
         schedules = []
         for r, k, _ in jobs:
-            sampler, rng = ctx.sampler_for(k), ctx.client_rng(r, k)
+            sampler = ctx.sampler_for(k)
+            rng = None if sampler.fixed_order else ctx.client_rng(r, k)
             batches = []
             for _ in range(epochs):
                 for bidx in sampler.epoch(rng):

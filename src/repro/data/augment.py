@@ -107,6 +107,10 @@ class AugmentedSampler:
         self.base = base_sampler
         self.augmenters = list(augmenters)
 
+    @property
+    def fixed_order(self) -> bool:
+        return self.base.fixed_order
+
     def epoch(self, rng):
         return self.base.epoch(rng)
 

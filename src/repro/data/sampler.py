@@ -1,8 +1,18 @@
-"""Class-balanced resampling — the paper's "Balance Sampler" baseline.
+"""Batch samplers: plain shuffling and the paper's "Balance Sampler" baseline.
 
 ``BalancedBatchSampler`` oversamples minority classes so every class is drawn
 (in expectation) equally often, matching the classical imbalanced-learning
 recipe (He & Garcia 2009) plugged into FedCM in Table 1.
+
+The batch-sampler protocol local training relies on:
+
+* ``epoch(rng)`` yields one epoch's index batches, drawing from the
+  client's stream ``rng``; one generator serves all of a client's epochs in
+  a round, so each epoch continues where the last one stopped.
+* ``batches_per_epoch()`` is the epoch's batch count.
+* ``fixed_order`` (read-only) is True when ``epoch`` yields the same batches
+  without reading ``rng`` at all; the caller then passes ``None`` and never
+  builds the stream.
 """
 
 from __future__ import annotations
@@ -30,11 +40,17 @@ class UniformBatchSampler:
         self.n = int(np.asarray(labels).shape[0])
         self.batch_size = batch_size
 
-    def epoch(self, rng: int | np.random.Generator) -> Iterator[np.ndarray]:
+    @property
+    def fixed_order(self) -> bool:
+        """True when ``epoch`` reads no stream: at most one sample."""
+        return self.n <= 1
+
+    def epoch(self, rng: int | np.random.Generator | None) -> Iterator[np.ndarray]:
         if self.n <= 1:
             # permutation(n) draws nothing for n <= 1 (no swaps happen), so
-            # skipping it leaves the caller's stream untouched — exact, and
-            # single-sample clients are the population-scale bench workload
+            # skipping it is exact and leaves the stream unread, which is
+            # what fixed_order promises: a single-sample client (the
+            # population-scale bench workload) then gets no stream built
             if self.n == 1:
                 yield _SINGLE
             return
@@ -66,10 +82,15 @@ class BalancedBatchSampler:
         classes = np.unique(labels)
         self._class_indices = [np.flatnonzero(labels == c) for c in classes]
 
-    def epoch(self, rng: int | np.random.Generator) -> Iterator[np.ndarray]:
-        rng = as_generator(rng)
+    @property
+    def fixed_order(self) -> bool:
+        """True when ``epoch`` reads no stream: no samples."""
+        return self.n == 0
+
+    def epoch(self, rng: int | np.random.Generator | None) -> Iterator[np.ndarray]:
         if self.n == 0:
             return
+        rng = as_generator(rng)
         k = len(self._class_indices)
         cls_draws = rng.integers(0, k, size=self.n)
         picks = np.empty(self.n, dtype=np.int64)

@@ -51,7 +51,11 @@ class IdleTracker:
       rebuilt lazily via ``flatnonzero`` only when the mask changed since
       the last call.
 
-    The tracker is plain numpy state, so it pickles into run snapshots.
+    The counts are a numpy array (``idle_ids`` is one ``flatnonzero``) and
+    the tree a list of Python ints (every pick walks it element by element,
+    which NumPy scalar indexing makes ~2x slower).  Both pickle into run
+    snapshots; a snapshot holding an ndarray tree resumes unchanged, since
+    both index alike.
     """
 
     def __init__(self, num_clients: int) -> None:
@@ -65,8 +69,7 @@ class IdleTracker:
         # pass: tree[i] owns the range (i - (i & -i), i], so it holds that
         # range's length
         idx = np.arange(1, n + 1)
-        self._tree = np.zeros(n + 1, dtype=np.int64)
-        self._tree[1:] = idx & -idx
+        self._tree: list[int] = [0] + (idx & -idx).tolist()
         self._idle_cache: np.ndarray | None = None
         self._dirty = True
 

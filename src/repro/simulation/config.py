@@ -84,6 +84,8 @@ class FLConfig:
         check_fraction(self.participation, "participation")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
+        if self.seed < 0:  # SeedSequence would refuse it deep inside the run
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_batches_per_round is not None and self.max_batches_per_round < 1:
             raise ValueError("max_batches_per_round must be >= 1 or None")
         if isinstance(self.lr_schedule, dict):

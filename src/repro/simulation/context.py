@@ -27,6 +27,9 @@ from repro.utils.rng import keyed_rng
 __all__ = ["SimulationContext"]
 
 LossBuilder = Callable[["SimulationContext", int], object]
+#: ``(labels, batch_size) -> sampler`` following :mod:`repro.data.sampler`'s
+#: protocol: ``epoch(rng)``, ``batches_per_epoch()`` and ``fixed_order``,
+#: True when ``epoch`` never reads ``rng`` (so local training builds none)
 SamplerBuilder = Callable[[np.ndarray, int], object]
 
 

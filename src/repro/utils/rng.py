@@ -11,6 +11,8 @@ Every module in the library takes RNG state explicitly.  Two conventions:
 
 from __future__ import annotations
 
+from operator import index
+
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
@@ -29,12 +31,14 @@ def keyed_rng(*key: int) -> np.random.Generator:
     ``Generator(PCG64(SeedSequence(...)))`` directly skips
     ``default_rng``'s argument dispatch — both are exactly what
     ``default_rng`` does underneath, so the resulting stream is
-    bit-identical (pinned by ``tests/test_fastpath.py``).  Keys with
-    negative or >=2**32 entries fall back to the general path, which
-    accepts arbitrary Python ints.
+    bit-identical (pinned by ``tests/test_utils.py``).  Entries go through
+    ``operator.index`` first: a NumPy integer would otherwise wrap into
+    ``uint32`` silently, while a Python int outside its range raises, so a
+    negative or >=2**32 entry of either kind falls back to the general
+    path, which accepts arbitrary non-negative ints and refuses the rest.
     """
     try:
-        arr = np.array(key, dtype=np.uint32)
+        arr = np.array([*map(index, key)], dtype=np.uint32)
     except (OverflowError, ValueError):
         return np.random.default_rng(key)
     return Generator(PCG64(SeedSequence(arr)))

@@ -6,7 +6,8 @@ through ``client_updates`` (one lockstep computation) and the same jobs one
 client at a time through the oracle in ``tests/_per_client_sgd.py``, from
 identical method state, and demands ``array_equal`` on displacements, step
 counts, training losses, update extras and packed client state.  Job lists
-that ``execute_jobs`` must cut into several cohorts get the same pin.
+that ``execute_jobs`` must cut into several cohorts get the same pin, and a
+spy shows a cohort builds no stream for a one-sample client.
 """
 
 from __future__ import annotations
@@ -190,6 +191,27 @@ def _count_cohorts(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(backend_mod, "execute_job", spy)
     return sizes
+
+
+@pytest.mark.parametrize("method, built", [
+    ("fedavg", [3, 5, 1, 2]),  # client 0 holds one sample: no stream
+    ("fedcm+balance_sampler", [3, 0, 5, 1, 2]),  # resampling one sample draws
+])
+def test_streams_built_only_where_the_sampler_draws(monkeypatch, method, built):
+    """A cohort builds a client's stream only when its sampler reads it; the
+    ``array_equal`` pins above show the batches are unchanged."""
+    assert LAYOUTS["ragged"][0] == 1
+    (ctx, algo), _ = _problem(method, "linear", "ragged")
+    calls: list[int] = []
+    real = SimulationContext.client_rng
+
+    def spy(self, round_idx, client_id):
+        calls.append(client_id)
+        return real(self, round_idx, client_id)
+
+    monkeypatch.setattr(SimulationContext, "client_rng", spy)
+    algo.client_updates(ctx, _jobs(ctx, [3, 0, 5, 1, 2], np.random.default_rng(5)))
+    assert calls == built
 
 
 def test_job_list_with_a_repeated_client(monkeypatch):

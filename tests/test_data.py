@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import (
+    AugmentedSampler,
     BalancedBatchSampler,
     ClassConditionalGenerator,
     DATASET_REGISTRY,
+    GaussianJitter,
     SyntheticSpec,
     UniformBatchSampler,
     apply_longtail,
@@ -196,6 +198,17 @@ class TestPartition:
         np.testing.assert_array_equal(cat, np.arange(len(labels)))
 
 
+class _StreamRead(Exception):
+    pass
+
+
+class _Untouchable:
+    """A stand-in stream that raises on any attribute access."""
+
+    def __getattribute__(self, name):
+        raise _StreamRead(name)
+
+
 class TestSamplers:
     def test_uniform_covers_everything(self):
         y = np.arange(23) % 3
@@ -226,6 +239,30 @@ class TestSamplers:
             UniformBatchSampler(np.zeros(5, dtype=int), 0)
         with pytest.raises(ValueError):
             BalancedBatchSampler(np.zeros(5, dtype=int), -1)
+
+    @pytest.mark.parametrize("augmented", [False, True])
+    @pytest.mark.parametrize("cls, n, fixed", [
+        (UniformBatchSampler, 0, True),
+        (UniformBatchSampler, 1, True),
+        (UniformBatchSampler, 2, False),
+        (BalancedBatchSampler, 0, True),
+        (BalancedBatchSampler, 1, False),
+    ])
+    def test_fixed_order_reads_no_stream(self, cls, n, fixed, augmented):
+        """A ``fixed_order`` sampler yields a real generator's batches from a
+        stream it never touches; any other sampler reads its stream."""
+        sampler = cls(np.arange(n) % 2, 4)
+        if augmented:
+            sampler = AugmentedSampler(sampler, [GaussianJitter(0.1)])
+        assert sampler.fixed_order is fixed
+        with pytest.raises(AttributeError):
+            sampler.fixed_order = not fixed
+        want = [b.tolist() for b in sampler.epoch(np.random.default_rng(0))]
+        if fixed:
+            assert [b.tolist() for b in sampler.epoch(_Untouchable())] == want
+        else:
+            with pytest.raises(_StreamRead):
+                list(sampler.epoch(_Untouchable()))
 
 
 class TestRegistry:

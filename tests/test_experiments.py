@@ -472,6 +472,13 @@ class TestCLI:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, capsys):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            ExperimentSpec.from_json('{"config": {"seed": -3}}')
+        rc = cli_main(["run", "--set", "config.seed=-3"])
+        assert rc == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, capsys):
         rc = cli_main(["run", "--config", "/nonexistent/spec.json"])
         assert rc == 2

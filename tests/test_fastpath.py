@@ -5,7 +5,8 @@ Pins the vectorized control plane's keystone claims:
 * ``LatencyModel.sample_many`` equals per-element ``latency()`` for every
   registered model (same RNG stream discipline, batched);
 * ``IdleTracker`` rank selection equals indexing the ascending idle
-  comprehension, under arbitrary busy/idle churn;
+  comprehension, under arbitrary busy/idle churn, across a pickle round
+  trip and with the ndarray tree older snapshots carry;
 * ``VirtualClock.push_many`` pops in the same order as sequential
   ``schedule`` calls (both below and above the heapify threshold);
 * ``AsyncPolicy._dispatch_many`` histories are bit-identical to the scalar
@@ -17,6 +18,8 @@ Pins the vectorized control plane's keystone claims:
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -148,29 +151,54 @@ class TestSampleMany:
             )
 
 
+def _churn(tr: IdleTracker, busy: dict[int, int], rng, steps: int) -> None:
+    """``steps`` random busy/idle events on ``tr`` and on the reference
+    in-flight map ``busy``, each checked against the idle comprehension."""
+    n = tr.n
+    for _ in range(steps):
+        cid = int(rng.integers(n))
+        if rng.random() < 0.55:
+            busy[cid] = busy.get(cid, 0) + 1
+            tr.mark_busy(cid)
+        elif busy.get(cid, 0):
+            if busy[cid] <= 1:
+                busy.pop(cid)
+            else:
+                busy[cid] -= 1
+            tr.mark_idle(cid)
+        ref = [k for k in range(n) if not busy.get(k)]
+        assert tr.n_idle == len(ref)
+        assert tr.idle_ids().tolist() == ref
+        if ref:
+            j = int(rng.integers(len(ref)))
+            assert tr.kth_idle(j) == ref[j]
+
+
+def _answers(tr: IdleTracker) -> tuple[list[int], list[int]]:
+    return tr.idle_ids().tolist(), [tr.kth_idle(j) for j in range(tr.n_idle)]
+
+
 class TestIdleTracker:
     def test_matches_comprehension_under_churn(self):
-        n = 97
-        rng = np.random.default_rng(3)
-        tr = IdleTracker(n)
-        busy: dict[int, int] = {}
-        for _ in range(600):
-            cid = int(rng.integers(n))
-            if rng.random() < 0.55:
-                busy[cid] = busy.get(cid, 0) + 1
-                tr.mark_busy(cid)
-            elif busy.get(cid, 0):
-                if busy[cid] <= 1:
-                    busy.pop(cid)
-                else:
-                    busy[cid] -= 1
-                tr.mark_idle(cid)
-            ref = [k for k in range(n) if not busy.get(k)]
-            assert tr.n_idle == len(ref)
-            assert tr.idle_ids().tolist() == ref
-            if ref:
-                j = int(rng.integers(len(ref)))
-                assert tr.kth_idle(j) == ref[j]
+        _churn(IdleTracker(97), {}, np.random.default_rng(3), 600)
+
+    def test_pickle_round_trip_mid_churn(self):
+        tr, busy, rng = IdleTracker(97), {}, np.random.default_rng(3)
+        _churn(tr, busy, rng, 300)
+        back = pickle.loads(pickle.dumps(tr))
+        assert back.n_idle == tr.n_idle and _answers(back) == _answers(tr)
+        _churn(back, busy, rng, 300)
+
+    def test_ndarray_tree_answers_alike(self):
+        """Snapshots written before the tree moved to Python ints hold an
+        ndarray tree; such a tracker answers the churn exactly alike."""
+        listed, legacy = IdleTracker(97), IdleTracker(97)
+        legacy._tree = np.array(legacy._tree, dtype=np.int64)
+        for tr in (listed, legacy):
+            _churn(tr, {}, np.random.default_rng(3), 600)
+        assert isinstance(legacy._tree, np.ndarray)
+        assert legacy._tree.tolist() == listed._tree
+        assert _answers(legacy) == _answers(listed)
 
     def test_rank_out_of_range(self):
         tr = IdleTracker(4)

@@ -40,6 +40,7 @@ class TestFLConfig:
             {"participation": 1.5},
             {"eval_every": 0},
             {"max_batches_per_round": 0},
+            {"seed": -3},
         ],
     )
     def test_validation(self, kwargs):

@@ -21,6 +21,7 @@ from repro.utils import (
     tree_scale,
     unflatten_params,
 )
+from repro.utils.rng import keyed_rng
 
 
 class TestRng:
@@ -50,6 +51,29 @@ class TestRng:
         d1 = [g.random() for g in spawn(np.random.default_rng(7), 3)]
         d2 = [g.random() for g in spawn(np.random.default_rng(7), 3)]
         assert d1 == d2
+
+    @pytest.mark.parametrize("key", [
+        (0, 0xC1, 3, 99_999),
+        (7,),
+        (2**32 - 1, 0),
+        (2**32 + 5, 1),
+        (np.int64(2**32 + 5), 1),  # must not wrap to (5, 1)'s stream
+        (np.uint64(2**63), np.int32(2)),
+        (np.int64(3), np.uint8(4), True),
+        (-1, 1),
+        (np.int64(-1), 1),  # must raise, not wrap to 2**32 - 1
+        (1.0, 2),
+    ])
+    def test_keyed_rng_is_default_rng(self, key):
+        """NumPy or Python ints, in the uint32 range or not: exactly
+        ``default_rng(key)``'s stream, or the error it raises."""
+        try:
+            want = np.random.default_rng(key).integers(2**62, size=8)
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                keyed_rng(*key)
+        else:
+            np.testing.assert_array_equal(keyed_rng(*key).integers(2**62, size=8), want)
 
 
 class TestPytree:
