@@ -662,7 +662,7 @@ def cmd_serve(args) -> int:
         return 2
     # deployment knobs travel to the service via its env defaults; each is
     # checked here, so a bad value exits 2 before the aggregator listens
-    from repro.net.service import env_seconds
+    from repro.net.service import TIMING_ENV, env_inflight, env_seconds
 
     for flag, env in (
         ("heartbeat_interval", "REPRO_NET_HEARTBEAT"),
@@ -672,11 +672,13 @@ def cmd_serve(args) -> int:
         value = getattr(args, flag)
         if value is not None:
             os.environ[env] = str(value)
-        try:
+    try:
+        for env in TIMING_ENV:
             env_seconds(env)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        env_inflight()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     _warn_unused_runtime_flags(args, spec.runtime.kind)
     return _execute(args, spec, verbose=True)
 

@@ -12,10 +12,10 @@ Two layers live here:
   job lands bit-identically wherever it re-executes.
 * :class:`RemoteBackend` — the :class:`~repro.parallel.ExecutionBackend`
   adapter (registry name ``"remote"``): ``bind`` starts the service and
-  waits for ``workers`` registrations, ``submit``/``collect`` speak the
-  same streaming contract every other backend speaks, ``close`` shuts the
-  service down.  Every engine kind, the recorder, snapshots and ``repro
-  watch`` therefore work over the wire unchanged.
+  waits for ``workers`` registrations, ``submit_many``/``collect`` speak
+  the same streaming contract every other backend speaks, ``close`` shuts
+  the service down.  Every engine kind, the recorder, snapshots and
+  ``repro watch`` therefore work over the wire unchanged.
 
 The aggregator is the engine process itself — ``repro serve`` runs an
 ordinary experiment whose backend listens for workers, mirroring openfl's
@@ -83,6 +83,24 @@ def positive_seconds(value: float, name: str) -> float:
     return float(value)
 
 
+def positive_count(value, name: str) -> int:
+    """``value`` if an integer >= 1 (a count of in-flight jobs), else a
+    ValueError naming its source."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def env_inflight() -> int:
+    """``REPRO_NET_INFLIGHT``, the per-worker in-flight cap: the environment,
+    else 4."""
+    raw = os.environ.get("REPRO_NET_INFLIGHT", "").strip()
+    try:
+        return positive_count(int(raw or 4), "REPRO_NET_INFLIGHT")
+    except ValueError:
+        raise ValueError(f"REPRO_NET_INFLIGHT must be an integer >= 1, got {raw!r}") from None
+
+
 #: the service's timing knobs: environment variable -> default seconds
 TIMING_ENV = {
     "REPRO_NET_HEARTBEAT": 1.0,
@@ -128,10 +146,10 @@ class _Conn:
 class AggregatorService:
     """Listen, register workers, schedule jobs, survive worker death.
 
-    Thread model: the engine thread calls :meth:`submit` / :meth:`collect`
-    / :meth:`stop`; one background thread owns every socket and the
-    selector.  Shared queues and result maps are guarded by a single lock
-    whose condition wakes blocking collects and registration waits.
+    Thread model: the engine thread calls :meth:`submit_many` /
+    :meth:`collect` / :meth:`stop`; one background thread owns every socket
+    and the selector.  Shared queues and result maps are guarded by a single
+    lock whose condition wakes blocking collects and registration waits.
     """
 
     def __init__(
@@ -159,11 +177,10 @@ class AggregatorService:
             if heartbeat_timeout is not None
             else env_seconds("REPRO_NET_HEARTBEAT_TIMEOUT")
         )
-        self.inflight_cap = max(
-            1,
-            inflight_cap
+        self.inflight_cap = (
+            positive_count(inflight_cap, "inflight_cap")
             if inflight_cap is not None
-            else int(_env_float("REPRO_NET_INFLIGHT", 4)),
+            else env_inflight()
         )
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
@@ -244,10 +261,6 @@ class AggregatorService:
             pass
 
     # -- engine-side API ------------------------------------------------------
-    def submit(self, seq: int, job) -> None:
-        """Queue one job for dispatch; the I/O thread ships it."""
-        self.submit_many([(seq, job)])
-
     def submit_many(self, pairs: list[tuple[int, object]]) -> None:
         """Queue ``(seq, job)`` pairs in one call; the I/O thread ships them.
 
@@ -651,6 +664,8 @@ class RemoteBackend(ExecutionBackend):
     ``shares_state`` is False, so the event core ships packed client state,
     buffers and broadcast state in every job — exactly the process-pool
     path — and results are bit-identical to the serial reference.
+    ``submit_many`` queues a batch with the service and returns at once;
+    ``collect`` reads the results the service's I/O thread has gathered.
 
     Args:
         workers: registrations to wait for at ``bind`` (default 1); more
@@ -718,9 +733,6 @@ class RemoteBackend(ExecutionBackend):
             raise
         return self
 
-    def submit(self, job) -> JobHandle:
-        return self.submit_many([job])[0]
-
     def submit_many(self, jobs) -> list[JobHandle]:
         """Queue a burst of jobs in one service call.
 
@@ -730,7 +742,7 @@ class RemoteBackend(ExecutionBackend):
         frames on the wire instead of k of each.
         """
         if self._service is None:
-            raise RuntimeError("RemoteBackend.submit before bind()")
+            raise RuntimeError("RemoteBackend.submit_many before bind()")
         handles = [self._make_handle(self._stamp(job)) for job in jobs]
         for handle in handles:
             self._outstanding[handle.seq] = handle

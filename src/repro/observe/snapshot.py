@@ -43,7 +43,8 @@ __all__ = [
     "model_hash",
 ]
 
-SNAPSHOT_SCHEMA_VERSION = 2
+#: 3: the async policy holds its jobs in one ``_queue`` (schema 2 had three)
+SNAPSHOT_SCHEMA_VERSION = 3
 
 # plain functions/methods never carry run state and often don't pickle
 # (lambdas, closures over builders); callable *objects* — samplers,

@@ -2,8 +2,8 @@
 
 :mod:`repro.parallel.backend` is the pluggable execution layer every engine
 speaks — the :class:`ClientJob` -> :class:`ClientResult` contract, handed
-over through the streaming ``submit(job) -> JobHandle`` /
-``collect(handles)`` interface (``submit_many`` batches the hand-off);
+over through the streaming ``submit_many(jobs) -> [JobHandle]`` /
+``collect(handles)`` interface;
 :mod:`repro.parallel.shm` publishes broadcast arrays into shared memory so
 pool jobs ship descriptors instead of payloads; :mod:`repro.parallel.pool`
 keeps the lower-level fork-pool primitives (:func:`parallel_map`,

@@ -29,16 +29,16 @@ The contract makes every job a pure function of its inputs::
   ``broadcast_attrs``; ``None`` when the executing algorithm instance is
   the live one.
 
-The execution interface is *streaming*: work is handed over one job at a
-time and results are picked up as they finish, so an engine can overlap
-worker compute with its own event processing::
+The execution interface is *streaming*: work is handed over in batches
+and results are picked up as they finish, so an engine can overlap worker
+compute with its own event processing::
 
-    handle = backend.submit(job)              # returns immediately
-    pairs  = backend.collect([handle, ...],   # [(handle, result), ...]
-                             block=True)      # block=False: only the ready ones
+    handles = backend.submit_many(jobs)       # returns immediately
+    pairs   = backend.collect(handles,        # [(handle, result), ...]
+                              block=True)     # block=False: only the ready ones
 
-Every backend implements ``submit`` and ``collect``; ``submit_many`` batches
-the hand-off for transports that pay per call.
+Every backend implements exactly these two calls; one ``submit_many`` lets
+a transport that pays per call amortize it across the batch.
 
 Whatever holds a job list — the serial backend, a pool task, a thread
 replica, a remote worker's ``JOB_BATCH`` — runs it with one
@@ -51,16 +51,16 @@ bit-identical (``tests/test_backends.py`` pins this across all four engine
 kinds, batch and streaming):
 
 * :class:`SerialBackend` — in-process against the engine's live context and
-  algorithm; the default, and the reference semantics.  ``submit`` executes
-  eagerly (there is nothing to overlap with in one process).
+  algorithm; the default, and the reference semantics.  ``submit_many``
+  executes eagerly (there is nothing to overlap with in one process).
 * :class:`ProcessPoolBackend` — a fork-based process pool whose workers
-  accept and return packed state and buffer dicts; ``submit`` is a true
-  asynchronous hand-off (``Pool.apply_async``).
+  accept and return packed state and buffer dicts; ``submit_many`` is a
+  true asynchronous hand-off (``Pool.apply_async``).
 * :class:`ThreadBackend` — per-thread replicas; no fork, cheap to spin up —
-  meant for smoke/CI runs and platforms without ``fork``; ``submit`` returns
-  a live future.
+  meant for smoke/CI runs and platforms without ``fork``; ``submit_many``
+  hands each worker a live future.
 
-Backends have an explicit lifecycle — ``bind`` → submit/collect →
+Backends have an explicit lifecycle — ``bind`` → submit_many/collect →
 ``close()`` — and double as context managers.  An engine builds or takes
 one backend at construction and closes it at the end of every ``run()``,
 whether the run raises or not, so a failed run still reaps its worker
@@ -131,8 +131,9 @@ class ClientJob:
             (set by a recording :class:`~repro.runtime.events.EventCore`;
             the flag rides in the job because pool workers fork at bind
             time, before any recorder exists).
-        submitted_at: ``time.monotonic()`` at submission, the queue-wait
-            anchor (monotonic is cross-process comparable on Linux).
+        submitted_at: the queue-wait anchor, ``time.monotonic()`` where the
+            event core built the job (or, unset, where a backend accepted
+            it); monotonic is cross-process comparable on Linux.
     """
 
     round_idx: int
@@ -356,11 +357,11 @@ class ExecutionBackend:
 
     Life cycle: construct (cheap, picks a worker count), :meth:`bind` to a
     problem (the engine's context plus replica builders — this is where
-    pools spin up), :meth:`submit` / :meth:`collect` any number of times,
-    :meth:`close` (or use the backend as a context manager).  :meth:`map`
-    needs no binding and is usable stand-alone for sweeps.
+    pools spin up), :meth:`submit_many` / :meth:`collect` any number of
+    times, :meth:`close` (or use the backend as a context manager).
+    :meth:`map` needs no binding and is usable stand-alone for sweeps.
 
-    Subclasses implement :meth:`submit` and :meth:`collect`.
+    Subclasses implement :meth:`submit_many` and :meth:`collect`.
 
     Attributes:
         shares_state: True when jobs run against the engine's *live*
@@ -389,29 +390,22 @@ class ExecutionBackend:
         raise NotImplementedError
 
     # -- the streaming contract ----------------------------------------------
-    def submit(self, job: ClientJob) -> JobHandle:
-        """Hand one job to the backend; return immediately with a handle.
-
-        Implementations stamp ``submitted_at`` (via :meth:`_stamp`) the
-        moment the job is accepted, so ``queue_wait_s`` measures real
-        queueing — unless the caller stamped an earlier anchor already
-        (a policy measuring from dispatch time).
-        """
-        raise NotImplementedError(f"{type(self).__name__} does not implement submit()")
-
     def submit_many(self, jobs: Sequence[ClientJob]) -> list[JobHandle]:
         """Hand a batch of jobs over in one call; handles in job order.
 
-        Semantically equivalent to ``[self.submit(j) for j in jobs]`` —
-        which is exactly the base implementation — but transports that pay
-        per-call overhead (pickle + IPC round-trip per pool task, one wire
-        frame per remote job) override it to amortize that cost across the
-        batch.  Batching is a transport concern only: results still come
-        back through :meth:`collect` one handle at a time, and histories
-        stay bit-identical to per-job submission because jobs are stamped
-        from dispatch-time state before they ever reach the backend.
+        Returns immediately.  Transports that pay per-call overhead (pickle
+        + IPC round-trip per pool task, one wire frame per remote job)
+        amortize it across the batch; results still come back through
+        :meth:`collect` one handle at a time, and a job's result does not
+        depend on the batch it came in.  Implementations stamp
+        ``submitted_at`` (via :meth:`_stamp`) the moment a timed job is
+        accepted, so ``queue_wait_s`` measures real queueing — unless the
+        caller stamped an earlier anchor already (the event core stamps a
+        job where it builds it).
         """
-        return [self.submit(job) for job in jobs]
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement submit_many()"
+        )
 
     def collect(
         self, handles: Sequence[JobHandle] | None = None, block: bool = True
@@ -487,7 +481,7 @@ class SerialBackend(ExecutionBackend):
     """In-process execution against the live context — the reference
     semantics every other backend must reproduce bit-for-bit.
 
-    ``submit`` executes eagerly: a single process has nothing to overlap
+    ``submit_many`` executes eagerly: a single process has nothing to overlap
     compute with, and running at submission time preserves the live-state
     mutation order synchronous rounds rely on.
     """
@@ -508,14 +502,11 @@ class SerialBackend(ExecutionBackend):
         self._done = {}
         return self
 
-    def submit(self, job: ClientJob) -> JobHandle:
-        return self.submit_many([job])[0]
-
     def submit_many(self, jobs: Sequence[ClientJob]) -> list[JobHandle]:
         """Execute the batch now, as one :func:`execute_jobs` call, so a
         recorded cohort stacks exactly like an unrecorded one."""
         if self._ctx is None:
-            raise RuntimeError("SerialBackend.submit before bind()")
+            raise RuntimeError("SerialBackend.submit_many before bind()")
         handles = [self._make_handle(self._stamp(job)) for job in jobs]
         results = execute_jobs(self._ctx, self._algo, [h.job for h in handles])
         self._done.update(zip(handles, results))
@@ -600,8 +591,9 @@ class ProcessPoolBackend(ExecutionBackend):
 
     Workers accept and return packed state and buffer dicts, so stateful
     methods (SCAFFOLD, FedDyn) and BatchNorm buffer tracking run under the
-    pool with results bit-identical to the serial backend.  ``submit`` is
-    an asynchronous hand-off (``Pool.apply_async``).
+    pool with results bit-identical to the serial backend.
+    ``submit_many`` is an asynchronous hand-off (``Pool.apply_async`` per
+    chunk).
 
     Two transport optimizations, both off by default and both identity-
     preserving (jobs are stamped from dispatch-time state before they reach
@@ -661,13 +653,10 @@ class ProcessPoolBackend(ExecutionBackend):
         )
         return self
 
-    def submit(self, job: ClientJob) -> JobHandle:
-        return self.submit_many([job])[0]
-
     def submit_many(self, jobs: Sequence[ClientJob]) -> list[JobHandle]:
         """Chunk by ``job_batch`` and ship each chunk as one pool task."""
         if self._pool is None:
-            raise RuntimeError("ProcessPoolBackend.submit before bind()")
+            raise RuntimeError("ProcessPoolBackend.submit_many before bind()")
         chunk = self.job_batch or 1
         handles: list[JobHandle] = []
         for start in range(0, len(jobs), chunk):
@@ -807,12 +796,9 @@ class ThreadBackend(ExecutionBackend):
         ctx, algo = self._replica()
         return execute_jobs(ctx, algo, jobs)
 
-    def submit(self, job: ClientJob) -> JobHandle:
-        return self.submit_many([job])[0]
-
     def submit_many(self, jobs: Sequence[ClientJob]) -> list[JobHandle]:
         if self._executor is None:
-            raise RuntimeError("ThreadBackend.submit before bind()")
+            raise RuntimeError("ThreadBackend.submit_many before bind()")
         handles = [self._make_handle(self._stamp(job)) for job in jobs]
         size = max(1, -(-len(handles) // self.workers))
         for start in range(0, len(handles), size):

@@ -17,14 +17,16 @@ against synchronous baselines — per round *and* per simulated second.
 Determinism and parallelism: every client RNG stream is keyed by the
 dispatch sequence number, and event ties break on schedule order, so the
 run is a pure function of the seed.  Client compute goes through a
-pluggable :class:`~repro.parallel.backend.ExecutionBackend`.  With
-``streaming`` on (the default) each dispatch's job is *submitted* to the
-backend the moment it is issued and collected when its virtual completion
-pops, overlapping worker compute with event processing on the pool
-backends; with streaming off (or on the serial backend) the engine batches
-dispatches lazily (training is computed at first need).  Both paths build
-jobs from dispatch-time state and apply results in virtual-time order, so
-their histories are bit-identical.  Because jobs carry packed client state
+pluggable :class:`~repro.parallel.backend.ExecutionBackend`.  Every
+dispatch's job joins one queue, which reaches the backend through one
+``submit_many`` at one of two moments.  With ``streaming`` on (the
+default) each dispatch burst is handed over the moment it is issued and
+each job collected when its virtual completion pops, overlapping worker
+compute with event processing on the pool backends; with streaming off
+(or on the serial backend) the queue runs as one batch when a completion
+first needs one of its jobs.  Both moments see jobs built from
+dispatch-time state and apply results in virtual-time order, so their
+histories are bit-identical.  Because jobs carry packed client state
 and buffer dicts, stateful methods (SCAFFOLD, FedDyn via
 :class:`~repro.algorithms.AsyncAdapter`) and BatchNorm buffer tracking
 work on *every* backend.
@@ -97,9 +99,9 @@ class AsyncFederatedSimulation(EngineShell):
             uniform idle draw.
         buffer_ema: ``"fixed"`` (1/window blend, default) or ``"staleness"``
             (stale arrivals discounted like the parameter rule).
-        streaming: submit each dispatch's job to the backend eagerly (True,
-            the default) or accumulate lazy batches (False); None resolves
-            to the default.  Histories are bit-identical either way — the
+        streaming: hand each dispatch burst to the backend as it is issued
+            (True, the default) or queue jobs until a completion needs one
+            (False); None resolves to the default.  Histories are bit-identical either way — the
             knob only trades wall-clock overlap — and the serial backend
             always uses the lazy-batch path.
         loss_builder / sampler_builder / metric_hooks: as the sync engine.

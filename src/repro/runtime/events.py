@@ -37,11 +37,11 @@ params + packed client state + buffers + broadcast state) and the backend
 (:mod:`repro.net`) — executes them with identical semantics, so stateful
 methods and BatchNorm buffer tracking work on every backend and the
 histories are bit-identical across them (``tests/test_backends.py``,
-``tests/test_net.py``).  The hand-off is streaming
-(``submit``/``collect`` through :meth:`EventCore.submit_job` /
-:meth:`EventCore.collect_jobs`): the async policy submits each job as its
-dispatch is issued, overlapping worker compute with event processing,
-while round policies submit whole cohorts and collect at the barrier.
+``tests/test_net.py``).  Jobs reach the backend through ``submit_many``
+and return through :meth:`EventCore.collect_jobs`: round policies run whole
+cohorts at once, and the async policy hands each dispatch burst over as it
+is issued when streaming (overlapping worker compute with event
+processing), else queues jobs until a completion first needs one.
 
 Events are typed (:class:`Dispatch`, :class:`Completion`,
 :class:`DeadlineTick`) and ride the deterministic
@@ -56,12 +56,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from repro.parallel.backend import ClientJob
+from repro.parallel.backend import ClientJob, ClientResult
 from repro.runtime.clock import VirtualClock
 from repro.runtime.fastpath import IdleTracker, mask_positions
 from repro.utils.rng import keyed_rng
@@ -282,68 +282,41 @@ class EventCore:
             return self.ctx.sample_clients(round_idx)
         return np.asarray(self.client_sampler(self.ctx, round_idx))
 
-    def make_jobs(self, pairs, buffers=None, with_state=True) -> list[ClientJob]:
+    def make_jobs(self, pairs, buffers=None) -> list[ClientJob]:
         """Build :class:`ClientJob`\\ s for ``(round_idx, client_id)`` pairs.
 
         Per-job inputs come from the core's canonical state: the current
         broadcast vector, the client's packed state (when the store is
         active), ``buffers`` verbatim, and — only when the backend does not
         execute against the live algorithm — one shared broadcast-state
-        snapshot.
+        snapshot.  When a recorder is attached every job is stamped to
+        collect timing, its queue wait anchored at this build.
         """
         bstate = None
         if not self.backend.shares_state:
             bstate = self.algorithm.pack_broadcast_state() or None
         store = self.state_store
+        timed = self.recorder is not None
+        built_at = time.monotonic() if timed else None
         return [
             ClientJob(
                 round_idx=int(r),
                 client_id=int(k),
                 x_ref=self.x,
-                client_state=store.snapshot(int(k)) if with_state else None,
+                client_state=store.snapshot(int(k)),
                 buffers=buffers,
                 broadcast_state=bstate,
+                collect_timing=timed,
+                submitted_at=built_at,
             )
             for r, k in pairs
         ]
 
-    def submit_job(self, job: ClientJob):
-        """Submit one job to the backend; returns its ``JobHandle``.
-
-        The streaming half of the policy/backend choke point: when a
-        recorder is attached the job is stamped to collect timing.  The
-        queue-wait anchor is whichever came first — a policy stamping at
-        dispatch time, this method, or the backend's own submit-time stamp —
-        so journal records report real queueing on every path.
-        """
-        if self.recorder is not None and not job.collect_timing:
-            job = replace(job, collect_timing=True, submitted_at=time.monotonic())
-        return self.backend.submit(job)
-
-    def submit_jobs(self, jobs: list[ClientJob]) -> list:
-        """Batch submit through ``backend.submit_many``; handles in order.
-
-        Same timing stamps as :meth:`submit_job`, one backend call: batching
-        backends (pool ``job_batch``, the remote service) amortize a pickle
-        + transport round-trip across the list.  Identity-safe for the same
-        reason streaming is: every job is already stamped from
-        dispatch-time state before it gets here.
-        """
-        if self.recorder is not None:
-            now = time.monotonic()
-            jobs = [
-                replace(job, collect_timing=True, submitted_at=now)
-                if not job.collect_timing
-                else job
-                for job in jobs
-            ]
-        return self.backend.submit_many(jobs)
-
     def collect_jobs(self, handles=None, block: bool = True) -> list:
         """Collect completed ``(handle, result)`` pairs from the backend.
 
-        The collecting half of the choke point: each collected job's timing
-        dict becomes a ``job`` journal record the moment it lands.
+        Each collected job's timing dict becomes a ``job`` journal record
+        the moment it lands.
         """
         pairs = self.backend.collect(handles, block=block)
         rec = self.recorder
@@ -353,22 +326,20 @@ class EventCore:
         return pairs
 
     def run_backend_jobs(self, jobs: list[ClientJob]) -> list:
-        """Batch both halves: submit every job, collect in submit order.
+        """Run a job batch: one ``submit_many``, collected in job order.
 
-        Round policies (whole-cohort compute) and the async lazy flush go
-        through here; unrecorded runs pass jobs through untouched, so the
-        hot path pays nothing.  Submission is batched (one
-        ``submit_many``), so a cohort costs one transport round-trip on
-        batching backends.  Backends offering ``run_jobs_inline`` (the
-        serial reference) skip the handle round-trip entirely when no
-        recorder needs per-job journal records — the handles would be
-        dropped on the floor one line later anyway.
+        Round policies (whole-cohort compute) and the async policy's lazy
+        hand-over go through here, so a batch costs one transport
+        round-trip on batching backends.  Backends offering
+        ``run_jobs_inline`` (the serial reference) skip the handle
+        round-trip entirely when no recorder needs per-job journal records
+        — the handles would be dropped on the floor one line later anyway.
         """
         if self.recorder is None:
             inline = getattr(self.backend, "run_jobs_inline", None)
             if inline is not None:
                 return inline(jobs)
-        handles = self.submit_jobs(jobs)
+        handles = self.backend.submit_many(jobs)
         return [res for _, res in self.collect_jobs(handles, block=True)]
 
     def run_cohort(self, round_idx: int, clients) -> list:
@@ -858,14 +829,17 @@ class AsyncPolicy:
 
     Compute scheduling: every dispatch builds its :class:`ClientJob` from
     *dispatch-time* server state (broadcast vector, packed client state, a
-    copy of the buffer EMA, packed broadcast state).  With ``streaming``
-    on (the default) and a backend that does not share live state, the job
-    is submitted the moment the dispatch is issued — workers compute while
-    the event loop keeps processing — and ``on_completion`` collects it
-    when its virtual arrival pops.  With streaming off (or on the serial
-    backend) jobs accumulate and run as one lazy batch at first need.
+    copy of the buffer EMA, packed broadcast state).  A job waits in
+    ``_queue`` until the backend has it, in ``_handles`` until it is
+    collected and in ``_results`` until it is applied.  With ``streaming``
+    on (the default) and a backend that does not share live state, each
+    dispatch burst ends by handing the queue over (:meth:`_hand_over`) —
+    workers compute while the event loop keeps processing — and
+    ``on_completion`` collects the job when its virtual arrival pops.  With
+    streaming off (or on the serial backend) the queue waits until a
+    completion needs one of its jobs, then runs as one batch.
     Because the job inputs are identical either way and results always
-    apply in virtual-time completion order, the two paths produce
+    apply in virtual-time completion order, both hand-over moments produce
     bit-identical histories (``tests/test_backends.py`` pins this).
 
     Dispatch planning: the prime and every refill burst go through
@@ -910,10 +884,9 @@ class AsyncPolicy:
             self.sampler.reset()
         ctx = core.ctx
         self._in_flight: dict[int, Dispatch] = {}
-        self._pending: list[Dispatch] = []
-        self._results: dict[int, tuple] = {}
+        self._queue: list[tuple[int, ClientJob]] = []
         self._handles: dict[int, object] = {}
-        self._jobs: dict[int, ClientJob] = {}
+        self._results: dict[int, ClientResult] = {}
         self._state = {"dispatched": 0, "version": 0, "applied": 0}
         self._completed = 0
         self._round_idx = 0
@@ -924,11 +897,9 @@ class AsyncPolicy:
         # every job through the contract (so it works on every backend)
         buf0 = ctx.model.get_buffers(copy=True) if ctx.model.buffers else None
         self._buffers = buf0
-        self._burst: list[tuple[int, ClientJob]] = []
         self._tracker = IdleTracker(ctx.num_clients)
         self._t0 = time.perf_counter()
         self._dispatch_many(core, min(self.concurrency, self.max_updates))
-        self._submit_burst(core)
 
     def finish(self, core: EventCore) -> None:
         pass
@@ -991,7 +962,7 @@ class AsyncPolicy:
         if n == 1:
             # steady-state refills are single dispatches: the scalar draw is
             # what sample_many reduces to (pinned), the single schedule() is
-            # what push_many reduces to, and no burst lists are built
+            # what push_many reduces to, and no entry list is built
             cid = cids[0]
             lat = float(self.latency_model.latency(cid, seq0))
             if prof is not None:
@@ -1009,78 +980,49 @@ class AsyncPolicy:
             if rec is not None:
                 rec.on_dispatch(core, d, lat)
             core.clock.schedule(lat, client_id=cid, event=Completion(d, lat))
+            dispatches = (d,)
+        else:
+            lats = self.latency_model.sample_many(
+                np.asarray(cids, dtype=np.int64),
+                np.arange(seq0, seq0 + n, dtype=np.int64),
+            )
             if prof is not None:
                 t1 = time.perf_counter()
-                prof.add("heap", t1 - t0)
-                prof.dispatches += 1
+                prof.add("latency", t1 - t0)
                 t0 = t1
-            job = self._make_job(core, d)
-            if self._streaming_active(core):
-                self._burst.append((seq0, job))
-            else:
-                self._pending.append(d)
-                self._jobs[seq0] = job
-            if prof is not None:
-                prof.add("job_build", time.perf_counter() - t0)
-            return
-        lats = self.latency_model.sample_many(
-            np.asarray(cids, dtype=np.int64),
-            np.arange(seq0, seq0 + n, dtype=np.int64),
-        )
-        if prof is not None:
-            t1 = time.perf_counter()
-            prof.add("latency", t1 - t0)
-            t0 = t1
-        now = core.clock.now
-        dispatches: list[Dispatch] = []
-        entries: list[tuple[float, int, dict]] = []
-        for i in range(n):
-            cid, seq, lat = cids[i], seq0 + i, float(lats[i])
-            d = Dispatch(
-                seq=seq, client_id=cid, round_idx=seq, issued_at=now,
-                version=st["version"], x_ref=core.x,
-                state=store.snapshot(cid) if store_active else None,
-                state_version=store.version(cid) if store_active else 0,
-            )
-            dispatches.append(d)
-            self._in_flight[seq] = d
-            if rec is not None:
-                rec.on_dispatch(core, d, lat)
-            entries.append((lat, cid, {"event": Completion(d, lat)}))
-        core.clock.push_many(entries)
+            now = core.clock.now
+            dispatches = []
+            entries: list[tuple[float, int, dict]] = []
+            for i in range(n):
+                cid, seq, lat = cids[i], seq0 + i, float(lats[i])
+                d = Dispatch(
+                    seq=seq, client_id=cid, round_idx=seq, issued_at=now,
+                    version=st["version"], x_ref=core.x,
+                    state=store.snapshot(cid) if store_active else None,
+                    state_version=store.version(cid) if store_active else 0,
+                )
+                dispatches.append(d)
+                self._in_flight[seq] = d
+                if rec is not None:
+                    rec.on_dispatch(core, d, lat)
+                entries.append((lat, cid, {"event": Completion(d, lat)}))
+            core.clock.push_many(entries)
         if prof is not None:
             t1 = time.perf_counter()
             prof.add("heap", t1 - t0)
             prof.dispatches += n
             t0 = t1
-        streaming = self._streaming_active(core)
+        queue = self._queue
         for d in dispatches:
-            job = self._make_job(core, d)
-            if streaming:
-                self._burst.append((d.seq, job))
-            else:
-                self._pending.append(d)
-                self._jobs[d.seq] = job
+            queue.append((d.seq, self._make_job(core, d)))
         if prof is not None:
-            prof.add("job_build", time.perf_counter() - t0)
-
-    def _submit_burst(self, core: EventCore) -> None:
-        """Hand the accumulated dispatch burst to the backend in one call.
-
-        Streaming dispatches issued back-to-back (the prime, a refill burst)
-        go out as one ``submit_many``, so batching transports amortize a
-        round-trip across them.
-        """
-        if not self._burst:
-            return
-        prof = core.profiler
-        t0 = time.perf_counter() if prof is not None else 0.0
-        seqs = [s for s, _ in self._burst]
-        handles = core.submit_jobs([j for _, j in self._burst])
-        self._burst = []
-        self._handles.update(zip(seqs, handles))
-        if prof is not None:
-            prof.add("submit", time.perf_counter() - t0)
+            t1 = time.perf_counter()
+            prof.add("job_build", t1 - t0)
+            t0 = t1
+        if self._streaming_active(core):
+            self._hand_over(core)
+            if prof is not None:
+                prof.add("submit", time.perf_counter() - t0)
 
     def _make_job(self, core: EventCore, d: Dispatch) -> ClientJob:
         """Build the dispatch's job from *dispatch-time* server state.
@@ -1090,34 +1032,57 @@ class AsyncPolicy:
         copied (it mutates in place as later completions land) and the
         broadcast state packed (a deep copy).  Streaming and lazy-batch
         execution therefore see identical inputs, which is what keeps their
-        histories bit-identical.
+        histories bit-identical.  A recorded run's queue wait anchors here,
+        at dispatch, not at whenever the queue reaches the backend.
         """
         buffers = (
             {k: v.copy() for k, v in self._buffers.items()}
             if self._buffers is not None
             else None
         )
-        job = ClientJob(
+        timed = core.recorder is not None
+        return ClientJob(
             round_idx=d.round_idx,
             client_id=d.client_id,
             x_ref=d.x_ref,
             client_state=d.state,
             buffers=buffers,
             broadcast_state=core.algorithm.pack_broadcast_state() or None,
+            collect_timing=timed,
+            submitted_at=time.monotonic() if timed else None,
         )
-        if core.recorder is not None:
-            # queue wait anchors at dispatch — when the work logically
-            # enqueues — not at whenever a lazy flush reaches the backend
-            job = replace(job, collect_timing=True, submitted_at=time.monotonic())
-        return job
 
     def _streaming_active(self, core: EventCore) -> bool:
         # live-state backends keep the lazy-batch path: in-process compute
         # has nothing to overlap with, and batching amortizes bookkeeping
         return self.streaming and not core.backend.shares_state
 
+    def _hand_over(self, core: EventCore) -> None:
+        """Give every queued job to the backend.
+
+        Streaming, the queue goes out as one ``submit_many`` and its handles
+        wait in ``_handles``.  Otherwise it runs now as one batch and its
+        results wait in ``_results``; the jobs carry dispatch-time broadcast
+        state, so on a backend that runs them against the *live* algorithm
+        the current server state is saved first and restored after.
+        """
+        queue, self._queue = self._queue, []
+        seqs = [seq for seq, _ in queue]
+        jobs = [job for _, job in queue]
+        if self._streaming_active(core):
+            self._handles.update(zip(seqs, core.backend.submit_many(jobs)))
+            return
+        restore = None
+        if core.backend.shares_state and any(
+            j.broadcast_state is not None for j in jobs
+        ):
+            restore = core.algorithm.pack_broadcast_state()
+        self._results.update(zip(seqs, core.run_backend_jobs(jobs)))
+        if restore is not None:
+            core.algorithm.unpack_broadcast_state(restore)
+
     def _drain(self, core: EventCore, block: bool = False) -> None:
-        """Move finished streaming jobs from the backend into ``_results``."""
+        """Move finished jobs from the backend into ``_results``."""
         if not self._handles:
             return
         by_handle = {h: seq for seq, h in self._handles.items()}
@@ -1127,76 +1092,29 @@ class AsyncPolicy:
             del self._handles[seq]
 
     def _obtain(self, core: EventCore, seq: int):
-        """The result for dispatch ``seq``: cached, collected, or computed."""
+        """The result for dispatch ``seq``, wherever its job is now."""
         res = self._results.pop(seq, None)
         if res is not None:
             return res
-        # a burst never stays unsubmitted across event-loop steps (every
-        # dispatch site flushes it), but submit defensively before looking
-        # the handle up so _obtain can never miss a burst-parked job
-        if self._burst:
-            self._submit_burst(core)
+        if seq not in self._handles:
+            self._hand_over(core)  # the job is still queued
         if seq in self._handles:
             # sweep everything already finished, then wait on the one needed
             self._drain(core, block=False)
-            if seq not in self._handles:
-                return self._results.pop(seq)
-            handle = self._handles.pop(seq)
-            ((_, res),) = core.collect_jobs([handle], block=True)
-            return res
-        pending = self._pending
-        if len(pending) == 1 and pending[0].seq == seq:
-            # steady-state lazy path: each completion computes exactly the
-            # job its refill dispatched, so the batch scaffolding (pending
-            # zip, _results round-trip) reduces to one direct execution —
-            # with the same stale-broadcast-state restore flush() does
-            self._pending = []
-            job = self._jobs.pop(seq)
-            restore = None
-            if core.backend.shares_state and job.broadcast_state is not None:
-                restore = core.algorithm.pack_broadcast_state()
-            (res,) = core.run_backend_jobs([job])
-            if restore is not None:
-                core.algorithm.unpack_broadcast_state(restore)
-            return res
-        self.flush(core)
+            if seq in self._handles:
+                ((_, res),) = core.collect_jobs([self._handles.pop(seq)], block=True)
+                return res
         return self._results.pop(seq)
 
     def prepare_snapshot(self, core: EventCore) -> None:
-        """Materialize in-flight streaming jobs before state is pickled.
+        """Collect every job the backend holds before state is pickled.
 
         Backend futures are not picklable.  Jobs are pure functions of
         their stamped inputs, so collecting them early changes nothing but
-        wall-clock overlap; lazy-batch jobs (``_jobs``) are plain data and
-        simply ride the snapshot.
+        wall-clock overlap; queued jobs are plain data and simply ride the
+        snapshot.
         """
-        self._submit_burst(core)
         self._drain(core, block=True)
-
-    def flush(self, core: EventCore) -> None:
-        """Compute every pending dispatch through the execution backend.
-
-        The lazy-batch path (streaming off, and always the serial backend):
-        dispatches accumulate until a completion needs a result, so
-        FedBuff-style runs batch many jobs per backend call.  Jobs carry
-        dispatch-time broadcast state; when the backend executes against
-        the *live* algorithm those stale snapshots unpack into it, so the
-        current server state is saved first and restored after the batch.
-        """
-        if not self._pending:
-            return
-        jobs = [self._jobs.pop(d.seq) for d in self._pending]
-        restore = None
-        if core.backend.shares_state and any(
-            j.broadcast_state is not None for j in jobs
-        ):
-            restore = core.algorithm.pack_broadcast_state()
-        results = core.run_backend_jobs(jobs)
-        if restore is not None:
-            core.algorithm.unpack_broadcast_state(restore)
-        for d, res in zip(self._pending, results):
-            self._results[d.seq] = res
-        self._pending = []
 
     # -- completions ---------------------------------------------------------
     def on_completion(self, core: EventCore, comp: Completion, now: float) -> None:
@@ -1255,7 +1173,6 @@ class AsyncPolicy:
             core,
             min(self.max_updates - st["dispatched"], limit - len(self._in_flight)),
         )
-        self._submit_burst(core)
 
         if self._completed % self.window == 0 or self._completed == self.max_updates:
             self.close_window(core)

@@ -60,10 +60,7 @@ class ScalarAsyncPolicy(AsyncPolicy):
         )
         core.post(lat, Completion(d, float(lat)), client_id=cid)
         self._in_flight[seq] = d
-        job = self._make_job(core, d)
+        self._queue.append((seq, self._make_job(core, d)))
         if self._streaming_active(core):
-            self._burst.append((seq, job))
-        else:
-            self._pending.append(d)
-            self._jobs[seq] = job
+            self._hand_over(core)
         self.scalar_dispatches += 1

@@ -42,6 +42,8 @@ from repro.parallel import (
 )
 from repro.runtime import (
     AsyncFederatedSimulation,
+    AsyncPolicy,
+    EventCore,
     LognormalLatency,
     SemiSyncFederatedSimulation,
 )
@@ -307,6 +309,61 @@ class TestStreamingEquivalence:
         assert_history_equal(stream.history, batch.history)
         np.testing.assert_array_equal(stream.final_params, batch.final_params)
 
+    def test_one_queued_stateful_job_per_completion(self, monkeypatch):
+        """SCAFFOLD under FedBuff at concurrency 1: every completion's job is
+        then the only one queued, and it carries broadcast state (SCAFFOLD's
+        ``c``).  Serial == process and streaming on == off."""
+        batches = []
+        run_backend_jobs = EventCore.run_backend_jobs
+
+        def spy(core, jobs):
+            batches.append(len(jobs))
+            return run_backend_jobs(core, jobs)
+
+        monkeypatch.setattr(EventCore, "run_backend_jobs", spy)
+        runs = {
+            (backend, streaming): run(_spec(
+                "fedbuff", method="scaffold", method_kwargs={"buffer_size": 3},
+                backend=backend, concurrency=1, streaming=streaming,
+            ))
+            for backend in ("serial", "process")
+            for streaming in (True, False)
+        }
+        # the serial runs and the lazy pool run hand over one job at a time
+        assert batches and set(batches) == {1}
+        ref = runs["serial", False]
+        accuracy = [r.test_accuracy for r in ref.history.records]
+        for key, res in runs.items():
+            np.testing.assert_array_equal(
+                [r.test_accuracy for r in res.history.records], accuracy,
+                err_msg=str(key),
+            )
+            np.testing.assert_array_equal(
+                res.final_params, ref.final_params, err_msg=str(key)
+            )
+            assert_history_equal(res.history, ref.history)
+
+    def test_lazy_hand_over_keeps_live_broadcast_state(self, monkeypatch):
+        """On a live-state backend a lazy batch unpacks each job's
+        dispatch-time broadcast state into the server's algorithm; the
+        hand-over puts the server's own state back after the batch.  The
+        spy marks the live state first, so a batch that left any job's
+        state behind shows."""
+        hand_over = AsyncPolicy._hand_over
+        kept = []
+
+        def spy(policy, core):
+            algo = core.algorithm
+            marked = {k: v + 1.0 for k, v in algo.pack_broadcast_state().items()}
+            algo.unpack_broadcast_state(marked)
+            hand_over(policy, core)
+            after = algo.pack_broadcast_state()
+            kept.append(all(np.array_equal(after[k], v) for k, v in marked.items()))
+
+        monkeypatch.setattr(AsyncPolicy, "_hand_over", spy)
+        run(_spec("fedbuff", method="scaffold", method_kwargs={"buffer_size": 3}))
+        assert kept and all(kept)
+
     @pytest.mark.parametrize("kind", ("sync", "semisync"))
     def test_round_kinds_unaffected_by_streaming_env(self, kind, monkeypatch):
         """Round policies dispatch whole cohorts (submit+collect is already
@@ -390,7 +447,7 @@ class TestStreamingAPI:
         ds, cfg = problem
         ctx, backend = self._bound(name, ds, cfg)
         with backend:
-            handles = [backend.submit(j) for j in self._jobs(ctx)]
+            handles = backend.submit_many(self._jobs(ctx))
             for i in reversed(range(len(handles))):
                 ((h, res),) = backend.collect([handles[i]], block=True)
                 assert h == handles[i]
@@ -408,7 +465,7 @@ class TestStreamingAPI:
         ds, cfg = problem
         ctx, backend = self._bound(name, ds, cfg)
         with backend:
-            handles = [backend.submit(j) for j in self._jobs(ctx)]
+            handles = backend.submit_many(self._jobs(ctx))
             pairs = backend.collect(block=True)  # handles=None: everything
             assert [h for h, _ in pairs] == handles
             for (_, res), disp in zip(pairs, reference):
@@ -420,7 +477,7 @@ class TestStreamingAPI:
         ds, cfg = problem
         ctx, backend = self._bound("process", ds, cfg)
         with backend:
-            handles = [backend.submit(j) for j in self._jobs(ctx)]
+            handles = backend.submit_many(self._jobs(ctx))
             got = {}
             deadline = time.monotonic() + 120
             while len(got) < len(handles) and time.monotonic() < deadline:
@@ -437,19 +494,20 @@ class TestStreamingAPI:
         ds, cfg = problem
         ctx, backend = self._bound("serial", ds, cfg)
         with backend:
-            handles = [backend.submit(j) for j in self._jobs(ctx, n=3)]
+            handles = backend.submit_many(self._jobs(ctx, n=3))
             # everything already finished: a non-blocking collect drains all
             assert len(backend.collect(handles, block=False)) == 3
 
     def test_submit_stamps_submitted_at(self, problem):
-        """The queue-wait anchor is set at submission (not at flush), unless
-        the caller anchored an earlier dispatch time itself."""
+        """The queue-wait anchor is set at submission, unless the caller
+        anchored an earlier time itself (the event core stamps a job where
+        it builds it)."""
         ds, cfg = problem
         ctx, backend = self._bound("serial", ds, cfg)
         with backend:
             (job,) = self._jobs(ctx, n=1, collect_timing=True)
             assert job.submitted_at is None
-            h = backend.submit(job)
+            (h,) = backend.submit_many([job])
             assert h.job.submitted_at is not None
             ((_, res),) = backend.collect([h])
             assert res.timing["queue_wait_s"] >= 0.0
@@ -458,7 +516,7 @@ class TestStreamingAPI:
             anchor = time.monotonic() - 1.0
             (early,) = self._jobs(ctx, n=1, collect_timing=True,
                                   submitted_at=anchor)
-            h2 = backend.submit(early)
+            (h2,) = backend.submit_many([early])
             assert h2.job.submitted_at == anchor
             ((_, res2),) = backend.collect([h2])
             assert res2.timing["queue_wait_s"] >= 1.0
@@ -467,10 +525,7 @@ class TestStreamingAPI:
         ds, cfg = problem
         ctx, backend = self._bound("process", ds, cfg)
         with backend:
-            handles = [
-                backend.submit(j)
-                for j in self._jobs(ctx, n=4, collect_timing=True)
-            ]
+            handles = backend.submit_many(self._jobs(ctx, n=4, collect_timing=True))
             for _, res in backend.collect(handles, block=True):
                 assert res.timing["queue_wait_s"] >= 0.0
                 assert res.timing["compute_s"] > 0.0
@@ -478,9 +533,7 @@ class TestStreamingAPI:
 
     def test_backend_with_neither_api_raises(self):
         job = ClientJob(round_idx=0, client_id=0, x_ref=np.zeros(1))
-        with pytest.raises(NotImplementedError, match="submit"):
-            _HollowBackend().submit(job)
-        with pytest.raises(NotImplementedError, match="submit"):
+        with pytest.raises(NotImplementedError, match="submit_many"):
             _HollowBackend().submit_many([job])
         with pytest.raises(NotImplementedError, match="collect"):
             _HollowBackend().collect()
@@ -522,9 +575,10 @@ class TestBackendLifecycle:
         with make_backend("process", workers=2) as backend:
             backend.bind(ctx, algo,
                          model_builder=lambda: make_mlp(32, 10, seed=0))
-            for k in range(4):
-                backend.submit(ClientJob(round_idx=0, client_id=k,
-                                         x_ref=ctx.x0.copy()))
+            backend.submit_many([
+                ClientJob(round_idx=0, client_id=k, x_ref=ctx.x0.copy())
+                for k in range(4)
+            ])
         assert backend._pool is None
         assert self._leaked(before) == set()
 

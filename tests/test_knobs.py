@@ -1,5 +1,6 @@
 """Environment knobs: the ratchet on which ones exist, and the federation
-timing knobs' validation (none of these tests opens a socket)."""
+timing and in-flight knobs' validation (none of these tests opens a
+socket)."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.cli import main as cli_main
-from repro.net.service import AggregatorService, env_seconds
+from repro.net.service import AggregatorService, env_inflight, env_seconds
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -30,6 +31,9 @@ KNOBS = {
 
 BAD_SECONDS = (0.0, -1.0, math.nan, math.inf)
 
+#: in-flight caps the scheduler cannot use: below 1, fractional, not a count
+BAD_COUNTS = (0, -3, 2.7, math.nan, math.inf, True)
+
 
 def test_src_reads_exactly_the_listed_knobs():
     found = {
@@ -47,11 +51,18 @@ class TestNetTimingKnobs:
         with pytest.raises(ValueError, match=param):
             AggregatorService("127.0.0.1:0", **{param: value})
 
+    @pytest.mark.parametrize("value", BAD_COUNTS)
+    def test_constructor_refuses_an_unusable_inflight_cap(self, value):
+        with pytest.raises(ValueError, match="inflight_cap"):
+            AggregatorService("127.0.0.1:0", inflight_cap=value)
+
     def test_constructor_keeps_valid_values(self):
         svc = AggregatorService(
-            "127.0.0.1:0", heartbeat_interval=0.25, heartbeat_timeout=2.0
+            "127.0.0.1:0", heartbeat_interval=0.25, heartbeat_timeout=2.0,
+            inflight_cap=3,
         )
         assert (svc.heartbeat_interval, svc.heartbeat_timeout) == (0.25, 2.0)
+        assert svc.inflight_cap == 3
 
     @pytest.mark.parametrize("raw", ("soon", "0", "-1", "nan", "inf"))
     @pytest.mark.parametrize("name", (
@@ -63,6 +74,20 @@ class TestNetTimingKnobs:
         monkeypatch.setenv(name, raw)
         with pytest.raises(ValueError, match=name):
             env_seconds(name)
+
+    @pytest.mark.parametrize("raw", ("soon", "0", "-3", "2.7", "nan", "inf"))
+    def test_inflight_environment_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_NET_INFLIGHT", raw)
+        with pytest.raises(ValueError, match="REPRO_NET_INFLIGHT"):
+            env_inflight()
+        with pytest.raises(ValueError, match="REPRO_NET_INFLIGHT"):
+            AggregatorService("127.0.0.1:0")
+
+    def test_inflight_environment_reaches_the_service(self, monkeypatch):
+        monkeypatch.delenv("REPRO_NET_INFLIGHT", raising=False)
+        assert AggregatorService("127.0.0.1:0").inflight_cap == 4
+        monkeypatch.setenv("REPRO_NET_INFLIGHT", " 6 ")
+        assert AggregatorService("127.0.0.1:0").inflight_cap == 6
 
     def test_environment_reaches_the_service(self, monkeypatch):
         monkeypatch.delenv("REPRO_NET_HEARTBEAT", raising=False)
@@ -87,12 +112,17 @@ class TestNetTimingKnobs:
         assert getattr(args, flag[2:].replace("-", "_")) == 0.5
 
     def test_serve_exits_2_on_a_bad_environment_value(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_NET_WORKER_TIMEOUT", "-5")
-
         def listen(self):
             raise AssertionError("the aggregator listened")
 
         monkeypatch.setattr(AggregatorService, "start", listen)
-        rc = cli_main(["serve", "--address", "127.0.0.1:0", "--clients", "6"])
-        assert rc == 2
-        assert "REPRO_NET_WORKER_TIMEOUT" in capsys.readouterr().err
+        for name, raw in (
+            ("REPRO_NET_WORKER_TIMEOUT", "-5"),
+            ("REPRO_NET_INFLIGHT", "inf"),
+            ("REPRO_NET_INFLIGHT", "0"),
+        ):
+            with monkeypatch.context() as env:
+                env.setenv(name, raw)
+                rc = cli_main(["serve", "--address", "127.0.0.1:0", "--clients", "6"])
+            assert rc == 2
+            assert name in capsys.readouterr().err

@@ -346,7 +346,7 @@ class TestAggregatorService:
 
     def test_corrupt_payload_drops_the_worker_and_requeues(self, service):
         w = _ScriptedWorker(service.address)
-        service.submit(0, _job(0))
+        service.submit_many([(0, _job(0))])
         w.recv_job()
         body = encode_frame(MsgType.RESULT, (0, None, None))[5:-2]
         w.sock.sendall(len(body).to_bytes(4, "big") + bytes([MsgType.RESULT]) + body)
@@ -367,8 +367,8 @@ class TestAggregatorService:
 
     def test_requeue_on_disconnect(self, service):
         w0 = _ScriptedWorker(service.address)
-        service.submit(0, _job(0))
-        service.submit(1, _job(1))
+        service.submit_many([(0, _job(0))])
+        service.submit_many([(1, _job(1))])
         w0.recv_job()  # take a job in flight...
         w0.close()     # ...and die without answering
         w1 = _ScriptedWorker(service.address)
@@ -383,7 +383,7 @@ class TestAggregatorService:
         svc = AggregatorService("127.0.0.1:0", heartbeat_timeout=0.5).start()
         try:
             w0 = _ScriptedWorker(svc.address)
-            svc.submit(0, _job(0))
+            svc.submit_many([(0, _job(0))])
             w0.recv_job()  # holds the job, then goes silent (no heartbeat)
             deadline = time.monotonic() + 10.0
             while svc.stats()["workers_lost"] < 1:  # the timeout fires
@@ -401,7 +401,7 @@ class TestAggregatorService:
 
     def test_remote_exception_surfaces(self, service):
         w = _ScriptedWorker(service.address)
-        service.submit(0, _job(0))
+        service.submit_many([(0, _job(0))])
         seq, _ = w.recv_job()
         send_frame(w.sock, MsgType.RESULT, (seq, None, "Traceback: boom"))
         with pytest.raises(WorkerError, match="boom"):
@@ -410,7 +410,7 @@ class TestAggregatorService:
 
     def test_wire_bytes_stamped_when_timing(self, service):
         w = _ScriptedWorker(service.address)
-        service.submit(0, _job(0, collect_timing=True))
+        service.submit_many([(0, _job(0, collect_timing=True))])
         w.serve(1)
         result = service.collect([0], block=True)[0]
         assert result.timing["send_bytes"] > 0
@@ -458,7 +458,7 @@ class TestAggregatorService:
         w = _ScriptedWorker(service.address)
         x = np.arange(16.0)
         for seq in range(3):
-            service.submit(seq, replace(_job(seq), x_ref=x))
+            service.submit_many([(seq, replace(_job(seq), x_ref=x))])
         w.serve(3)
         results = service.collect([0, 1, 2], block=True)
         assert all(results[s] is not None for s in range(3))
@@ -473,7 +473,7 @@ class TestAggregatorService:
             service.wait_for_workers(1, timeout=0.3)
 
     def test_collect_fails_only_when_no_workers_remain(self, service):
-        service.submit(0, _job(0))
+        service.submit_many([(0, _job(0))])
         with pytest.raises(RuntimeError, match="no workers registered"):
             service.collect([0], block=True, no_worker_timeout=0.5)
 

@@ -237,16 +237,22 @@ class TestResume:
         snap_path = latest_snapshot(rdir)
         with open(snap_path, "rb") as f:
             snap = pickle.load(f)
-        snap["schema"] = 1
-        save_snapshot(snap_path, snap)
-        # specs saved alongside schema-1 snapshots carry the retired
-        # runtime.fast_path key
         spec_path = os.path.join(rdir, "spec.json")
         with open(spec_path) as f:
-            data = json.load(f)
+            spec_text = f.read()
+        # specs saved alongside schema-1 snapshots carry the retired
+        # runtime.fast_path key
+        data = json.loads(spec_text)
         data["runtime"]["fast_path"] = None
-        with open(spec_path, "w") as f:
-            json.dump(data, f)
+        # schema 2's async policy held its jobs in three structures and had
+        # no single queue: resuming it would break at the first dispatch
+        policy_2 = dict(snap["policy"])
+        del policy_2["_queue"]
+        policy_2.update(_pending=[], _jobs={}, _burst=[])
+        layouts = {
+            1: (json.dumps(data), snap["policy"]),
+            2: (spec_text, policy_2),
+        }
         # a torn tail, which opening a recorder would heal with a newline
         with open(journal_path(rdir), "a") as f:
             f.write('{"type": "dispatch", "seq": 99')
@@ -255,14 +261,18 @@ class TestResume:
         bound = []
         monkeypatch.setattr(ProcessPoolBackend, "bind",
                             lambda self, *a, **kw: bound.append(self))
-        message = f"snapshot schema 1 != {SNAPSHOT_SCHEMA_VERSION}"
-        with pytest.raises(ValueError, match=message):
-            resume_run(rdir)
-        assert cli_main(["run", "--resume", rdir]) == 2
-        assert message in capsys.readouterr().err
-        assert bound == []
-        with open(journal_path(rdir), "rb") as f:
-            assert f.read() == journal
+        for schema, (spec_json, policy) in layouts.items():
+            save_snapshot(snap_path, snap | {"schema": schema, "policy": policy})
+            with open(spec_path, "w") as f:
+                f.write(spec_json)
+            message = f"snapshot schema {schema} != {SNAPSHOT_SCHEMA_VERSION}"
+            with pytest.raises(ValueError, match=message):
+                resume_run(rdir)
+            assert cli_main(["run", "--resume", rdir]) == 2
+            assert message in capsys.readouterr().err
+            assert bound == []
+            with open(journal_path(rdir), "rb") as f:
+                assert f.read() == journal
 
     def test_record_without_run_dir_rejected(self):
         with pytest.raises(ValueError, match="run_dir"):
