@@ -1,10 +1,14 @@
 """Extending the framework with a custom federated algorithm.
 
-The algorithm protocol is three methods (setup / client_updates / aggregate);
-the ``LocalSGDMixin`` gives you the inner loop, run for a whole cohort at
-once, with a pluggable per-step ``direction_fn``.  This example implements
+The algorithm protocol is three methods (setup / client_updates / aggregate).
+The base class's ``aggregate`` is FedAvg's step over an
+``aggregation_weights`` hook, and FedCM's adds the momentum rule over
+``pseudo_gradients`` and ``next_alpha``, so a new server rule is usually one
+hook.  The ``LocalSGDMixin`` gives you the inner loop, run for a whole cohort
+at once, with a pluggable per-step ``direction_fn``.  This example implements
 **FedWCM-Prox** — FedWCM's weighted momentum plus a FedProx-style proximal
-anchor — in ~30 lines, and races it against its two parents.
+anchor — by overriding only the local rule, and races it against its two
+parents.
 
     python examples/custom_algorithm_plugin.py
 """

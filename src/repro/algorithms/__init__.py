@@ -23,7 +23,6 @@ from repro.algorithms.variants import (
 from repro.algorithms.registry import (
     MethodBundle,
     make_method,
-    method_is_stateful,
     method_is_parallel_safe,
     method_requires_aggregate,
     METHOD_NAMES,
@@ -64,7 +63,6 @@ __all__ = [
     "MethodBundle",
     "make_method",
     "METHOD_NAMES",
-    "method_is_stateful",
     "method_is_parallel_safe",
     "method_requires_aggregate",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin, size_weights
+from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin
 from repro.simulation.context import SimulationContext
 
 __all__ = ["FedAsync", "FedBuff", "AsyncAdapter"]
@@ -43,7 +43,7 @@ class _AsyncLocalSGD(LocalSGDMixin, FederatedAlgorithm):
     # replicas built with default values still produce bit-identical client
     # updates — the async engine's replica-config check skips them
     replica_safe_hyperparams = frozenset(
-        {"staleness_exponent", "mixing", "weighted", "buffer_size"}
+        {"staleness_exponent", "mixing", "buffer_size"}
     )
 
     def __init__(self, staleness_exponent: float = 0.5) -> None:
@@ -76,7 +76,6 @@ class FedAsync(_AsyncLocalSGD):
     Args:
         mixing: base mixing rate alpha in (0, 1]; the fresh-update step size.
         staleness_exponent: kappa of the polynomial discount.
-        weighted: sample-size weighting in the synchronous fallback.
     """
 
     name = "fedasync"
@@ -85,13 +84,11 @@ class FedAsync(_AsyncLocalSGD):
         self,
         mixing: float = 0.6,
         staleness_exponent: float = 0.5,
-        weighted: bool = True,
     ) -> None:
         super().__init__(staleness_exponent=staleness_exponent)
         if not 0.0 < mixing <= 1.0:
             raise ValueError(f"mixing must be in (0, 1], got {mixing}")
         self.mixing = mixing
-        self.weighted = weighted
         self._last_alpha = float("nan")
 
     def server_apply(self, ctx, x, update, staleness, x_dispatch) -> np.ndarray:
@@ -103,7 +100,7 @@ class FedAsync(_AsyncLocalSGD):
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
         # synchronous fallback: zero staleness, so mixing collapses to a
         # damped FedAvg step (x_dispatch == x_global for every update)
-        w = size_weights(updates) if self.weighted else np.full(len(updates), 1.0 / len(updates))
+        w = self.aggregation_weights(ctx, selected, updates)
         a = min(1.0, ctx.config.lr_global * self.mixing)
         self._last_alpha = a
         disp = np.stack([u.displacement for u in updates])

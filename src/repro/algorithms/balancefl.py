@@ -20,14 +20,15 @@ uniform class distribution.  Two mechanisms are reproduced:
    at every point (the CE pushes absent logits down, the penalty pushes them
    up) and drives exponential parameter growth.
 
-Aggregation is sample-size-weighted averaging as in FedAvg.
+Aggregation is sample-size-weighted averaging as in FedAvg (the base
+class's server step).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, size_weights
+from repro.algorithms.base import ClientUpdate, FederatedAlgorithm
 from repro.data.sampler import BalancedBatchSampler
 from repro.nn.functional import softmax
 from repro.simulation.context import SimulationContext
@@ -40,16 +41,14 @@ class BalanceFL(FederatedAlgorithm):
 
     Args:
         distill_weight: weight of the absent-class distillation term.
-        weighted: sample-size aggregation weights.
     """
 
     name = "balancefl"
 
-    def __init__(self, distill_weight: float = 1.0, weighted: bool = True) -> None:
+    def __init__(self, distill_weight: float = 1.0) -> None:
         if distill_weight < 0:
             raise ValueError(f"distill_weight must be >= 0, got {distill_weight}")
         self.distill_weight = distill_weight
-        self.weighted = weighted
 
     def setup(self, ctx: SimulationContext) -> None:
         # balanced samplers per client (overrides the default uniform sampler)
@@ -126,10 +125,3 @@ class BalanceFL(FederatedAlgorithm):
             n_samples=len(ys),
             n_batches=nb,
         )
-
-    def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = size_weights(updates) if self.weighted else np.full(
-            len(updates), 1.0 / len(updates)
-        )
-        disp = np.stack([u.displacement for u in updates])
-        return x_global - ctx.config.lr_global * (w @ disp)

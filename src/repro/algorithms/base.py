@@ -11,7 +11,10 @@ Every federated method implements three entry points:
   ``client_update(ctx, round_idx, client_id, x_global)`` is the one-client
   entry point.
 * ``aggregate(ctx, round_idx, selected, updates, x_global) -> x_new`` — the
-  server step.
+  server step.  The base class's is FedAvg's, ``x_global - lr_global * (w @
+  disp)``, with ``w`` from the ``aggregation_weights(ctx, selected,
+  updates)`` hook (sample counts by default); a method whose server step is
+  FedAvg's with other weights overrides only the hook.
 
 ``LocalSGDMixin._local_sgd`` implements the inner loop once, for a whole
 cohort: the clients' parameters form one ``(C, dim)`` block, the model
@@ -91,11 +94,12 @@ class FederatedAlgorithm:
     stateful_per_client = False
 
     #: Names of *server-side* attributes ``client_update`` reads (SCAFFOLD's
-    #: control variate ``c``, FedCM's momentum ``Delta``).  Non-serial
+    #: control variate ``c``, FedLESAM's previous model).  Non-serial
     #: execution backends snapshot these via :meth:`pack_broadcast_state`
     #: and restore them on worker replicas before each job; methods that
-    #: keep such state without declaring it here cannot run off the serial
-    #: backend correctly.
+    #: keep such state without declaring it here (or overriding the
+    #: pack/unpack pair, as FedCM does for its momentum) cannot run off the
+    #: serial backend correctly.
     broadcast_attrs: tuple = ()
 
     #: False when ``client_update`` touches mutable state *outside* the
@@ -154,6 +158,11 @@ class FederatedAlgorithm:
         local loops."""
         return [self.client_update(ctx, r, k, x) for r, k, x in jobs]
 
+    def aggregation_weights(self, ctx, selected, updates) -> np.ndarray:
+        """The server step's client weights, one per update, summing to 1:
+        FedAvg's sample-count weights unless a method overrides them."""
+        return size_weights(updates)
+
     def aggregate(
         self,
         ctx: SimulationContext,
@@ -162,7 +171,11 @@ class FederatedAlgorithm:
         updates: list[ClientUpdate],
         x_global: np.ndarray,
     ) -> np.ndarray:
-        raise NotImplementedError
+        """FedAvg's server step: the weighted mean displacement, scaled by
+        ``lr_global``."""
+        w = self.aggregation_weights(ctx, selected, updates)
+        disp = np.stack([u.displacement for u in updates])
+        return x_global - ctx.config.lr_global * (w @ disp)
 
     def round_extras(self) -> dict:
         """Per-round scalars to log into the history (e.g. current alpha)."""

@@ -39,9 +39,7 @@ class CReFF(FedAvg):
         n_feat_per_class: int = 32,
         retrain_steps: int = 20,
         retrain_lr: float = 0.05,
-        weighted: bool = True,
     ) -> None:
-        super().__init__(weighted=weighted)
         if n_feat_per_class < 1 or retrain_steps < 0 or retrain_lr <= 0:
             raise ValueError("invalid CReFF hyper-parameters")
         self.n_feat_per_class = n_feat_per_class

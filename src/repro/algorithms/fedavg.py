@@ -4,31 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin, size_weights
+from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin
 from repro.simulation.context import SimulationContext
 
 __all__ = ["FedAvg", "FedProx", "FedAvgM"]
 
 
 class FedAvg(LocalSGDMixin, FederatedAlgorithm):
-    """McMahan et al. 2017: local SGD + sample-size-weighted averaging.
-
-    Args:
-        weighted: weight client updates by sample count (True, the original)
-            or uniformly (False).
-    """
+    """McMahan et al. 2017: local SGD + sample-size-weighted averaging (the
+    base class's server step)."""
 
     name = "fedavg"
-
-    def __init__(self, weighted: bool = True) -> None:
-        self.weighted = weighted
-
-    def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = size_weights(updates) if self.weighted else np.full(
-            len(updates), 1.0 / len(updates)
-        )
-        disp = np.stack([u.displacement for u in updates])
-        return x_global - ctx.config.lr_global * (w @ disp)
 
 
 class FedProx(FedAvg):
@@ -36,8 +22,7 @@ class FedProx(FedAvg):
 
     name = "fedprox"
 
-    def __init__(self, mu: float = 0.01, weighted: bool = True) -> None:
-        super().__init__(weighted=weighted)
+    def __init__(self, mu: float = 0.01) -> None:
         if mu < 0:
             raise ValueError(f"mu must be >= 0, got {mu}")
         self.mu = mu
@@ -62,8 +47,7 @@ class FedAvgM(FedAvg):
 
     name = "fedavgm"
 
-    def __init__(self, server_momentum: float = 0.9, weighted: bool = True) -> None:
-        super().__init__(weighted=weighted)
+    def __init__(self, server_momentum: float = 0.9) -> None:
         if not 0.0 <= server_momentum < 1.0:
             raise ValueError(f"server_momentum must be in [0, 1), got {server_momentum}")
         self.beta = server_momentum
@@ -73,9 +57,7 @@ class FedAvgM(FedAvg):
         self._m = np.zeros(ctx.dim, dtype=np.float64)
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = size_weights(updates) if self.weighted else np.full(
-            len(updates), 1.0 / len(updates)
-        )
+        w = self.aggregation_weights(ctx, selected, updates)
         disp = np.stack([u.displacement for u in updates])
         avg = w @ disp
         self._m *= self.beta

@@ -15,14 +15,15 @@ The SGB here is a faithful-in-spirit closed-loop controller: it tracks each
 class's cumulative positive (pull-up) and negative (suppressive) gradient
 flow and *shields* classes whose suppression dominates their positive signal
 (gain <= 1; see the :class:`GradientBalancer` docstring for why an
-amplifying controller diverges).  Aggregation is FedAvg.
+amplifying controller diverges).  Aggregation is FedAvg (the base class's
+server step).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, size_weights
+from repro.algorithms.base import ClientUpdate, FederatedAlgorithm
 from repro.nn.functional import one_hot, softmax
 from repro.simulation.context import SimulationContext
 
@@ -89,9 +90,8 @@ class FedGraB(FederatedAlgorithm):
 
     name = "fedgrab"
 
-    def __init__(self, kappa: float = 0.5, weighted: bool = True) -> None:
+    def __init__(self, kappa: float = 0.5) -> None:
         self.kappa = kappa
-        self.weighted = weighted
 
     # each client's balancer accumulators persist across its participations:
     # declared through the client-state contract so the execution backends
@@ -149,10 +149,3 @@ class FedGraB(FederatedAlgorithm):
             n_samples=len(ys),
             n_batches=nb,
         )
-
-    def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = size_weights(updates) if self.weighted else np.full(
-            len(updates), 1.0 / len(updates)
-        )
-        disp = np.stack([u.displacement for u in updates])
-        return x_global - ctx.config.lr_global * (w @ disp)

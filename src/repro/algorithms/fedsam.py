@@ -2,7 +2,9 @@
 
 FedSAM replaces each local gradient with the SAM gradient: evaluate the
 gradient at the adversarially perturbed point ``x + rho * g / ||g||``.
-MoFedSAM combines the SAM gradient with FedCM-style client momentum.
+MoFedSAM combines the SAM gradient with FedCM-style client momentum: it is
+:class:`~repro.algorithms.fedcm.FedCM` whose local steps evaluate
+:func:`sam_grad_eval`.
 
 These are the appendix-D heterogeneous baselines (Figures 18/19).
 """
@@ -11,11 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin, size_weights
-from repro.algorithms.fedcm import momentum_direction
-from repro.simulation.context import SimulationContext
+from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin
+from repro.algorithms.fedcm import FedCM, momentum_direction
 
-__all__ = ["FedSAM", "MoFedSAM", "perturbed_gradient"]
+__all__ = ["FedSAM", "MoFedSAM", "perturbed_gradient", "sam_grad_eval"]
 
 
 def perturbed_gradient(algo, ctx, xb, yb, loss, x, g, d, rho: float) -> np.ndarray:
@@ -40,72 +41,49 @@ def perturbed_gradient(algo, ctx, xb, yb, loss, x, g, d, rho: float) -> np.ndarr
     return g
 
 
+def sam_grad_eval(algo, ctx, rho: float):
+    """``_local_sgd``'s ``grad_eval`` for SAM steps of radius ``rho``: the
+    plain gradient, then the gradient at the point it ascends to."""
+
+    def grad_eval(xb, yb, loss, x, rows):
+        g = algo._plain_gradient(ctx, x, xb, yb, loss)
+        return perturbed_gradient(algo, ctx, xb, yb, loss, x, g, g, rho)
+
+    return grad_eval
+
+
 class FedSAM(LocalSGDMixin, FederatedAlgorithm):
     """FedAvg with local SAM steps."""
 
     name = "fedsam"
 
-    def __init__(self, rho: float = 0.05, weighted: bool = True) -> None:
+    def __init__(self, rho: float = 0.05) -> None:
         if rho <= 0:
             raise ValueError(f"rho must be positive, got {rho}")
         self.rho = rho
-        self.weighted = weighted
-
-    def _sam_grad_eval(self, ctx: SimulationContext):
-        rho = self.rho
-
-        def grad_eval(xb, yb, loss, x, rows):
-            g = self._plain_gradient(ctx, x, xb, yb, loss)
-            return perturbed_gradient(self, ctx, xb, yb, loss, x, g, g, rho)
-
-        return grad_eval
 
     def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
         x_local, nbs, losses = self._local_sgd(
-            ctx, jobs, grad_eval=self._sam_grad_eval(ctx)
+            ctx, jobs, grad_eval=sam_grad_eval(self, ctx, self.rho)
         )
         return self._client_results(ctx, jobs, x_local, nbs, losses)
 
-    def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = size_weights(updates) if self.weighted else np.full(
-            len(updates), 1.0 / len(updates)
-        )
-        disp = np.stack([u.displacement for u in updates])
-        return x_global - ctx.config.lr_global * (w @ disp)
 
-
-class MoFedSAM(FedSAM):
+class MoFedSAM(FedCM):
     """FedCM-style momentum applied on top of local SAM gradients."""
 
     name = "mofedsam"
-    requires_aggregate_broadcast = True
-    broadcast_attrs = ("_delta",)
 
-    def __init__(self, rho: float = 0.05, alpha: float = 0.1, weighted: bool = True) -> None:
-        super().__init__(rho=rho, weighted=weighted)
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        self.alpha = alpha
-        self._delta: np.ndarray | None = None
-
-    def setup(self, ctx: SimulationContext) -> None:
-        self._delta = np.zeros(ctx.dim, dtype=np.float64)
+    def __init__(self, rho: float = 0.05, alpha: float = 0.1) -> None:
+        if rho <= 0:
+            raise ValueError(f"rho must be positive, got {rho}")
+        super().__init__(alpha=alpha)
+        self.rho = rho
 
     def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
+        mom = self.momentum
         x_local, nbs, losses = self._local_sgd(
-            ctx,
-            jobs,
-            direction_fn=momentum_direction(self.alpha, self._delta),
-            grad_eval=self._sam_grad_eval(ctx),
+            ctx, jobs, direction_fn=momentum_direction(mom.alpha, mom.delta),
+            grad_eval=sam_grad_eval(self, ctx, self.rho),
         )
         return self._client_results(ctx, jobs, x_local, nbs, losses)
-
-    def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = size_weights(updates) if self.weighted else np.full(
-            len(updates), 1.0 / len(updates)
-        )
-        disp = np.stack([u.displacement for u in updates])
-        lr = ctx.lr_at(round_idx)
-        scale = np.array([1.0 / (lr * max(u.n_batches, 1)) for u in updates])
-        self._delta = w @ (disp * scale[:, None])
-        return x_global - ctx.config.lr_global * (w @ disp)

@@ -12,19 +12,23 @@ homomorphic encryption, see :mod:`repro.he`):
    is strong when it is safe (balanced data) and damped when it would amplify
    head-class bias.
 
+In code FedWCM is :class:`~repro.algorithms.fedcm.FedCM` overriding two hooks,
+``aggregation_weights`` (1.) and ``next_alpha`` (2.), plus the gathering.
+
 FedWCM-X additionally handles quantity skew: aggregation weights are
 multiplied by relative client sizes and the local learning rate is rescaled
 by ``B_hat / B_k`` so clients with more batches do not apply the shared
-momentum more often at full strength.
+momentum more often at full strength (its ``aggregation_weights`` and
+``pseudo_gradients`` overrides, and its own ``client_updates``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin
-from repro.algorithms.fedcm import momentum_direction
-from repro.core.momentum import GlobalMomentum, adaptive_alpha, score_ratio
+from repro.algorithms.base import ClientUpdate
+from repro.algorithms.fedcm import FedCM, momentum_direction
+from repro.core.momentum import adaptive_alpha, score_ratio
 from repro.core.scoring import client_scores, global_distribution
 from repro.core.weighting import compute_temperature, l1_discrepancy, softmax_weights
 from repro.simulation.context import SimulationContext
@@ -32,7 +36,7 @@ from repro.simulation.context import SimulationContext
 __all__ = ["FedWCM", "FedWCMX"]
 
 
-class FedWCM(LocalSGDMixin, FederatedAlgorithm):
+class FedWCM(FedCM):
     """Weighted-and-calibrated momentum federated learning.
 
     Args:
@@ -42,11 +46,10 @@ class FedWCM(LocalSGDMixin, FederatedAlgorithm):
             (literal Eq. 3) — see :mod:`repro.core.scoring`.
         t_scale: temperature scale for Eq. 4.
         alpha_min / alpha_max: clipping range of the adaptive alpha.
+        adaptive: False keeps alpha at ``alpha0`` (Eq. 4 weights only).
     """
 
     name = "fedwcm"
-    requires_aggregate_broadcast = True
-    broadcast_attrs = ("momentum",)
 
     def __init__(
         self,
@@ -60,62 +63,50 @@ class FedWCM(LocalSGDMixin, FederatedAlgorithm):
     ) -> None:
         if not 0.0 < alpha0 < 1.0:
             raise ValueError(f"alpha0 must be in (0, 1), got {alpha0}")
-        self.alpha0 = alpha0
+        super().__init__(alpha=alpha0)
         self.target_dist = target_dist
         self.score_mode = score_mode
         self.t_scale = t_scale
         self.alpha_min = alpha_min
         self.alpha_max = alpha_max
         self.adaptive = adaptive
-        self.momentum: GlobalMomentum | None = None
 
     # -- setup: global information gathering (section 5.1) -------------------
+    def gather_global_distribution(self, ctx: SimulationContext) -> np.ndarray:
+        """The global class distribution the scores and temperature are
+        computed from: here read from the clients' counts in the clear."""
+        return global_distribution(ctx.dataset.client_counts)
+
     def setup(self, ctx: SimulationContext) -> None:
-        counts = ctx.dataset.client_counts.astype(np.float64)
-        self.scores = client_scores(counts, self.target_dist, mode=self.score_mode)
-        self.global_dist = global_distribution(counts)
+        super().setup(ctx)
+        self.global_dist = self.gather_global_distribution(ctx)
+        self.scores = client_scores(
+            ctx.dataset.client_counts, self.target_dist, mode=self.score_mode,
+            global_dist=self.global_dist,
+        )
         self.discrepancy = l1_discrepancy(self.global_dist, self.target_dist)
         self.temperature = compute_temperature(
             self.global_dist, self.target_dist, t_scale=self.t_scale
         )
-        self.momentum = GlobalMomentum(dim=ctx.dim, alpha=self.alpha0)
 
-    # -- local update (Eq. 6) ---------------------------------------------------
-    def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
-        mom = self.momentum
-        x_local, nbs, losses = self._local_sgd(
-            ctx, jobs, direction_fn=momentum_direction(mom.alpha, mom.delta)
-        )
-        return self._client_results(ctx, jobs, x_local, nbs, losses)
-
-    # -- server step (Algorithm 1) ------------------------------------------------
-    def _aggregation_weights(self, ctx, selected, updates) -> np.ndarray:
+    # -- server hooks (Algorithm 1) -------------------------------------------
+    def aggregation_weights(self, ctx, selected, updates) -> np.ndarray:
+        """Eq. 4: temperature softmax over the cohort's scarcity scores."""
         sel_scores = self.scores[np.asarray(selected, dtype=np.int64)]
         return softmax_weights(sel_scores, self.temperature)
 
-    def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = self._aggregation_weights(ctx, selected, updates)
-        disp = np.stack([u.displacement for u in updates])
-        lr = ctx.lr_at(round_idx)
-        scale = np.array([1.0 / (lr * max(u.n_batches, 1)) for u in updates])
-        self.momentum.update(disp * scale[:, None], w)
-
-        if self.adaptive:
-            q_r = score_ratio(self.scores, np.asarray(selected))
-            alpha_next = adaptive_alpha(
-                self.discrepancy,
-                ctx.num_classes,
-                q_r,
-                alpha_min=self.alpha_min,
-                alpha_max=self.alpha_max,
-            )
-            self.momentum.set_alpha(alpha_next)
-
-        return x_global - ctx.config.lr_global * (w @ disp)
+    def next_alpha(self, ctx, selected) -> float | None:
+        """Eq. 5: alpha grows with the global imbalance and the cohort's
+        score ratio; None (alpha kept) when ``adaptive`` is off."""
+        if not self.adaptive:
+            return None
+        q_r = score_ratio(self.scores, np.asarray(selected))
+        return adaptive_alpha(self.discrepancy, ctx.num_classes, q_r,
+                              alpha_min=self.alpha_min, alpha_max=self.alpha_max)
 
     def round_extras(self) -> dict:
         return {
-            "alpha": self.momentum.alpha if self.momentum else self.alpha0,
+            **super().round_extras(),
             "temperature": getattr(self, "temperature", float("nan")),
         }
 
@@ -129,7 +120,8 @@ class FedWCMX(FedWCM):
       ``n_k / sum_j n_j`` (then renormalised);
     * each client's local learning rate becomes
       ``lr_local * B_hat / B_k`` where ``B_hat`` is the batch count of an
-      even split and ``B_k`` the client's own batch count.
+      even split and ``B_k`` the client's own batch count, and its
+      pseudo-gradient is normalised by that rate.
     """
 
     name = "fedwcm-x"
@@ -151,8 +143,8 @@ class FedWCMX(FedWCM):
             ctx, jobs, x_local, nbs, losses, extras=[{"lr_k": lr} for lr in lr_k]
         )
 
-    def _aggregation_weights(self, ctx, selected, updates) -> np.ndarray:
-        w = super()._aggregation_weights(ctx, selected, updates)
+    def aggregation_weights(self, ctx, selected, updates) -> np.ndarray:
+        w = super().aggregation_weights(ctx, selected, updates)
         sizes = np.array([u.n_samples for u in updates], dtype=np.float64)
         total = sizes.sum()
         if total > 0:
@@ -162,24 +154,10 @@ class FedWCMX(FedWCM):
                 w = w / s
         return w
 
-    def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = self._aggregation_weights(ctx, selected, updates)
-        disp = np.stack([u.displacement for u in updates])
-        # normalise by each client's actual applied step budget (lr_k * B_k)
+    def pseudo_gradients(self, ctx, round_idx, updates, disp) -> np.ndarray:
+        """Normalised by each client's actual applied step budget
+        ``lr_k * B_k``."""
         scale = np.array(
             [1.0 / (u.extras["lr_k"] * max(u.n_batches, 1)) for u in updates]
         )
-        self.momentum.update(disp * scale[:, None], w)
-
-        if self.adaptive:
-            q_r = score_ratio(self.scores, np.asarray(selected))
-            alpha_next = adaptive_alpha(
-                self.discrepancy,
-                ctx.num_classes,
-                q_r,
-                alpha_min=self.alpha_min,
-                alpha_max=self.alpha_max,
-            )
-            self.momentum.set_alpha(alpha_next)
-
-        return x_global - ctx.config.lr_global * (w @ disp)
+        return disp * scale[:, None]

@@ -1,17 +1,20 @@
 """FedWCM with homomorphically-encrypted information gathering.
 
 Closes the privacy loop of section 5.5: instead of reading the client
-class-count matrix directly, ``setup`` runs the BatchCrypt-style protocol of
-:mod:`repro.he.protocol` — each client's count vector is encrypted, the
-server aggregates ciphertexts, and only the *global* distribution is ever
-decrypted.  Per-client scarcity scores are then computed client-side from
-the broadcast global distribution (each client only needs its own counts
-plus the public global distribution, Eq. 3), so the server never observes a
-local distribution in the clear.
+class-count matrix directly, the global-distribution gathering runs the
+BatchCrypt-style protocol of :mod:`repro.he.protocol` — each client's count
+vector is encrypted, the server aggregates ciphertexts, and only the
+*global* distribution is ever decrypted.  Per-client scarcity scores are
+then computed from the broadcast global distribution (each client only needs
+its own counts plus the public global distribution, Eq. 3), so the server
+never observes a local distribution in the clear.
 
-The resulting training trajectory is *bit-identical* to plain FedWCM (the
-protocol is exact), which the test suite asserts — privacy comes at zero
-utility cost, matching the paper's appendix C conclusion.
+The class is FedWCM with one override,
+:meth:`~repro.algorithms.fedwcm.FedWCM.gather_global_distribution`.  The
+protocol is exact, so the decrypted distribution, and with it the scores,
+every alpha and every parameter, is *bit-identical* to plain FedWCM's, which
+the test suite asserts — privacy comes at zero utility cost, matching the
+paper's appendix C conclusion.
 """
 
 from __future__ import annotations
@@ -19,9 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.fedwcm import FedWCM
-from repro.core.momentum import GlobalMomentum
-from repro.core.scoring import scarcity_weights
-from repro.core.weighting import compute_temperature, l1_discrepancy
 from repro.he.bfv import BFVParams
 from repro.he.protocol import AggregationReport, aggregate_class_distribution
 from repro.simulation.context import SimulationContext
@@ -54,26 +54,12 @@ class FedWCMEncrypted(FedWCM):
         self.bfv_params = bfv_params or BFVParams(n=1024, t=1 << 20, q_bits=50)
         self.report: AggregationReport | None = None
 
-    def setup(self, ctx: SimulationContext) -> None:
-        counts = ctx.dataset.client_counts
-        # --- protocol: encrypt, aggregate, decrypt only the global sum -----
+    def gather_global_distribution(self, ctx: SimulationContext) -> np.ndarray:
+        """Encrypt every client's counts, aggregate the ciphertexts and
+        decrypt only the global sum."""
         self.report = aggregate_class_distribution(
-            counts, scheme=self.scheme, seed=self.he_seed, bfv_params=self.bfv_params
+            ctx.dataset.client_counts, scheme=self.scheme, seed=self.he_seed,
+            bfv_params=self.bfv_params,
         )
         total = self.report.global_counts.astype(np.float64)
-        self.global_dist = total / total.sum()
-
-        # --- client-side scoring from the broadcast global distribution ----
-        w = scarcity_weights(self.global_dist, self.target_dist, mode=self.score_mode)
-        scores = np.zeros(ctx.num_clients)
-        for k in range(ctx.num_clients):
-            row = counts[k].astype(np.float64)
-            n_k = row.sum()
-            scores[k] = float(row @ w / n_k) if n_k > 0 else 0.0
-        self.scores = scores
-
-        self.discrepancy = l1_discrepancy(self.global_dist, self.target_dist)
-        self.temperature = compute_temperature(
-            self.global_dist, self.target_dist, t_scale=self.t_scale
-        )
-        self.momentum = GlobalMomentum(dim=ctx.dim, alpha=self.alpha0)
+        return total / total.sum()

@@ -32,7 +32,6 @@ from repro.algorithms.variants import (
 __all__ = [
     "MethodBundle",
     "make_method",
-    "method_is_stateful",
     "method_requires_aggregate",
     "METHOD_NAMES",
 ]
@@ -99,17 +98,6 @@ def make_method(name: str, **kwargs) -> MethodBundle:
         algo, loss_b, sampler_b = _VARIANTS[key](**kwargs)
         return MethodBundle(algorithm=algo, loss_builder=loss_b, sampler_builder=sampler_b)
     raise KeyError(f"unknown method {name!r}; available: {METHOD_NAMES}")
-
-
-def method_is_stateful(name: str) -> bool:
-    """True when the named method keeps persistent per-client state.
-
-    Answers from the class attribute without instantiating, so spec
-    validation can gate stateful-method knobs (e.g. no process pool for
-    SCAFFOLD/FedDyn) before any engine is built.  Variant factories are
-    FedCM-based and stateless.
-    """
-    return bool(getattr(_SIMPLE.get(name.lower()), "stateful_per_client", False))
 
 
 def method_is_parallel_safe(name: str) -> bool:

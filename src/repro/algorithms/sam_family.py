@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin, size_weights
-from repro.algorithms.fedsam import perturbed_gradient
+from repro.algorithms.base import ClientUpdate, FederatedAlgorithm, LocalSGDMixin
+from repro.algorithms.fedsam import perturbed_gradient, sam_grad_eval
 from repro.simulation.context import SimulationContext
 
 __all__ = ["FedSpeed", "FedSMOO", "FedLESAM"]
@@ -39,31 +39,21 @@ class FedSpeed(LocalSGDMixin, FederatedAlgorithm):
 
     name = "fedspeed"
 
-    def __init__(self, rho: float = 0.05, lam: float = 0.1, weighted: bool = True) -> None:
+    def __init__(self, rho: float = 0.05, lam: float = 0.1) -> None:
         if rho <= 0 or lam < 0:
             raise ValueError("require rho > 0 and lam >= 0")
         self.rho = rho
         self.lam = lam
-        self.weighted = weighted
 
     def client_updates(self, ctx, jobs) -> list[ClientUpdate]:
-        rho, lam = self.rho, self.lam
+        lam, sam = self.lam, sam_grad_eval(self, ctx, self.rho)
         x_global = np.stack([x for _, _, x in jobs])
 
         def grad_eval(xb, yb, loss, x, rows):
-            g = self._plain_gradient(ctx, x, xb, yb, loss)
-            g = perturbed_gradient(self, ctx, xb, yb, loss, x, g, g, rho)
-            return g + lam * (x - x_global[rows])
+            return sam(xb, yb, loss, x, rows) + lam * (x - x_global[rows])
 
         x_local, nbs, losses = self._local_sgd(ctx, jobs, grad_eval=grad_eval)
         return self._client_results(ctx, jobs, x_local, nbs, losses)
-
-    def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = size_weights(updates) if self.weighted else np.full(
-            len(updates), 1.0 / len(updates)
-        )
-        disp = np.stack([u.displacement for u in updates])
-        return x_global - ctx.config.lr_global * (w @ disp)
 
 
 class FedSMOO(LocalSGDMixin, FederatedAlgorithm):
@@ -82,12 +72,11 @@ class FedSMOO(LocalSGDMixin, FederatedAlgorithm):
     # though the per-client h_i state implements the pack/unpack contract
     requires_aggregate_broadcast = True
 
-    def __init__(self, rho: float = 0.05, alpha: float = 0.1, weighted: bool = True) -> None:
+    def __init__(self, rho: float = 0.05, alpha: float = 0.1) -> None:
         if rho <= 0 or alpha <= 0:
             raise ValueError("require rho > 0 and alpha > 0")
         self.rho = rho
         self.alpha = alpha
-        self.weighted = weighted
 
     def setup(self, ctx: SimulationContext) -> None:
         self._hi = np.zeros((ctx.num_clients, ctx.dim), dtype=np.float64)
@@ -120,9 +109,7 @@ class FedSMOO(LocalSGDMixin, FederatedAlgorithm):
         return self._client_results(ctx, jobs, x_local, nbs, losses)
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = size_weights(updates) if self.weighted else np.full(
-            len(updates), 1.0 / len(updates)
-        )
+        w = self.aggregation_weights(ctx, selected, updates)
         disp = np.stack([u.displacement for u in updates])
         avg = w @ disp
         lr = ctx.lr_at(round_idx)
@@ -143,11 +130,10 @@ class FedLESAM(LocalSGDMixin, FederatedAlgorithm):
     requires_aggregate_broadcast = True
     broadcast_attrs = ("_x_prev",)
 
-    def __init__(self, rho: float = 0.05, weighted: bool = True) -> None:
+    def __init__(self, rho: float = 0.05) -> None:
         if rho <= 0:
             raise ValueError(f"rho must be positive, got {rho}")
         self.rho = rho
-        self.weighted = weighted
         self._x_prev: np.ndarray | None = None
 
     def setup(self, ctx: SimulationContext) -> None:
@@ -171,9 +157,5 @@ class FedLESAM(LocalSGDMixin, FederatedAlgorithm):
         return self._client_results(ctx, jobs, x_local, nbs, losses)
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = size_weights(updates) if self.weighted else np.full(
-            len(updates), 1.0 / len(updates)
-        )
-        disp = np.stack([u.displacement for u in updates])
         self._x_prev = x_global.copy()
-        return x_global - ctx.config.lr_global * (w @ disp)
+        return super().aggregate(ctx, round_idx, selected, updates, x_global)

@@ -31,7 +31,6 @@ class _ServerAdaptive(LocalSGDMixin, FederatedAlgorithm):
         beta1: float = 0.9,
         beta2: float = 0.99,
         tau: float = 1e-3,
-        weighted: bool = True,
     ) -> None:
         if server_lr <= 0:
             raise ValueError(f"server_lr must be positive, got {server_lr}")
@@ -43,7 +42,6 @@ class _ServerAdaptive(LocalSGDMixin, FederatedAlgorithm):
         self.beta1 = beta1
         self.beta2 = beta2
         self.tau = tau
-        self.weighted = weighted
 
     def setup(self, ctx: SimulationContext) -> None:
         self._m = np.zeros(ctx.dim, dtype=np.float64)
@@ -53,9 +51,7 @@ class _ServerAdaptive(LocalSGDMixin, FederatedAlgorithm):
         raise NotImplementedError
 
     def aggregate(self, ctx, round_idx, selected, updates, x_global) -> np.ndarray:
-        w = size_weights(updates) if self.weighted else np.full(
-            len(updates), 1.0 / len(updates)
-        )
+        w = self.aggregation_weights(ctx, selected, updates)
         disp = np.stack([u.displacement for u in updates])
         g = w @ disp  # server pseudo-gradient
         self._m *= self.beta1

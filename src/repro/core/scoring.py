@@ -67,6 +67,7 @@ def client_scores(
     client_counts: np.ndarray,
     target_dist: np.ndarray | None = None,
     mode: str = "signed",
+    global_dist: np.ndarray | None = None,
 ) -> np.ndarray:
     """Equation (3): per-client scarcity scores.
 
@@ -74,6 +75,9 @@ def client_scores(
         client_counts: (K, C) per-client class counts.
         target_dist: target global distribution p_hat (uniform by default).
         mode: scarcity mode, see :func:`scarcity_weights`.
+        global_dist: the global distribution p, when it was gathered
+            elsewhere (e.g. decrypted from an encrypted aggregate); by
+            default :func:`global_distribution` of ``client_counts``.
 
     Returns:
         Score vector of length K.  Clients with no data score 0.
@@ -83,7 +87,7 @@ def client_scores(
         raise ValueError(f"client_counts must be (K, C), got shape {counts.shape}")
     if np.any(counts < 0):
         raise ValueError("client_counts must be nonnegative")
-    p = global_distribution(counts)
+    p = global_distribution(counts) if global_dist is None else global_dist
     w = scarcity_weights(p, target_dist, mode=mode)
     totals = counts.sum(axis=1)
     safe = np.maximum(totals, 1.0)

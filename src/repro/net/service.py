@@ -57,6 +57,7 @@ from repro.net.framing import (
     parse_address,
 )
 from repro.parallel.backend import ClientResult, ExecutionBackend, JobHandle
+from repro.utils.validation import positive_count
 
 __all__ = ["AggregatorService", "RemoteBackend", "WorkerError"]
 
@@ -81,14 +82,6 @@ def positive_seconds(value: float, name: str) -> float:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite number of seconds > 0, got {value!r}")
     return float(value)
-
-
-def positive_count(value, name: str) -> int:
-    """``value`` if an integer >= 1 (a count of in-flight jobs), else a
-    ValueError naming its source."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
 
 
 def env_inflight() -> int:
@@ -166,7 +159,9 @@ class AggregatorService:
         #: jobs per JOB_BATCH frame (further bounded by a worker's in-flight
         #: room); 1 keeps per-job scheduling granularity, the pre-batching
         #: behavior — broadcast-vector dedup is on either way
-        self.batch_limit = max(1, batch_limit or 1)
+        self.batch_limit = (
+            positive_count(batch_limit, "batch_limit") if batch_limit is not None else 1
+        )
         self.heartbeat_interval = (
             positive_seconds(heartbeat_interval, "heartbeat_interval")
             if heartbeat_interval is not None
@@ -688,9 +683,9 @@ class RemoteBackend(ExecutionBackend):
     def __init__(self, workers: int | None = None, address: str | None = None,
                  spec=None, job_batch: int | None = None) -> None:
         self.min_workers = max(1, workers or 1)
-        if job_batch is not None and job_batch < 1:
-            raise ValueError(f"job_batch must be >= 1, got {job_batch}")
-        self.job_batch = job_batch
+        self.job_batch = (
+            positive_count(job_batch, "job_batch") if job_batch is not None else None
+        )
         self._address = address or os.environ.get(
             "REPRO_BACKEND_ADDRESS", ""
         ).strip() or None

@@ -24,7 +24,6 @@ from repro.nn.losses import (
     PriorCELoss,
     LDAMLoss,
     ClassBalancedLoss,
-    make_loss,
 )
 from repro.nn.train import forward_backward, evaluate, iterate_minibatches
 from repro.nn.schedules import (
@@ -61,7 +60,6 @@ __all__ = [
     "PriorCELoss",
     "LDAMLoss",
     "ClassBalancedLoss",
-    "make_loss",
     "forward_backward",
     "evaluate",
     "iterate_minibatches",

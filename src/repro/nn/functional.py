@@ -14,7 +14,6 @@ __all__ = [
     "log_softmax",
     "one_hot",
     "relu",
-    "relu_grad",
     "accuracy",
     "per_class_accuracy",
 ]
@@ -50,11 +49,6 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0)
-
-
-def relu_grad(x: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    """Gradient of ReLU evaluated at pre-activation ``x``."""
-    return dout * (x > 0)
 
 
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["he_normal", "glorot_uniform", "zeros", "ones"]
+__all__ = ["he_normal", "zeros", "ones"]
 
 
 def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
@@ -16,16 +16,6 @@ def he_normal(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> 
     if fan_in <= 0:
         raise ValueError(f"fan_in must be positive, got {fan_in}")
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
-def glorot_uniform(
-    rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialization."""
-    if fan_in <= 0 or fan_out <= 0:
-        raise ValueError(f"fan_in/fan_out must be positive, got {fan_in}/{fan_out}")
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
 
 
 def zeros(shape: tuple[int, ...]) -> np.ndarray:

@@ -29,7 +29,6 @@ __all__ = [
     "PriorCELoss",
     "LDAMLoss",
     "ClassBalancedLoss",
-    "make_loss",
 ]
 
 
@@ -178,29 +177,3 @@ class ClassBalancedLoss:
         loss = np.mean((-w * np.log(flat[idx] + eps)).reshape(labels.shape), axis=-1)
         dlogits = w[:, None] * (flat - y) / n
         return loss, dlogits.reshape(logits.shape)
-
-
-def make_loss(name: str, class_counts: np.ndarray | None = None, **kwargs):
-    """Loss factory keyed by the names used in the paper's tables.
-
-    Args:
-        name: one of ``ce``, ``focal``, ``prior_ce`` (a.k.a. balance loss),
-            ``ldam``, ``class_balanced``.
-        class_counts: global per-class sample counts; required by the
-            distribution-aware losses.
-    """
-    name = name.lower().replace("-", "_")
-    if name == "ce":
-        return CrossEntropyLoss()
-    if name == "focal":
-        return FocalLoss(**kwargs)
-    if class_counts is None:
-        raise ValueError(f"loss {name!r} requires class_counts")
-    counts = np.asarray(class_counts, dtype=np.float64)
-    if name in ("prior_ce", "balance", "balance_loss"):
-        return PriorCELoss(counts / counts.sum(), **kwargs)
-    if name == "ldam":
-        return LDAMLoss(counts, **kwargs)
-    if name == "class_balanced":
-        return ClassBalancedLoss(counts, **kwargs)
-    raise KeyError(f"unknown loss {name!r}")

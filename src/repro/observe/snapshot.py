@@ -44,7 +44,9 @@ __all__ = [
 ]
 
 #: 3: the async policy holds its jobs in one ``_queue`` (schema 2 had three)
-SNAPSHOT_SCHEMA_VERSION = 3
+#: 4: FedCM and MoFedSAM keep their momentum in ``momentum`` (a
+#: ``GlobalMomentum``), where schema 3 pickled ``_delta``
+SNAPSHOT_SCHEMA_VERSION = 4
 
 # plain functions/methods never carry run state and often don't pickle
 # (lambdas, closures over builders); callable *objects* — samplers,

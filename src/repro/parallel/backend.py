@@ -87,6 +87,11 @@ import numpy as np
 from repro.parallel.pool import parallel_map, resolve_workers
 from repro.parallel.shm import BroadcastStore, resolve_job_refs
 from repro.simulation.context import SimulationContext
+from repro.utils.validation import positive_count
+
+#: seconds :meth:`ProcessPoolBackend.close` waits for in-flight pool tasks
+#: before it gives up on draining and terminates the pool
+_CLOSE_DRAIN_S = 5.0
 
 __all__ = [
     "ClientJob",
@@ -619,10 +624,10 @@ class ProcessPoolBackend(ExecutionBackend):
         job_batch: int | None = None,
         shared_memory: bool = False,
     ) -> None:
-        if job_batch is not None and int(job_batch) < 1:
-            raise ValueError(f"job_batch must be >= 1, got {job_batch}")
         self.workers = resolve_workers(workers)
-        self.job_batch = int(job_batch) if job_batch is not None else None
+        self.job_batch = (
+            positive_count(job_batch, "job_batch") if job_batch is not None else None
+        )
         self.shared_memory = bool(shared_memory)
         self._pool = None
         self._store: BroadcastStore | None = None
@@ -726,12 +731,17 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def close(self) -> None:
         if self._pool is not None:
-            if self._inflight:
-                # a run died with work still in flight: terminate instead of
-                # draining, so the fork pool is reaped rather than leaked
-                self._pool.terminate()
-            else:
+            # a run that died with work in flight drains it first: killing a
+            # worker while it writes a result can leave Pool.terminate()
+            # blocked for good on the result pipe's lock; only a task still
+            # running past the bound is terminated
+            deadline = time.monotonic() + _CLOSE_DRAIN_S
+            for async_res, _ in self._inflight.values():
+                async_res.wait(max(0.0, deadline - time.monotonic()))
+            if all(async_res.ready() for async_res, _ in self._inflight.values()):
                 self._pool.close()
+            else:
+                self._pool.terminate()
             self._pool.join()
             self._pool = None
         if self._store is not None:

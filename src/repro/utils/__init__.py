@@ -10,8 +10,6 @@ from repro.utils.pytree import (
     ParamSpec,
     flatten_params,
     unflatten_params,
-    tree_map,
-    tree_zeros_like,
     tree_add,
     tree_scale,
     num_params,
@@ -30,8 +28,6 @@ __all__ = [
     "ParamSpec",
     "flatten_params",
     "unflatten_params",
-    "tree_map",
-    "tree_zeros_like",
     "tree_add",
     "tree_scale",
     "num_params",

@@ -21,8 +21,6 @@ __all__ = [
     "ParamSpec",
     "flatten_params",
     "unflatten_params",
-    "tree_map",
-    "tree_zeros_like",
     "tree_add",
     "tree_scale",
     "num_params",
@@ -107,15 +105,6 @@ def unflatten_params(flat: np.ndarray, spec: ParamSpec) -> dict[str, np.ndarray]
         name: flat[off : off + n].reshape(shape)
         for name, shape, off, n in _layout(spec)
     }
-
-
-def tree_map(fn, tree: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Apply ``fn`` leaf-wise, preserving key order."""
-    return {k: fn(v) for k, v in tree.items()}
-
-
-def tree_zeros_like(tree: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in tree.items()}
 
 
 def tree_add(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> dict[str, np.ndarray]:

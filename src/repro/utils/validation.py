@@ -14,6 +14,7 @@ __all__ = [
     "check_positive",
     "check_in_range",
     "check_fraction",
+    "positive_count",
 ]
 
 
@@ -58,3 +59,11 @@ def check_fraction(x: float, name: str = "fraction") -> float:
     if not (0.0 < x <= 1.0):
         raise ValueError(f"{name} must lie in (0, 1], got {x}")
     return x
+
+
+def positive_count(value, name: str) -> int:
+    """``value`` if an integer >= 1 (a count: jobs in flight, jobs per
+    batch), else a ValueError naming its source."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)

@@ -24,7 +24,6 @@ from repro.algorithms import (
     FedDyn,
     FedProx,
     FedSAM,
-    FedWCM,
     FedWCMX,
     MoFedSAM,
     Scaffold,
@@ -131,15 +130,13 @@ def client_update(algo, ctx, r, k, x_global) -> ClientUpdate:
         b_k = max(1, int(np.ceil(n_k / ctx.config.batch_size))) * ctx.config.local_epochs
         lr = ctx.lr_at(r) * (ctx.nominal_batches() / max(b_k, 1))
         extras = {"lr_k": lr}
-    elif isinstance(algo, FedWCM):
-        direction = _momentum(algo.momentum.alpha, algo.momentum.delta)
     elif isinstance(algo, MoFedSAM):
-        direction = _momentum(algo.alpha, algo._delta)
+        direction = _momentum(algo.momentum.alpha, algo.momentum.delta)
         grad_eval = _sam(ctx, algo.rho, trace)
     elif isinstance(algo, FedSAM):
         grad_eval = _sam(ctx, algo.rho, trace)
-    elif isinstance(algo, FedCM):
-        direction = _momentum(algo.alpha, algo._delta)
+    elif isinstance(algo, FedCM):  # FedWCM's local rule is FedCM's
+        direction = _momentum(algo.momentum.alpha, algo.momentum.delta)
     elif isinstance(algo, FedProx):
         mu = algo.mu
         direction = lambda g, x: g + mu * (x - x_global)  # noqa: E731

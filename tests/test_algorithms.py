@@ -101,7 +101,7 @@ class TestFedAvg:
     def test_aggregation_is_weighted_average(self, small_problem):
         # with lr_global=1, the new params equal the weighted client average
         ds = small_problem
-        algo = FedAvg(weighted=True)
+        algo = FedAvg()
         model = make_mlp(32, 10, seed=0)
         cfg = FLConfig(rounds=1, participation=0.5, local_epochs=1, seed=0, max_batches_per_round=2)
         sim = FederatedSimulation(algo, model, ds, cfg)
@@ -190,7 +190,7 @@ class TestFedCM:
         cfg = FLConfig(rounds=1, seed=0)
         sim = FederatedSimulation(algo, model, small_problem, cfg)
         algo.setup(sim.ctx)
-        assert np.all(algo._delta == 0)
+        assert np.all(algo.momentum.delta == 0)
 
     def test_delta_tracks_pseudograds(self, small_problem):
         algo = FedCM(alpha=0.1)
@@ -198,7 +198,7 @@ class TestFedCM:
         cfg = FLConfig(rounds=2, participation=0.5, local_epochs=1, seed=0, max_batches_per_round=3)
         sim = FederatedSimulation(algo, model, small_problem, cfg)
         sim.run()
-        assert np.linalg.norm(algo._delta) > 0
+        assert np.linalg.norm(algo.momentum.delta) > 0
 
     def test_alpha_one_is_fedavg(self, small_problem):
         # alpha=1 disables momentum: FedCM == FedAvg trajectories
@@ -246,7 +246,7 @@ class TestFedWCM:
             )
             for k in sel
         ]
-        w = algo._aggregation_weights(ctx, sel, ups)
+        w = algo.aggregation_weights(ctx, sel, ups)
         assert np.isclose(w.sum(), 1.0)
         # highest-score client gets the largest weight
         assert np.argmax(w) == np.argmax(algo.scores)
@@ -318,7 +318,7 @@ class TestFedWCMX:
                          n_samples=len(ctx.client_xy(int(k))[1]), n_batches=1)
             for k in sel
         ]
-        w = algo._aggregation_weights(ctx, sel, ups)
+        w = algo.aggregation_weights(ctx, sel, ups)
         sizes = np.array([u.n_samples for u in ups], dtype=float)
         np.testing.assert_allclose(w, sizes / sizes.sum(), atol=1e-12)
 

@@ -563,8 +563,8 @@ class TestBackendLifecycle:
         return leaked
 
     def test_context_manager_reaps_inflight_workers(self, problem):
-        """Leaving the with-block with uncollected jobs terminates (not
-        drains) the fork pool — no orphaned workers, no hang."""
+        """Leaving the with-block with uncollected jobs drains and closes
+        the fork pool — no orphaned workers, no hang."""
         ds, cfg = problem
         from repro.simulation.context import SimulationContext
 

@@ -235,7 +235,7 @@ def test_job_list_with_mixed_broadcast_states(monkeypatch):
     (ctx, algo), (ref_ctx, ref_algo) = _problem("fedcm", "mlp", "ragged")
     rng = np.random.default_rng(6)
     first = algo.pack_broadcast_state()
-    second = {"_delta": rng.normal(scale=0.05, size=ctx.dim)}
+    second = {"delta": rng.normal(scale=0.05, size=ctx.dim), "alpha": np.float64(0.1)}
     triples = _jobs(ctx, [0, 2, 3, 5], rng)
     states = [first, first, second, first]
     jobs = [ClientJob(r, k, x, broadcast_state=b) for (r, k, x), b in zip(triples, states)]
@@ -254,7 +254,7 @@ def test_shared_memory_jobs_of_one_state_stack(monkeypatch):
     (ctx, algo), (ref_ctx, ref_algo) = _problem("fedcm", "mlp", "ragged")
     rng = np.random.default_rng(9)
     first = algo.pack_broadcast_state()
-    second = {"_delta": rng.normal(scale=0.05, size=ctx.dim)}
+    second = {"delta": rng.normal(scale=0.05, size=ctx.dim), "alpha": np.float64(0.1)}
     triples = _jobs(ctx, [0, 2, 3, 5], rng)
     states = [first, first, first, second]
     sizes = _count_cohorts(monkeypatch)

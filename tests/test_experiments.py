@@ -219,6 +219,30 @@ class TestRoundTrip:
             # callable-only field never appears in serialized form
             ExperimentSpec.from_dict({"config": {"lr_schedule": "x"}})
 
+    @pytest.mark.parametrize("section, key, value", (
+        ("config", "rounds", 2.5),
+        ("config", "seed", 1.5),
+        ("config", "batch_size", 10.0),
+        ("data", "clients", 6.0),
+        ("runtime", "workers", 1.5),
+        ("runtime", "job_batch", 2.7),
+        ("data", "clients", True),
+        ("data", "scale", "big"),
+    ))
+    def test_wrongly_typed_value_names_its_field(self, section, key, value, tmp_path, capsys):
+        """A spec file's counts are type-checked as overrides are: a
+        fraction is refused, not rounded or left to fail inside the build."""
+        with pytest.raises(ValueError, match=f"{section}.{key}: expected"):
+            ExperimentSpec.from_dict({section: {key: value}})
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        assert cli_main(["spec", "validate", str(path)]) == 1
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_int_in_a_float_field_promotes(self):
+        spec = ExperimentSpec.from_dict({"data": {"scale": 1, "beta": 0.5}})
+        assert spec.data.scale == 1.0 and isinstance(spec.data.scale, float)
+
     def test_lr_schedule_blocks_serialization(self):
         spec = ExperimentSpec(config=FLConfig(lr_schedule=lambda r: 1.0))
         with pytest.raises(ValueError, match="cannot be serialized"):

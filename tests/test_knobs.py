@@ -8,11 +8,13 @@ import math
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser
 from repro.cli import main as cli_main
-from repro.net.service import AggregatorService, env_inflight, env_seconds
+from repro.net.service import AggregatorService, RemoteBackend, env_inflight, env_seconds
+from repro.parallel import ProcessPoolBackend
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -31,7 +33,8 @@ KNOBS = {
 
 BAD_SECONDS = (0.0, -1.0, math.nan, math.inf)
 
-#: in-flight caps the scheduler cannot use: below 1, fractional, not a count
+#: in-flight caps and batch sizes the scheduler cannot use: below 1,
+#: fractional, not a count
 BAD_COUNTS = (0, -3, 2.7, math.nan, math.inf, True)
 
 
@@ -55,6 +58,21 @@ class TestNetTimingKnobs:
     def test_constructor_refuses_an_unusable_inflight_cap(self, value):
         with pytest.raises(ValueError, match="inflight_cap"):
             AggregatorService("127.0.0.1:0", inflight_cap=value)
+
+    @pytest.mark.parametrize("value", BAD_COUNTS)
+    def test_constructors_refuse_an_unusable_batch(self, value):
+        with pytest.raises(ValueError, match="batch_limit"):
+            AggregatorService("127.0.0.1:0", batch_limit=value)
+        with pytest.raises(ValueError, match="job_batch"):
+            RemoteBackend(job_batch=value)
+        with pytest.raises(ValueError, match="job_batch"):
+            ProcessPoolBackend(workers=1, job_batch=value)
+
+    def test_constructors_keep_a_valid_batch(self):
+        assert AggregatorService("127.0.0.1:0").batch_limit == 1
+        assert AggregatorService("127.0.0.1:0", batch_limit=3).batch_limit == 3
+        assert RemoteBackend(job_batch=np.int64(2)).job_batch == 2
+        assert ProcessPoolBackend(workers=1, job_batch=4).job_batch == 4
 
     def test_constructor_keeps_valid_values(self):
         svc = AggregatorService(

@@ -249,9 +249,12 @@ class TestResume:
         policy_2 = dict(snap["policy"])
         del policy_2["_queue"]
         policy_2.update(_pending=[], _jobs={}, _burst=[])
+        # schema 3's FedCM and MoFedSAM pickled ``_delta`` where schema 4
+        # keeps ``momentum``: resumed, their momentum would restart at zero
         layouts = {
             1: (json.dumps(data), snap["policy"]),
             2: (spec_text, policy_2),
+            3: (spec_text, snap["policy"]),
         }
         # a torn tail, which opening a recorder would heal with a newline
         with open(journal_path(rdir), "a") as f:

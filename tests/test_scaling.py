@@ -275,8 +275,8 @@ class TestCollectContract:
         assert backend.transport_stats()["shm_jobs_packed"] == 5
 
     def test_close_unlinks_inflight_segments(self, tiny_runtime):
-        """close() with work in flight terminates the pool first, then
-        unlinks — the engines' finally-close reaps shm even on a crash."""
+        """close() with work in flight drains the pool first, then unlinks
+        — the engines' finally-close reaps shm even on a crash."""
         ds, cfg = tiny_runtime
         ctx, algo = build_job_runtime(
             lambda: make_mlp(32, 10, seed=0), ds, cfg,
@@ -292,6 +292,40 @@ class TestCollectContract:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=packed_ref.name)
         assert isinstance(ref, np.ndarray)  # journal path untouched by shm
+
+    def test_close_drains_short_inflight_jobs(self, tiny_runtime, monkeypatch):
+        """close() with short jobs in flight waits for them and closes the
+        pool; it never terminates it.  Terminating a pool whose worker is
+        writing a result can block ``Pool.terminate()`` forever, so here
+        terminate raises.  The workers are reaped and the shared-memory
+        segments unlinked."""
+        from multiprocessing import pool as mp_pool
+        from multiprocessing import shared_memory
+
+        ds, cfg = tiny_runtime
+        ctx, algo = build_job_runtime(
+            lambda: make_mlp(32, 10, seed=0), ds, cfg,
+            algo_builder=lambda: make_method("fedavg").algorithm,
+        )
+        backend = ProcessPoolBackend(workers=2, shared_memory=True)
+        backend.bind(ctx, algo, model_builder=lambda: make_mlp(32, 10, seed=0))
+        workers = list(backend._pool._pool)
+
+        def refuse(pool):
+            raise AssertionError("close() terminated a pool with short jobs in flight")
+
+        monkeypatch.setattr(mp_pool.Pool, "terminate", refuse)
+        backend.submit_many(_jobs(ctx, algo, 4))
+        names = {r.name for refs in backend._handle_refs.values() for r in refs}
+        try:
+            backend.close()  # never collected
+        finally:
+            monkeypatch.undo()
+            backend.close()  # reaps what a failed close left behind
+        assert names and all(p.exitcode is not None for p in workers)
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
 
 # ---------------------------------------------------------------------------
