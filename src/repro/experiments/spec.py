@@ -46,7 +46,7 @@ from repro.runtime import (
     TimeAwareSampler,
 )
 from repro.simulation import FLConfig
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import check_fraction, check_positive, positive_count
 
 __all__ = [
     "DataSpec",
@@ -122,8 +122,7 @@ class DataSpec:
             )
         check_fraction(self.imbalance_factor, "imbalance_factor")
         check_positive(self.beta, "beta")
-        if self.clients < 1:
-            raise ValueError(f"clients must be >= 1, got {self.clients}")
+        object.__setattr__(self, "clients", positive_count(self.clients, "clients"))
         if self.partition not in ("balanced", "fedgrab"):
             raise ValueError(
                 f"partition must be 'balanced' or 'fedgrab', got {self.partition!r}"
@@ -321,14 +320,13 @@ class RuntimeSpec:
                 "late_weight only applies to late_policy='downweight' "
                 "(trickled updates merge at full weight when they arrive)"
             )
-        if self.concurrency is not None and self.concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
+        for name in ("concurrency", "max_updates", "workers", "job_batch"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, positive_count(getattr(self, name), name))
         if self.staleness_budget is not None and self.staleness_budget < 0:
             raise ValueError(
                 f"staleness_budget must be >= 0, got {self.staleness_budget}"
             )
-        if self.max_updates is not None and self.max_updates < 1:
-            raise ValueError(f"max_updates must be >= 1, got {self.max_updates}")
         if self.backend != "auto" and self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; available: "
@@ -346,24 +344,16 @@ class RuntimeSpec:
             from repro.net.framing import parse_address
 
             parse_address(self.backend_address)
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.backend == "serial" and (self.workers or 1) > 1:
             raise ValueError(
                 f"backend='serial' contradicts workers={self.workers}; "
                 "use backend='process' or 'thread' for parallel client compute"
             )
-        if self.job_batch is not None:
-            if self.job_batch < 1:
-                raise ValueError(
-                    f"job_batch must be >= 1, got {self.job_batch}"
-                )
-            if self.backend in ("serial", "thread"):
-                raise ValueError(
-                    f"job_batch={self.job_batch} only applies to transport "
-                    f"backends ('process', 'remote'), got "
-                    f"backend={self.backend!r}"
-                )
+        if self.job_batch is not None and self.backend in ("serial", "thread"):
+            raise ValueError(
+                f"job_batch={self.job_batch} only applies to transport "
+                f"backends ('process', 'remote'), got backend={self.backend!r}"
+            )
         if self.shared_memory and self.backend not in ("auto", "process"):
             raise ValueError(
                 "shared_memory=True only applies to backend='process' "

@@ -15,6 +15,8 @@ import multiprocessing as mp
 import os
 from typing import Callable
 
+from repro.utils.validation import positive_count
+
 __all__ = ["parallel_map", "resolve_workers"]
 
 
@@ -25,9 +27,7 @@ def resolve_workers(workers: int | None = None) -> int:
     raise or lower the cap fleet-wide without touching call sites.
     """
     if workers is not None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        return workers
+        return positive_count(workers, "workers")
     env = os.environ.get("REPRO_MAX_WORKERS", "").strip()
     if env:
         try:

@@ -64,6 +64,7 @@ from repro.runtime.events import BUFFER_EMA_MODES, AsyncPolicy
 from repro.runtime.scheduling import ConcurrencyController, resolve_auto_comm
 from repro.simulation.config import FLConfig, resolve_lr_schedule
 from repro.simulation.engine import EngineShell
+from repro.utils.validation import positive_count
 
 __all__ = ["AsyncFederatedSimulation"]
 
@@ -152,18 +153,20 @@ class AsyncFederatedSimulation(EngineShell):
             # keeping scheduled-lr runs comparable to the sync baseline
             window = self.window
             config = replace(config, lr_schedule=lambda seq: schedule(seq // window))
-        self.concurrency = concurrency if concurrency is not None else self.window
-        if self.concurrency < 1:
-            raise ValueError(f"concurrency must be >= 1, got {self.concurrency}")
+        self.concurrency = (
+            positive_count(concurrency, "concurrency") if concurrency is not None
+            else self.window
+        )
         self.concurrency_controller = concurrency_controller
         if concurrency_controller is not None:
             concurrency_controller.seed(
                 self.concurrency, self.window, dataset.num_clients
             )
             self.concurrency = concurrency_controller.limit
-        self.max_updates = max_updates if max_updates is not None else config.rounds * self.window
-        if self.max_updates < 1:
-            raise ValueError(f"max_updates must be >= 1, got {self.max_updates}")
+        self.max_updates = (
+            positive_count(max_updates, "max_updates") if max_updates is not None
+            else config.rounds * self.window
+        )
         super().__init__(
             algorithm, model, dataset, config, loss_builder=loss_builder,
             sampler_builder=sampler_builder, backend=backend, workers=workers,

@@ -64,7 +64,7 @@ import numpy as np
 from repro.parallel.backend import ClientJob, ClientResult
 from repro.runtime.clock import VirtualClock
 from repro.runtime.fastpath import IdleTracker, mask_positions
-from repro.utils.rng import keyed_rng
+from repro.utils.rng import keyed_integer
 from repro.simulation.engine import (
     History,
     RoundRecord,
@@ -915,9 +915,13 @@ class AsyncPolicy:
         see the busy marks of the ones before it — but the idle set lives in
         an :class:`~repro.runtime.fastpath.IdleTracker`, so a uniform draw
         is an O(log N) Fenwick rank lookup instead of an O(population)
-        idle-list rebuild; the latency draws batch through ``sample_many``
-        and the completion events enter the clock through one
-        ``push_many``.  Within a burst ``clock.now`` is frozen and state
+        idle-list rebuild.  Without a sampler, a pick is the first
+        ``integers(bound)`` draw of the stream keyed by its dispatch index,
+        and :func:`~repro.utils.rng.keyed_integer` reads it off words
+        computed a block of dispatch indices at a time instead of building
+        one generator per dispatch.  The latency draws batch through
+        ``sample_many`` and the completion events enter the clock through
+        one ``push_many``.  Within a burst ``clock.now`` is frozen and state
         snapshots are read-only, so regrouping picks/draws/hooks/pushes
         across the burst's dispatches is unobservable in both the history
         and the journal.  ``tests/test_fastpath.py`` pins the histories
@@ -935,13 +939,14 @@ class AsyncPolicy:
             if self.sampler is None:
                 # choose among idle clients with a stream keyed by dispatch
                 # index, so the schedule is independent of execution details
-                rng = keyed_rng(cfg.seed, 0xA7, seq0 + i)
                 if tracker.n_idle > 0:
                     # rank draw -> j-th smallest idle id, i.e. the draw
                     # indexes the ascending idle-id list
-                    cid = tracker.kth_idle(int(rng.integers(tracker.n_idle)))
+                    cid = tracker.kth_idle(
+                        keyed_integer(tracker.n_idle, cfg.seed, 0xA7, seq0 + i)
+                    )
                 else:  # concurrency exceeds the client pool
-                    cid = int(rng.integers(ctx.num_clients))
+                    cid = keyed_integer(ctx.num_clients, cfg.seed, 0xA7, seq0 + i)
             else:
                 ids = tracker.idle_ids()
                 if ids.size == 0:

@@ -16,6 +16,11 @@ the incremental structures the planner uses instead:
 * :func:`mask_positions` — the shared busy-mask/include-mask helper the
   round policies (sync/semisync cohort paths) use instead of rebuilding
   per-round index lists with Python comprehensions.
+
+The rank draw itself needs no generator either: a pick is the first
+``integers(n_idle)`` draw of the stream keyed by the dispatch index, which
+:func:`repro.utils.rng.keyed_integer` reads off first words computed for
+256 dispatch indices at a time.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.utils.validation import check_fraction, check_positive
+from repro.utils.validation import check_fraction, check_positive, positive_count
 
 __all__ = ["FLConfig", "resolve_lr_schedule"]
 
@@ -73,21 +73,18 @@ class FLConfig:
     lr_schedule: Callable[[int], float] | dict | None = None
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.local_epochs < 1:
-            raise ValueError(f"local_epochs must be >= 1, got {self.local_epochs}")
+        for name in ("rounds", "batch_size", "local_epochs", "eval_every"):
+            setattr(self, name, positive_count(getattr(self, name), name))
         check_positive(self.lr_local, "lr_local")
         check_positive(self.lr_global, "lr_global")
         check_fraction(self.participation, "participation")
-        if self.eval_every < 1:
-            raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.seed < 0:  # SeedSequence would refuse it deep inside the run
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.max_batches_per_round is not None and self.max_batches_per_round < 1:
-            raise ValueError("max_batches_per_round must be >= 1 or None")
+        # SeedSequence refuses a negative seed, and the keyed streams a
+        # fractional one, only deep inside the run
+        self.seed = positive_count(self.seed, "seed", minimum=0)
+        if self.max_batches_per_round is not None:
+            self.max_batches_per_round = positive_count(
+                self.max_batches_per_round, "max_batches_per_round"
+            )
         if isinstance(self.lr_schedule, dict):
             from repro.nn.schedules import SCHEDULE_NAMES
 

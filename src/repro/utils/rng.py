@@ -1,22 +1,32 @@
 """Deterministic random-number management.
 
-Every module in the library takes RNG state explicitly.  Two conventions:
+Every module in the library takes RNG state explicitly.  Three conventions:
 
 * ``as_generator(seed_or_rng)`` normalises an ``int | None | Generator``
   argument into a :class:`numpy.random.Generator`.
 * ``spawn(rng, n)`` derives ``n`` statistically-independent child generators,
   used to give each simulated client its own stream so that client-level
   parallelism (process pools) cannot change results.
+* Keyed streams: one generator per ``(seed, tag, ...)`` tuple,
+  ``default_rng(key)``, so a draw depends on its key and nothing else.
+  Such a stream has two constructions with the same bits.  ``keyed_rng``
+  builds the generator.  ``keyed_integer`` gives the generator's first
+  ``integers(n)`` draw from the stream's first 64-bit output, which it
+  computes for ``WORD_BLOCK`` consecutive ``(seed, tag, i)`` streams in one
+  vectorized pass.  The async planner's picks, one fresh stream per
+  dispatch index, are drawn that way.  ``tests/test_utils.py`` pins both
+  constructions to ``default_rng``.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import index
 
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-__all__ = ["as_generator", "keyed_rng", "spawn", "split"]
+__all__ = ["as_generator", "keyed_integer", "keyed_rng", "spawn", "split"]
 
 
 def keyed_rng(*key: int) -> np.random.Generator:
@@ -42,6 +52,103 @@ def keyed_rng(*key: int) -> np.random.Generator:
     except (OverflowError, ValueError):
         return np.random.default_rng(key)
     return Generator(PCG64(SeedSequence(arr)))
+
+
+#: consecutive stream indices whose first words one kernel pass computes
+WORD_BLOCK = 256
+# blocks a process keeps: the planner reads dispatch indices in order, so
+# it needs one block at a time, plus a few for interleaved runs
+_WORD_CACHE = 8
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+
+
+def _hash_consts(init: int, mult: int, n: int) -> tuple:
+    """SeedSequence's hash constants: call ``k`` of its hash XORs with the
+    running constant and multiplies by the next one (``init * mult**k``)."""
+    out, h = [], init
+    for _ in range(n):
+        nxt = h * mult & _M32
+        out.append((np.uint32(h), np.uint32(nxt)))
+        h = nxt
+    return tuple(out)
+
+
+# ``mix_entropy`` hashes 16 times for a three-word key in a four-word pool
+# (four fills, twelve cross-mixes) and ``generate_state(4, uint64)`` 8 times
+_MIX_HASH = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+_HI = np.uint64(32)
+# PCG64's set_seed steps its LCG from 0, adds the seed and steps again, and
+# the first draw steps once more: ((inc + s)·M + inc)·M + inc, which is
+# s·M² + inc·(M² + M + 1) mod 2**128
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_SEED_MULT = _PCG_MULT * _PCG_MULT & _M128
+_INC_MULT = (_SEED_MULT + _PCG_MULT + 1) & _M128
+
+
+def _hash(value: np.ndarray, consts: tuple) -> np.ndarray:
+    value = (value ^ consts[0]) * consts[1]
+    return value ^ (value >> _XSHIFT)
+
+
+@lru_cache(maxsize=_WORD_CACHE)
+def _word_block(seed: int, tag: int, block: int) -> tuple[int, ...]:
+    """``keyed_rng(seed, tag, i).bit_generator.random_raw()`` for each ``i``
+    in ``[WORD_BLOCK * block, WORD_BLOCK * (block + 1))``.
+
+    ``seed``, ``tag`` and every ``i`` must lie in ``[0, 2**32)``, the keys
+    ``keyed_rng``'s fast path builds.  SeedSequence's hashing runs on
+    uint32 lanes, PCG64's seeding and first draw on Python ints.  Blocks
+    sit in this module-level cache, never in an object that is pickled or
+    snapshotted."""
+    lane = np.arange(block * WORD_BLOCK, (block + 1) * WORD_BLOCK, dtype=np.uint32)
+    consts = iter(_MIX_HASH)
+    pool = [_hash(np.full(WORD_BLOCK, seed, np.uint32), next(consts)),
+            _hash(np.full(WORD_BLOCK, tag, np.uint32), next(consts)),
+            _hash(lane, next(consts)),
+            _hash(np.zeros(WORD_BLOCK, np.uint32), next(consts))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = _MIX_L * pool[dst] - _MIX_R * _hash(pool[src], next(consts))
+                pool[dst] = mixed ^ (mixed >> _XSHIFT)
+    w = [_hash(pool[k % 4], c).astype(np.uint64) for k, c in enumerate(_STATE_HASH)]
+    # generate_state's uint32 words pair up little-endian into the seed
+    # (s_hi, s_lo) and the increment (i_hi, i_lo)
+    s_hi, s_lo, i_hi, i_lo = ((w[k] | (w[k + 1] << _HI)).tolist() for k in (0, 2, 4, 6))
+    words = []
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = (c << 64 | d) << 1 | 1
+        state = ((a << 64 | b) * _SEED_MULT + inc * _INC_MULT) & _M128
+        # XSL-RR output: the halves XORed, rotated right by the top 6 bits
+        x = (state >> 64 ^ state) & _M64
+        rot = state >> 122
+        words.append((x >> rot | x << (64 - rot)) & _M64)
+    return tuple(words)
+
+
+def keyed_integer(n: int, seed: int, tag: int, i: int) -> int:
+    """``int(keyed_rng(seed, tag, i).integers(n))`` for integer arguments.
+
+    For ``1 <= n < 2**32`` NumPy's bounded draw (Lemire's method) reads the
+    low 32 bits of the stream's first word: the draw is
+    ``(low32 * n) >> 32`` unless the product's low half falls below
+    ``(2**32 - n) % n``, where NumPy rejects it and reads on.  That case
+    (probability below ``n / 2**32``), larger ``n`` and keys with an entry
+    outside ``[0, 2**32)`` build the generator instead, so a negative entry
+    raises ``keyed_rng``'s ``ValueError``.
+    """
+    n, seed, tag, i = index(n), index(seed), index(tag), index(i)
+    if 0 < n <= _M32 and 0 <= seed <= _M32 and 0 <= tag <= _M32 and 0 <= i <= _M32:
+        m = (_word_block(seed, tag, i // WORD_BLOCK)[i % WORD_BLOCK] & _M32) * n
+        leftover = m & _M32
+        if leftover >= n or leftover >= ((1 << 32) - n) % n:
+            return m >> 32
+    return int(keyed_rng(seed, tag, i).integers(n))
 
 
 def as_generator(seed: int | None | np.random.Generator) -> np.random.Generator:

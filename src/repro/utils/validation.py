@@ -61,9 +61,13 @@ def check_fraction(x: float, name: str = "fraction") -> float:
     return x
 
 
-def positive_count(value, name: str) -> int:
-    """``value`` if an integer >= 1 (a count: jobs in flight, jobs per
-    batch), else a ValueError naming its source."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def positive_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int if it is an integer >= ``minimum`` (a count:
+    rounds, clients, jobs per batch; or, with ``minimum=0``, a seed), else
+    a ValueError naming its source.  Floats and bools are refused, whole or
+    not: a count that arrives as 2.5 or True is a caller's mistake."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)

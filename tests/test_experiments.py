@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import glob
 import json
+import os
 
 import numpy as np
 import pytest
@@ -75,6 +77,29 @@ class TestSpecValidation:
             RuntimeSpec(kind="semisync", adaptive_deadline=1.0)
         with pytest.raises(ValueError):
             RuntimeSpec(kind="fedasync", concurrency=0)
+
+    @pytest.mark.parametrize("cls, kwargs", [
+        (DataSpec, {"clients": 6.0}),
+        (RuntimeSpec, {"kind": "sync", "job_batch": 2.7}),
+        (RuntimeSpec, {"kind": "sync", "workers": 1.5}),
+        (RuntimeSpec, {"kind": "fedasync", "concurrency": 2.5}),
+        (RuntimeSpec, {"kind": "fedasync", "max_updates": True}),
+    ])
+    def test_counts_must_be_integers(self, cls, kwargs):
+        (name,) = kwargs.keys() - {"kind"}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            cls(**kwargs)
+
+    def test_numpy_counts_and_example_specs_accepted(self):
+        assert DataSpec(clients=np.int64(6)).clients == 6
+        rt = RuntimeSpec(kind="fedasync", concurrency=np.int32(4),
+                         max_updates=np.int64(8), workers=np.int64(2))
+        assert (rt.concurrency, rt.max_updates, rt.workers) == (4, 8, 2)
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        paths = sorted(glob.glob(os.path.join(root, "examples", "specs", "*.json")))
+        assert paths
+        for path in paths:
+            ExperimentSpec.load(path)
 
     def test_async_kind_wraps_other_methods_but_not_async_rules(self):
         # any synchronous method may run under an async kind (its local

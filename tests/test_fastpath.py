@@ -11,7 +11,8 @@ Pins the vectorized control plane's keystone claims:
   ``schedule`` calls (both below and above the heapify threshold);
 * ``AsyncPolicy._dispatch_many`` histories are bit-identical to the scalar
   oracle's (``tests/_scalar_dispatch.py``) across the async kinds, latency
-  models, backends, samplers, stateful methods and a 2k-client population;
+  models, backends, samplers, stateful methods, a 2k-client population and
+  a seed whose picks cannot use the keyed-word kernel;
 * incremental sampler weights equal freshly recomputed ones after observes;
 * profiled runs journal a ``profile`` record and ``watch --summary``
   renders the ``hotpath:`` line — with histories untouched by profiling.
@@ -19,6 +20,7 @@ Pins the vectorized control plane's keystone claims:
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -32,6 +34,7 @@ from repro.experiments import run
 from repro.experiments.spec import DataSpec, ExperimentSpec, MethodSpec, RuntimeSpec
 from repro.nn import make_linear, make_mlp
 from repro.observe import MetricsStore, format_hotpath
+from repro.observe.snapshot import latest_snapshot, load_snapshot
 from repro.runtime import (
     AsyncFederatedSimulation,
     FastFirstSampler,
@@ -45,6 +48,8 @@ from repro.runtime import (
 )
 from repro.simulation import FLConfig
 from repro.simulation.context import SimulationContext
+from repro.utils import rng as rng_mod
+from repro.utils.rng import keyed_rng
 
 _TINY = dict(
     data=DataSpec(clients=6, scale=0.3, beta=0.3, imbalance_factor=0.3),
@@ -305,6 +310,30 @@ class TestEngineEquivalence:
         assert [r.staleness for r in h_fast.records] == [
             r.staleness for r in h_scalar.records]
 
+    @pytest.mark.parametrize("seed", (0, 2**32 + 5))
+    def test_picks_read_keyed_words(self, monkeypatch, seed):
+        """At a seed in the uint32 range every pick reads the keyed-word
+        kernel and builds no generator; beyond it each pick builds one.
+        Either way the history is the scalar oracle's, which draws every
+        pick from ``keyed_rng``."""
+        picks = []
+
+        def counting(*key):
+            if key[1] == 0xA7:
+                picks.append(key)
+            return keyed_rng(*key)
+
+        monkeypatch.setattr(rng_mod, "keyed_rng", counting)
+        spec = dataclasses.replace(
+            _spec("fedasync", concurrency=9),
+            config=dataclasses.replace(_TINY["config"], seed=seed),
+        )
+        _assert_matches_oracle(monkeypatch, spec)
+        if seed < 2**32:
+            assert picks == []
+        else:
+            assert picks and {k[0] for k in picks} == {seed}
+
     def test_fast_path_key_rejected(self):
         # the retired planner knob is an unknown key for every kind
         for kind in ("sync", "fedasync"):
@@ -316,6 +345,22 @@ class TestEngineEquivalence:
             data["runtime"]["fast_path"] = True
             with pytest.raises(ValueError, match=r"unknown key.*fast_path"):
                 ExperimentSpec.from_dict(data)
+
+
+def test_packed_policy_holds_no_word_block(tmp_path):
+    """Pick words live in a module-level cache, so a recorded run's packed
+    policy carries exactly the attributes it carried before the kernel."""
+    run_dir = str(tmp_path / "run")
+    spec = _spec("fedasync", record=True, run_dir=run_dir)
+    run(spec)
+    snap = load_snapshot(latest_snapshot(run_dir))
+    assert sorted(snap["policy"]) == [
+        "_buffers", "_completed", "_handles", "_in_flight", "_queue",
+        "_results", "_round_idx", "_state", "_t0", "_tracker", "_win_clients",
+        "_win_conc", "_win_tau", "buffer_ema", "concurrency",
+        "concurrency_controller", "latency_model", "max_updates", "sampler",
+        "streaming", "window",
+    ]
 
 
 class TestSamplerWeightCache:

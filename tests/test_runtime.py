@@ -181,6 +181,12 @@ class TestAsyncAlgorithms:
         with pytest.raises(TypeError):
             AsyncFederatedSimulation(FedAvg(), _model_builder(), ds, _tiny_cfg())
 
+    @pytest.mark.parametrize("kwargs", [{"concurrency": 2.5}, {"max_updates": 7.5}])
+    def test_counts_must_be_integers(self, ds, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            AsyncFederatedSimulation(FedAsync(), _model_builder(), ds, _tiny_cfg(), **kwargs)
+
 
 class TestAsyncEngine:
     def _run(self, ds, algo, workers=None, **kw):
@@ -507,6 +513,9 @@ class TestResolveWorkers:
     def test_invalid(self, monkeypatch):
         with pytest.raises(ValueError):
             resolve_workers(0)
+        for bad in (1.5, 2.0, True):
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                resolve_workers(bad)
         monkeypatch.setenv("REPRO_MAX_WORKERS", "zero")
         with pytest.raises(ValueError):
             resolve_workers()

@@ -47,6 +47,29 @@ class TestFLConfig:
         with pytest.raises(ValueError):
             FLConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rounds": 2.5},
+            {"batch_size": 10.0},
+            {"local_epochs": 1.5},
+            {"eval_every": 2.5},
+            {"max_batches_per_round": 1.5},
+            {"seed": 1.5},
+            {"rounds": True},
+        ],
+    )
+    def test_counts_and_seed_must_be_integers(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            FLConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = FLConfig(rounds=np.int64(3), batch_size=np.int32(10),
+                       max_batches_per_round=np.int64(2), seed=np.uint32(0))
+        assert (cfg.rounds, cfg.batch_size, cfg.max_batches_per_round, cfg.seed) == (3, 10, 2, 0)
+        assert type(cfg.rounds) is int and type(cfg.seed) is int
+
 
 class TestContext:
     def _ctx(self, ds):

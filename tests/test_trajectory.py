@@ -15,13 +15,17 @@ ENTRY_KEYS = {"pr", "commit", "parent", "host", "back_filled", "fingerprint", "w
 SHA = re.compile(r"[0-9a-f]{7,40}")
 
 
-@pytest.fixture(scope="module")
-def trajectory():
+def _bench_module(name: str):
     spec = importlib.util.spec_from_file_location(
-        "trajectory", os.path.join(ROOT, "benchmarks", "trajectory.py"))
+        name, os.path.join(ROOT, "benchmarks", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def trajectory():
+    return _bench_module("trajectory")
 
 
 def test_entries_follow_the_schema(trajectory):
@@ -44,13 +48,59 @@ def test_entries_follow_the_schema(trajectory):
             seeds = [r["seed"] for r in rows]
             assert seeds == sorted(set(seeds))
             for r in rows:
-                assert 0 <= r["won"] <= r["pairs"]
-                assert re.fullmatch(r"[0-9a-f]{12}", r["digest"])
-                for side in ("parent", "change"):
-                    q = r["updates_per_s"][side]
-                    assert 0 < q["q1"] <= q["median"] <= q["q3"], (e["pr"], side)
+                check_row(r)
     assert all(e["back_filled"] for e in entries if e["pr"] <= 16)
+
+
+def check_row(r: dict) -> None:
+    """One workload-and-seed row of an entry."""
+    assert 0 <= r["won"] <= r["pairs"]
+    assert re.fullmatch(r"[0-9a-f]{12}", r["digest"])
+    for side in ("parent", "change"):
+        q = r["updates_per_s"][side]
+        assert 0 < q["q1"] <= q["median"] <= q["q3"], (r, side)
 
 
 def test_serial_baseline(trajectory):
     assert trajectory.serial_baseline() == 3396.0
+
+
+def _record(digest: str, failed: int = 0, **metrics) -> dict:
+    """A ``.perfbench/W-seedS-trace0.json`` record with the given metrics."""
+    return {"env": {}, "digest": digest, "runs": [],
+            "result": {"correct": not failed, "attempted": 100, "failed": failed,
+                       "metrics": {k: {"value": v, "unit": ""} for k, v in metrics.items()}}}
+
+
+def test_perf_pairs_summary():
+    """``perf_pairs.py`` summarizes canned pairs without running the
+    benchmark: quartiles per side, pairs won by each metric's direction
+    (a tie counts for neither), failures, digest agreement and a
+    trajectory row that passes the schema."""
+    pairs_mod = _bench_module("perf_pairs")
+    digest = "70d262fe9971" + "0" * 52
+    rates = [(8000.0, 9300.0), (8100.0, 9250.0), (7900.0, 7900.0), (8050.0, 9400.0)]
+    rss = [(87.4, 87.5), (87.4, 87.3), (87.4, 87.4), (87.4, 87.4)]
+    pairs = [(_record(digest, updates_per_s=p, peak_rss_mb=pm),
+              _record(digest, updates_per_s=c, peak_rss_mb=cm))
+             for (p, c), (pm, cm) in zip(rates, rss)]
+    metrics = pairs_mod.end_to_end_metrics()
+    assert ("updates_per_s", "higher") in metrics and ("peak_rss_mb", "lower") in metrics
+    summary = pairs_mod.summarize(pairs, metrics, seed=3)
+    rate = summary["metrics"]["updates_per_s"]
+    assert rate["won"] == 3 and rate["compared"] == 4  # the 7900 tie counts for neither
+    assert rate["parent"] == {"median": 8025.0, "q1": 7975.0, "q3": 8062.5}
+    assert summary["metrics"]["peak_rss_mb"]["won"] == 1  # lower is better
+    assert summary["failed"] == {"parent": 0, "change": 0}
+    assert summary["digests_agree"]
+    row = summary["row"]
+    assert row["seed"] == 3 and row["pairs"] == 4 and row["won"] == 3
+    assert row["digest"] == "70d262fe9971"
+    check_row(row)
+    text = pairs_mod.format_summary(summary, "async-100k", 3)
+    assert "change won 3/4" in text and "digests: agree" in text
+
+    pairs[1] = (pairs[1][0], _record("f" * 64, failed=100, updates_per_s=9000.0))
+    summary = pairs_mod.summarize(pairs, metrics, seed=3)
+    assert summary["failed"] == {"parent": 0, "change": 100}
+    assert not summary["digests_agree"]

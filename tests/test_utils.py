@@ -21,7 +21,8 @@ from repro.utils import (
     tree_scale,
     unflatten_params,
 )
-from repro.utils.rng import keyed_rng
+from repro.utils import rng as rng_mod
+from repro.utils.rng import WORD_BLOCK, keyed_integer, keyed_rng
 
 
 class TestRng:
@@ -74,6 +75,66 @@ class TestRng:
                 keyed_rng(*key)
         else:
             np.testing.assert_array_equal(keyed_rng(*key).integers(2**62, size=8), want)
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), tag=st.integers(0, 2**32 - 1),
+           block=st.integers(0, 2**32 // WORD_BLOCK - 1))
+    def test_keyed_words_are_first_outputs(self, seed, tag, block):
+        """The vectorized block is each stream's first 64-bit output."""
+        start = block * WORD_BLOCK
+        assert rng_mod._word_block(seed, tag, block) == tuple(
+            keyed_rng(seed, tag, i).bit_generator.random_raw()
+            for i in range(start, start + WORD_BLOCK))
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 99_744, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32 + 7])
+    def test_keyed_integer_is_integers(self, monkeypatch, n):
+        """``integers(n)``'s first draw, whether read off the word or, on
+        NumPy's rejection and for ``n >= 2**32``, from the generator."""
+        built = []
+
+        def counting(*key):
+            built.append(key)
+            return keyed_rng(*key)
+
+        monkeypatch.setattr(rng_mod, "keyed_rng", counting)
+
+        @settings(max_examples=5)
+        @given(seed=st.integers(0, 2**32 - 1), tag=st.integers(0, 2**32 - 1),
+               start=st.integers(0, 2**32 - 64))
+        def check(seed, tag, start):
+            for i in range(start, start + 64):
+                assert keyed_integer(n, seed, tag, i) == int(
+                    keyed_rng(seed, tag, i).integers(n)), (seed, tag, i)
+
+        check()
+        if n in (2**31 + 1, 3 * 2**30, 2**32 + 7):
+            # NumPy rejects ~1/2 and ~1/4 of the first two's words
+            assert built
+        elif n <= 2:
+            assert not built
+
+    @pytest.mark.parametrize("key", [
+        (-1, 0xA7, 5), (0, -1, 5), (0, 0xA7, -1), (np.int64(-1), 0xA7, 5),
+        (2**32, 0xA7, 5), (0, 2**32 + 3, 5), (0, 0xA7, 2**32),
+        (np.uint64(2**40), np.int32(0xA7), np.int64(9)),
+    ])
+    def test_keys_outside_uint32_are_keyed_rng(self, key):
+        """Any other key gives what ``keyed_rng`` gives, error included."""
+        try:
+            want = int(keyed_rng(*key).integers(1000))
+        except ValueError:
+            with pytest.raises(ValueError):
+                keyed_integer(1000, *key)
+        else:
+            assert keyed_integer(1000, *key) == want
+
+    @pytest.mark.parametrize("args", [
+        (10, 1.5, 0xA7, 0), (10, 0, 0xA7, 2.0), (2.5, 0, 0xA7, 0)])
+    def test_keyed_integer_refuses_non_integers(self, args):
+        # the kernel's uint32 lanes would truncate 1.5 into seed 1's stream
+        with pytest.raises(TypeError):
+            keyed_integer(*args)
 
 
 class TestPytree:
