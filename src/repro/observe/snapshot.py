@@ -3,9 +3,9 @@
 A snapshot is everything :class:`~repro.runtime.events.EventCore.run` needs
 to continue a run mid-flight *bit-identically*: the global model vector, the
 virtual clock (``now`` plus the pending event heap — in-flight completions
-ride along with their precomputed updates), the history so far, the
-client-state store, the model's buffer estimate, and the mutable state of
-the three stateful components (algorithm, policy, cohort sampler).
+ride along with their updates or, still unfinished, their jobs), the
+history so far, the client-state store, the model's buffer estimate, and
+the mutable state of the stateful components (algorithm, policy, sampler).
 
 Component state is captured structurally — ``vars(obj)`` minus *live*
 resources (context, model, dataset, backend) and minus plain functions —
@@ -30,6 +30,7 @@ import pickle
 import re
 import time
 import types
+from dataclasses import replace
 
 import numpy as np
 
@@ -46,7 +47,10 @@ __all__ = [
 #: 3: the async policy holds its jobs in one ``_queue`` (schema 2 had three)
 #: 4: FedCM and MoFedSAM keep their momentum in ``momentum`` (a
 #: ``GlobalMomentum``), where schema 3 pickled ``_delta``
-SNAPSHOT_SCHEMA_VERSION = 4
+#: 5: ``IdleTracker`` keeps a sorted busy list and a dict of counts, where
+#: schema 4 pickled a Fenwick ``_tree`` and an ndarray ``_count``; in-flight
+#: jobs ride the image in ``_queue`` with ``_handles`` empty
+SNAPSHOT_SCHEMA_VERSION = 5
 
 # plain functions/methods never carry run state and often don't pickle
 # (lambdas, closures over builders); callable *objects* — samplers,
@@ -91,14 +95,24 @@ def restore_component(obj, state: dict | None) -> None:
         obj.__dict__.update(state)
 
 
+def _pack_policy(policy) -> dict | None:
+    """``pack_component(policy)`` with the jobs behind ``_handles`` queued.
+
+    A handle carries its job, a pure function of its stamped inputs, so the
+    image queues it again (in dispatch order, unstamped, so a resumed run
+    times its own queueing) instead of waiting for its result.
+    """
+    state = pack_component(policy)
+    if state is not None and "_handles" in state:
+        queued = state["_queue"] + [(seq, h.job) for seq, h in state["_handles"].items()]
+        queued.sort(key=lambda entry: entry[0])
+        state |= {"_handles": {}, "_queue": [
+            (seq, replace(job, submitted_at=None)) for seq, job in queued]}
+    return state
+
+
 def snapshot_core(core) -> dict:
     """Capture a resumable image of the core at a round boundary."""
-    prepare = getattr(core.policy, "prepare_snapshot", None)
-    if prepare is not None:
-        # streaming policies hold backend job handles whose futures cannot
-        # be pickled; they materialize outstanding results first (jobs are
-        # pure, so collecting early only changes wall-clock overlap)
-        prepare(core)
     store = core.state_store
     model = core.ctx.model
     return {
@@ -116,7 +130,7 @@ def snapshot_core(core) -> dict:
         "store_stale": store.stale_commits,
         "buffers": model.get_buffers(copy=True) if model.buffers else None,
         "algorithm": pack_component(core.algorithm),
-        "policy": pack_component(core.policy),
+        "policy": _pack_policy(core.policy),
         "client_sampler": pack_component(core.client_sampler),
     }
 

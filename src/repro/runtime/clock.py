@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.simulation.context import SimulationContext
-from repro.utils.rng import keyed_rng
+from repro.utils.rng import KeyedNormals, keyed_rng
 
 __all__ = [
     "Event",
@@ -259,7 +259,7 @@ class LatencyModel:
 
         The base implementation is a scalar loop over :meth:`latency`, so
         third-party subclasses stay correct without opting in; the built-in
-        models override it with vectorized or memoized paths that reproduce
+        models override it with vectorized paths that reproduce
         the per-call draws *bit for bit* — every stream is still keyed by
         ``(seed, tag, dispatch_idx, client_id)``, so batching changes
         neither the values nor any other stream
@@ -302,6 +302,11 @@ class LognormalLatency(LatencyModel):
         sigma: log-std of the per-*client* speed factor (drawn once per
             client; the device-heterogeneity knob).
         jitter: log-std of the per-*dispatch* factor (network noise).
+
+    A client's speed draws from the stream ``(seed, 0x5E, client_id)``
+    through one :class:`~repro.utils.rng.KeyedNormals`, built on the first
+    draw; it and the per-client speed memo are dropped by ``bind`` and left
+    out of pickles.
     """
 
     name = "lognormal"
@@ -312,30 +317,31 @@ class LognormalLatency(LatencyModel):
             raise ValueError("sigma and jitter must be >= 0")
         self.sigma = float(sigma)
         self.jitter = float(jitter)
+        self._normals: KeyedNormals | None = None
         self._speed_cache: dict[int, float] = {}
+
+    def __getstate__(self) -> dict:
+        return self.__dict__ | {"_normals": None, "_speed_cache": {}}
 
     def bind(self, ctx: SimulationContext) -> "LognormalLatency":
         super().bind(ctx)
         # rebinding may change the seed the per-client speed streams key on
-        self._speed_cache = {}
+        self._normals, self._speed_cache = None, {}
         return self
 
     def _speed(self, client_id: int) -> float:
-        """Memoized persistent device speed (one draw per client per bind).
-
-        The stream is keyed by ``(seed, 0x5E, client_id)`` alone, so the
-        draw is a pure function of the client — caching it is exact, and
-        the ``sigma == 0`` shortcut returns the same 1.0 the draw's
-        ``exp(0 * z)`` would.
-        """
-        cache = self._speed_cache
-        s = cache.get(client_id)
+        """Memoized persistent device speed (one draw per client per bind:
+        a population smaller than the run's dispatches draws each client
+        many times); ``sigma == 0`` returns the 1.0 ``exp(0 * z)`` would."""
+        s = self._speed_cache.get(client_id)
         if s is None:
             if self.sigma == 0.0:
                 s = 1.0
             else:
-                s = math.exp(self.sigma * self._rng(0x5E, client_id).standard_normal())
-            cache[client_id] = s
+                if self._normals is None:
+                    self._normals = KeyedNormals(self.seed or 0, 0x5E)
+                s = math.exp(self.sigma * self._normals(client_id))
+            self._speed_cache[client_id] = s
         return s
 
     def factor(self, client_id: int, dispatch_idx: int) -> float:

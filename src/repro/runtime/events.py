@@ -844,8 +844,8 @@ class AsyncPolicy:
 
     Dispatch planning: the prime and every refill burst go through
     :meth:`_dispatch_many`.  The idle set is an
-    :class:`~repro.runtime.fastpath.IdleTracker` holding per-client
-    in-flight counts, so a pick costs O(log N) at any population size.
+    :class:`~repro.runtime.fastpath.IdleTracker` holding the busy clients'
+    in-flight counts, so a pick costs O(log B) for B clients in flight.
     """
 
     uses_state_store = True
@@ -914,12 +914,13 @@ class AsyncPolicy:
         The one dispatch planner.  Picks stay sequential — each draw must
         see the busy marks of the ones before it — but the idle set lives in
         an :class:`~repro.runtime.fastpath.IdleTracker`, so a uniform draw
-        is an O(log N) Fenwick rank lookup instead of an O(population)
+        is a binary search over the busy ids instead of an O(population)
         idle-list rebuild.  Without a sampler, a pick is the first
         ``integers(bound)`` draw of the stream keyed by its dispatch index,
         and :func:`~repro.utils.rng.keyed_integer` reads it off words
         computed a block of dispatch indices at a time instead of building
-        one generator per dispatch.  The latency draws batch through
+        one generator per dispatch.  The latency draws (device speeds from
+        hashed stream states, see ``LognormalLatency``) batch through
         ``sample_many`` and the completion events enter the clock through
         one ``push_many``.  Within a burst ``clock.now`` is frozen and state
         snapshots are read-only, so regrouping picks/draws/hooks/pushes
@@ -1086,16 +1087,6 @@ class AsyncPolicy:
         if restore is not None:
             core.algorithm.unpack_broadcast_state(restore)
 
-    def _drain(self, core: EventCore, block: bool = False) -> None:
-        """Move finished jobs from the backend into ``_results``."""
-        if not self._handles:
-            return
-        by_handle = {h: seq for seq, h in self._handles.items()}
-        for handle, res in core.collect_jobs(list(by_handle), block=block):
-            seq = by_handle[handle]
-            self._results[seq] = res
-            del self._handles[seq]
-
     def _obtain(self, core: EventCore, seq: int):
         """The result for dispatch ``seq``, wherever its job is now."""
         res = self._results.pop(seq, None)
@@ -1105,21 +1096,14 @@ class AsyncPolicy:
             self._hand_over(core)  # the job is still queued
         if seq in self._handles:
             # sweep everything already finished, then wait on the one needed
-            self._drain(core, block=False)
+            by_handle = {h: s for s, h in self._handles.items()}
+            for handle, res in core.collect_jobs(list(by_handle), block=False):
+                self._results[by_handle[handle]] = res
+                del self._handles[by_handle[handle]]
             if seq in self._handles:
                 ((_, res),) = core.collect_jobs([self._handles.pop(seq)], block=True)
                 return res
         return self._results.pop(seq)
-
-    def prepare_snapshot(self, core: EventCore) -> None:
-        """Collect every job the backend holds before state is pickled.
-
-        Backend futures are not picklable.  Jobs are pure functions of
-        their stamped inputs, so collecting them early changes nothing but
-        wall-clock overlap; queued jobs are plain data and simply ride the
-        snapshot.
-        """
-        self._drain(core, block=True)
 
     # -- completions ---------------------------------------------------------
     def on_completion(self, core: EventCore, comp: Completion, now: float) -> None:

@@ -473,7 +473,7 @@ class TestStreamingAPI:
 
     def test_nonblocking_drain(self, problem, reference):
         """block=False never waits: polling it eventually surfaces every
-        result exactly once (the pattern AsyncPolicy._drain relies on)."""
+        result exactly once (the pattern AsyncPolicy._obtain relies on)."""
         ds, cfg = problem
         ctx, backend = self._bound("process", ds, cfg)
         with backend:

@@ -5,8 +5,8 @@ Pins the vectorized control plane's keystone claims:
 * ``LatencyModel.sample_many`` equals per-element ``latency()`` for every
   registered model (same RNG stream discipline, batched);
 * ``IdleTracker`` rank selection equals indexing the ascending idle
-  comprehension, under arbitrary busy/idle churn, across a pickle round
-  trip and with the ndarray tree older snapshots carry;
+  comprehension, under arbitrary busy/idle churn, at dense occupancy and
+  across a pickle round trip;
 * ``VirtualClock.push_many`` pops in the same order as sequential
   ``schedule`` calls (both below and above the heapify threshold);
 * ``AsyncPolicy._dispatch_many`` histories are bit-identical to the scalar
@@ -194,16 +194,50 @@ class TestIdleTracker:
         assert back.n_idle == tr.n_idle and _answers(back) == _answers(tr)
         _churn(back, busy, rng, 300)
 
-    def test_ndarray_tree_answers_alike(self):
-        """Snapshots written before the tree moved to Python ints hold an
-        ndarray tree; such a tracker answers the churn exactly alike."""
-        listed, legacy = IdleTracker(97), IdleTracker(97)
-        legacy._tree = np.array(legacy._tree, dtype=np.int64)
-        for tr in (listed, legacy):
-            _churn(tr, {}, np.random.default_rng(3), 600)
-        assert isinstance(legacy._tree, np.ndarray)
-        assert legacy._tree.tolist() == listed._tree
-        assert _answers(legacy) == _answers(listed)
+    def test_dense_churn_checks_every_rank(self):
+        """With at least 3/4 of the clients in flight, some of them more
+        than once, every rank is the comprehension's after each event."""
+        n, rng = 97, np.random.default_rng(5)
+        tr, busy = IdleTracker(n), {}
+        dense = over = 0
+        for _ in range(1200):
+            if len(busy) < 80 or (len(busy) < 92 and rng.random() < 0.5):
+                cid = int(rng.integers(n))
+                busy[cid] = busy.get(cid, 0) + 1
+                tr.mark_busy(cid)
+            else:
+                cid = int(rng.choice(sorted(busy)))
+                busy[cid] -= 1
+                if not busy[cid]:
+                    del busy[cid]
+                tr.mark_idle(cid)
+            ref = [k for k in range(n) if k not in busy]
+            assert tr.n_idle == len(ref)
+            assert [tr.kth_idle(j) for j in range(tr.n_idle)] == ref
+            assert tr.idle_ids().tolist() == ref
+            dense += len(busy) >= 3 * n / 4
+            over += max(busy.values()) > 1
+        assert dense > 1000 and over > 1000
+
+    def test_pickle_round_trip_keeps_busy_layout(self):
+        """A pickled tracker is its sorted busy ids and their counts, and
+        it answers the rest of the churn as the original would."""
+        tr, busy, rng = IdleTracker(97), {}, np.random.default_rng(11)
+        _churn(tr, busy, rng, 400)
+        back = pickle.loads(pickle.dumps(tr))
+        assert sorted(vars(back)) == ["_busy", "_count", "_idle_cache", "n", "n_idle"]
+        assert back._busy == sorted(busy)
+        assert all(type(c) is int for c in back._busy)
+        assert back._count == busy
+        _churn(back, busy, rng, 400)
+
+    @pytest.mark.parametrize("cid", [-1, 5])
+    def test_marks_refuse_ids_outside_population(self, cid):
+        tr = IdleTracker(5)
+        for mark in (tr.mark_busy, tr.mark_idle):
+            with pytest.raises(IndexError, match=f"client id {cid} out of range for 5"):
+                mark(cid)
+        assert tr.n_idle == 5 and _answers(tr) == ([0, 1, 2, 3, 4], [0, 1, 2, 3, 4])
 
     def test_rank_out_of_range(self):
         tr = IdleTracker(4)
@@ -361,6 +395,22 @@ def test_packed_policy_holds_no_word_block(tmp_path):
         "concurrency_controller", "latency_model", "max_updates", "sampler",
         "streaming", "window",
     ]
+
+
+def test_packed_latency_model_holds_no_drawer(tmp_path):
+    """The speed drawer's hashed blocks and generator, and the speed memo,
+    stay out of a recorded run's snapshot: its packed latency model holds
+    an empty drawer slot and memo, and a resumed model draws again."""
+    run_dir = str(tmp_path / "run")
+    run(_spec("fedasync", record=True, run_dir=run_dir))
+    model = load_snapshot(latest_snapshot(run_dir))["policy"]["latency_model"]
+    assert isinstance(model, LognormalLatency)
+    assert sorted(vars(model)) == [
+        "_base", "_comm", "_compute", "_explicit_seed", "_normals",
+        "_speed_cache", "bandwidth", "bytes_per_param", "comm_method",
+        "jitter", "scale", "seed", "sigma", "time_per_batch",
+    ]
+    assert model._normals is None and model._speed_cache == {}
 
 
 class TestSamplerWeightCache:

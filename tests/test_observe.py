@@ -43,7 +43,9 @@ from repro.observe import (
     read_journal,
     save_snapshot,
 )
+from repro.observe.journal import RunRecorder
 from repro.parallel import ProcessPoolBackend
+from repro.runtime import IdleTracker
 from repro.simulation import FLConfig
 from test_backends import assert_history_equal
 
@@ -193,6 +195,43 @@ class TestResume:
         assert_history_equal(resumed.history, full.history)
         np.testing.assert_array_equal(resumed.final_params, full.final_params)
 
+    def test_snapshot_waits_on_no_job(self, tmp_path, monkeypatch):
+        """A recorded fedbuff run on the 2-worker pool snapshots with jobs
+        in flight: writing the snapshot collects none of them, the image
+        holds them as queued jobs, and resuming re-runs them to the
+        uninterrupted run's history."""
+        full = run(_spec("fedbuff", backend="process", streaming=True))
+        in_flight, blocking, writing = [], [], []
+        write_snapshot, collect = RunRecorder.write_snapshot, ProcessPoolBackend.collect
+
+        def counting_write(self, core):
+            in_flight.append(len(core.policy._handles))
+            writing.append(True)
+            try:
+                return write_snapshot(self, core)
+            finally:
+                writing.pop()
+
+        def watched_collect(self, handles=None, block=True):
+            if writing and block:
+                blocking.append(handles)
+            return collect(self, handles, block)
+
+        monkeypatch.setattr(RunRecorder, "write_snapshot", counting_write)
+        monkeypatch.setattr(ProcessPoolBackend, "collect", watched_collect)
+        rdir = str(tmp_path / "run")
+        run(_spec("fedbuff", backend="process", run_dir=rdir, streaming=True),
+            stop_after_rounds=2)
+        assert max(in_flight) > 0 and blocking == []
+        policy = load_snapshot(latest_snapshot(rdir))["policy"]
+        assert policy["_handles"] == {}
+        seqs = [seq for seq, _ in policy["_queue"]]
+        assert seqs == sorted(seqs) and len(seqs) >= in_flight[-1]
+        assert all(job.submitted_at is None for _, job in policy["_queue"])
+        resumed = resume_run(rdir)
+        assert_history_equal(resumed.history, full.history)
+        np.testing.assert_array_equal(resumed.final_params, full.final_params)
+
     def test_resumed_journal_metrics(self, tmp_path):
         rdir = str(tmp_path / "run")
         run(_spec("sync", run_dir=rdir), stop_after_rounds=1)
@@ -251,10 +290,19 @@ class TestResume:
         policy_2.update(_pending=[], _jobs={}, _burst=[])
         # schema 3's FedCM and MoFedSAM pickled ``_delta`` where schema 4
         # keeps ``momentum``: resumed, their momentum would restart at zero
+        # schema 4's idle tracker pickled a Fenwick tree and an ndarray of
+        # counts where schema 5 keeps a busy list and a dict
+        n = snap["policy"]["_tracker"].n
+        tracker_4 = object.__new__(IdleTracker)
+        vars(tracker_4).update(
+            n=n, n_idle=n, _count=np.zeros(n, dtype=np.int64),
+            _tree=[0] + [i & -i for i in range(1, n + 1)],
+            _idle_cache=None, _dirty=True)
         layouts = {
             1: (json.dumps(data), snap["policy"]),
             2: (spec_text, policy_2),
             3: (spec_text, snap["policy"]),
+            4: (spec_text, dict(snap["policy"], _tracker=tracker_4)),
         }
         # a torn tail, which opening a recorder would heal with a newline
         with open(journal_path(rdir), "a") as f:

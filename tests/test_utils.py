@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +24,10 @@ from repro.utils import (
     tree_scale,
     unflatten_params,
 )
+from repro.runtime import LognormalLatency
+from repro.simulation import FLConfig
 from repro.utils import rng as rng_mod
-from repro.utils.rng import WORD_BLOCK, keyed_integer, keyed_rng
+from repro.utils.rng import NORMAL_BLOCK, WORD_BLOCK, KeyedNormals, keyed_integer, keyed_rng
 
 
 class TestRng:
@@ -135,6 +140,56 @@ class TestRng:
         # the kernel's uint32 lanes would truncate 1.5 into seed 1's stream
         with pytest.raises(TypeError):
             keyed_integer(*args)
+
+    @settings(max_examples=20)
+    @given(seed=st.integers(0, 2**32 - 1), tag=st.integers(0, 2**32 - 1),
+           ids=st.lists(st.integers(0, 2**32 - 1), max_size=6))
+    def test_keyed_normals_are_standard_normal(self, seed, tag, ids):
+        """Each draw is its stream's first ``standard_normal()``, at block
+        edges too, with two drawers' draws interleaved."""
+        edges = [0, NORMAL_BLOCK - 1, NORMAL_BLOCK, 2**32 - 1]
+        mine, theirs = KeyedNormals(seed, tag), KeyedNormals(tag, seed)
+        for i in ids + edges + ids:
+            assert mine(i) == keyed_rng(seed, tag, i).standard_normal(), i
+            assert theirs(i) == keyed_rng(tag, seed, i).standard_normal(), i
+
+    def test_keyed_normals_follow_ziggurat_rejections(self):
+        """A draw NumPy's ziggurat rejects reads on into the stream, on the
+        drawer's generator as on the built one."""
+        normals, rejected = KeyedNormals(0, 0x5E), 0
+        for i in range(2 * NORMAL_BLOCK - 300, 2 * NORMAL_BLOCK + 300):
+            gen = keyed_rng(0, 0x5E, i)
+            assert normals(i) == gen.standard_normal(), i
+            one = keyed_rng(0, 0x5E, i).bit_generator
+            one.random_raw()
+            rejected += gen.bit_generator.state != one.state
+        assert rejected
+
+    @pytest.mark.parametrize("key", [
+        (-1, 0x5E, 5), (0, -1, 5), (0, 0x5E, -1), (np.int64(-1), 0x5E, 5),
+        (2**32, 0x5E, 5), (0, 2**32 + 3, 5), (0, 0x5E, 2**32),
+        (np.uint64(2**40), np.int32(0x5E), np.int64(9)), (1.0, 0x5E, 5),
+    ])
+    def test_keyed_normals_outside_uint32_are_keyed_rng(self, key):
+        """Any other key gives what ``keyed_rng`` gives, error included."""
+        seed, tag, i = key
+        try:
+            want = keyed_rng(*key).standard_normal()
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                KeyedNormals(seed, tag)(i)
+        else:
+            assert KeyedNormals(seed, tag)(i) == want
+
+    def test_rebound_lognormal_draws_that_seeds_speeds(self):
+        model = LognormalLatency(sigma=0.5, jitter=0.0)
+        ids = [0, 3, NORMAL_BLOCK - 1, NORMAL_BLOCK, 4999]
+        for seed in (0, 7, 0):
+            model.bind(SimpleNamespace(config=FLConfig(seed=seed), dim=8,
+                                       client_sizes=lambda: np.full(5000, 20)))
+            assert [model.factor(c, 0) for c in ids] == [
+                math.exp(0.5 * keyed_rng(seed, 0x5E, c).standard_normal())
+                for c in ids]
 
 
 class TestPytree:
