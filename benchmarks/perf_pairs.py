@@ -15,7 +15,9 @@ The summary gives, for every end-to-end metric of ``BENCHMARK.json``, each
 side's median and quartiles over the pairs and the pairs the change won by
 the metric's ``better`` direction (ties count for neither side); then the
 client updates that failed on each side, whether every run's digest agrees,
-and the ``BENCH_trajectory.json`` row for the workload and seed as JSON.
+and the ``BENCH_trajectory.json`` row for the workload and seed as JSON:
+``updates_per_s`` with the pairs it won, and ``peak_rss_mb`` in the same
+shape with its own ``won``.
 Nothing under ``perfbench/`` is changed or imported.
 """
 
@@ -91,11 +93,18 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str]],
         "seed": seed,
         "pairs": rate["compared"],
         "won": rate["won"],
-        "updates_per_s": {side: {k: _round(v) for k, v in rate[side].items()}
-                          for side in ("parent", "change")},
+        "updates_per_s": _sides(rate),
         "digest": (pairs[0][1]["digest"] or "")[:12],
     }
+    rss = out["metrics"].get("peak_rss_mb")
+    if out["row"] is not None and rss is not None:
+        out["row"]["peak_rss_mb"] = {**_sides(rss), "won": rss["won"]}
     return out
+
+
+def _sides(metric: dict) -> dict:
+    return {side: {k: _round(v) for k, v in metric[side].items()}
+            for side in ("parent", "change")}
 
 
 def _round(value: float) -> float:

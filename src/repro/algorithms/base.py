@@ -220,7 +220,7 @@ class LocalSGDMixin:
             out.append(ClientUpdate(
                 client_id=k,
                 displacement=x_global - x_local[i],
-                n_samples=len(ctx.client_xy(k)[1]),
+                n_samples=len(ctx.dataset.client_rows(k)),
                 n_batches=n_batches[i],
                 extras=ex,
             ))
@@ -246,10 +246,12 @@ class LocalSGDMixin:
         ``max_batches_per_round``; one stream serves all of a client's
         epochs, and it is built only when the sampler reads it (a
         ``fixed_order`` sampler, such as a one-sample client's, gets
-        ``None``).  Step ``t`` runs every client that still has a batch
-        ``t`` through one forward/backward; when their batch sizes differ,
-        each size gets a pass of its own in which only the clients with
-        that size step.
+        ``None``).  A batch's indices map through the client's rows
+        (``dataset.client_rows``), so every step gathers straight from the
+        dataset's arrays and no client's data is copied whole.  Step ``t``
+        runs every client that still has a batch ``t`` through one
+        forward/backward; when their batch sizes differ, each size gets a
+        pass of its own in which only the clients with that size step.
 
         Args:
             jobs: ``(round_idx, client_id, x_global)`` triples, distinct clients.
@@ -277,16 +279,17 @@ class LocalSGDMixin:
         # clients holding one loss object share one call on their rows
         shared = losses[0] if all(f is losses[0] for f in losses) else None
 
-        # every client's batch schedule, drawn up front: its sampler is the
-        # only reader of its stream, so lockstep order cannot move a draw
+        # every client's batch schedule in dataset rows, drawn up front: its
+        # sampler is the only reader of its stream, so lockstep order cannot move a draw
         schedules = []
         for r, k, _ in jobs:
+            rows = ctx.dataset.client_rows(k)
             sampler = ctx.sampler_for(k)
             rng = None if sampler.fixed_order else ctx.client_rng(r, k)
             batches = []
             for _ in range(epochs):
                 for bidx in sampler.epoch(rng):
-                    batches.append(bidx)
+                    batches.append(rows[bidx])
                     if cap is not None and len(batches) >= cap:
                         break
                 else:
@@ -296,22 +299,16 @@ class LocalSGDMixin:
         n_batches = [len(b) for b in schedules]
         steps = max(n_batches, default=0)
 
-        # every batch's rows in the cohort's concatenated data, gathered once
-        # per round in step-major order, so a lockstep step's batches are one
-        # contiguous slice; plan[t] lists (client, batch size) of step t
-        data = [ctx.client_xy(k) for k in ids]
-        xs = data[0][0] if n_jobs == 1 else np.concatenate([x for x, _ in data])
-        ys = data[0][1] if n_jobs == 1 else np.concatenate([y for _, y in data])
-        plan, order, owner = [], [], []
+        # every batch's dataset rows in step-major order, so a lockstep
+        # step's batches are one contiguous slice; plan[t] lists (client,
+        # batch size) of step t
+        xs, ys = ctx.dataset.x_train, ctx.dataset.y_train
+        plan, order = [], []
         for t in range(steps):
             row = [(i, len(batches[t])) for i, batches in enumerate(schedules) if t < len(batches)]
             plan.append(row)
-            for i, n in row:
-                order.append(schedules[i][t])
-                owner += [i] * n
+            order += [schedules[i][t] for i, _ in row]
         flat = np.concatenate(order) if order else None
-        if n_jobs > 1 and order:
-            flat += np.cumsum([0] + [len(y) for _, y in data[:-1]])[owner]
 
         # a cohort of one trains in the model's own arena, as the one-client
         # loops and evaluation do; a larger cohort in a fresh block

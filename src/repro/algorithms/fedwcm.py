@@ -131,7 +131,7 @@ class FedWCMX(FedWCM):
         b_hat = ctx.nominal_batches()
         lr_k = []
         for r, k, _ in jobs:
-            n_k = len(ctx.client_xy(k)[1])
+            n_k = len(ctx.dataset.client_rows(k))
             per_epoch = max(1, int(np.ceil(n_k / ctx.config.batch_size)))
             b_k = per_epoch * ctx.config.local_epochs
             lr_k.append(ctx.lr_at(r) * (b_hat / max(b_k, 1)))

@@ -45,7 +45,7 @@ def fedcm_with_balance_loss(alpha: float = 0.1):
     """
 
     def loss_builder(ctx, client_id):
-        _, y = ctx.client_xy(client_id)
+        y = ctx.dataset.y_train[ctx.dataset.client_rows(client_id)]
         counts = np.bincount(y, minlength=ctx.num_classes).astype(np.float64)
         prior = (counts + 1.0) / (counts.sum() + ctx.num_classes)  # Laplace smoothing
         return PriorCELoss(prior)

@@ -138,8 +138,14 @@ class FederatedDataset:
         """Per-client class-count matrix, shape (K, C)."""
         return client_class_counts(self.partitions, self.y_train, self.num_classes)
 
+    def client_rows(self, k: int) -> np.ndarray:
+        """Client ``k``'s row numbers into ``x_train`` / ``y_train``."""
+        if not 0 <= k < len(self.partitions):  # -1 would be the last client
+            raise IndexError(f"client id {k} out of range for {self.num_clients} clients")
+        return self.partitions[k]
+
     def client_data(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.partitions[k]
+        idx = self.client_rows(k)
         return self.x_train[idx], self.y_train[idx]
 
     def flat_view(self) -> "FederatedDataset":

@@ -1,7 +1,8 @@
 """Shared state handed to algorithms during a simulation.
 
 The context owns the single model instance, the flattened parameter layout,
-per-client data and deterministic per-(round, client) RNG streams.  One
+the dataset and deterministic per-(round, client) RNG streams; it keeps
+nothing per client, since a client is its rows of the dataset.  One
 model serves every client: a cohort's local training points it at the
 cohort's ``(C, dim)`` parameter block and runs the clients through it
 together (:class:`repro.algorithms.base.LocalSGDMixin`), while
@@ -72,10 +73,6 @@ class SimulationContext:
         #: which load_params points it back at
         self.arena = (model.flat_params, model.flat_grads)
 
-        self._client_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._loss_cache: dict[int, object] = {}
-        self._sampler_cache: dict[int, object] = {}
-
     # -- data access ---------------------------------------------------------
     @property
     def num_clients(self) -> int:
@@ -86,24 +83,20 @@ class SimulationContext:
         return self.dataset.num_classes
 
     def client_xy(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (features, labels) of client ``k``."""
-        if k not in self._client_cache:
-            self._client_cache[k] = self.dataset.client_data(k)
-        return self._client_cache[k]
+        """Client ``k``'s (features, labels), copied afresh on every call."""
+        return self.dataset.client_data(k)
 
     def client_sizes(self) -> np.ndarray:
-        return np.array([len(p) for p in self.dataset.partitions], dtype=np.int64)
+        return np.fromiter(map(len, self.dataset.partitions), np.int64, self.num_clients)
 
     def loss_for(self, k: int) -> object:
-        if k not in self._loss_cache:
-            self._loss_cache[k] = self.loss_builder(self, k)
-        return self._loss_cache[k]
+        """Client ``k``'s training loss, built on every call."""
+        return self.loss_builder(self, k)
 
     def sampler_for(self, k: int) -> object:
-        if k not in self._sampler_cache:
-            _, y = self.client_xy(k)
-            self._sampler_cache[k] = self.sampler_builder(y, self.config.batch_size)
-        return self._sampler_cache[k]
+        """Client ``k``'s batch sampler over its labels, built on every call."""
+        labels = self.dataset.y_train[self.dataset.client_rows(k)]
+        return self.sampler_builder(labels, self.config.batch_size)
 
     # -- model parameter plumbing ---------------------------------------------
     def load_params(self, flat: np.ndarray) -> None:

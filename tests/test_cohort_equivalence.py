@@ -32,8 +32,14 @@ from repro.simulation.context import SimulationContext
 CLASSES = 4
 # client sizes: "even" cuts every epoch into whole batches of 5; "ragged"
 # adds a one-sample client, remainder batches and a client with twice the
-# batches of the others
-LAYOUTS = {"even": [10, 10, 10, 10, 10, 10], "ragged": [1, 13, 7, 26, 9, 4]}
+# batches of the others; "scattered" deals ragged's sizes out of shuffled
+# rows, so each client's rows are unordered and interleaved with the
+# others', as a Dirichlet partition's are
+LAYOUTS = {
+    "even": [10, 10, 10, 10, 10, 10],
+    "ragged": [1, 13, 7, 26, 9, 4],
+    "scattered": [1, 13, 7, 26, 9, 4],
+}
 MODELS = {
     "linear": ((12,), lambda: make_linear(12, CLASSES, seed=0)),
     "mlp": ((12,), lambda: make_mlp(12, CLASSES, hidden=(8, 6), seed=0)),
@@ -58,6 +64,7 @@ def _dataset(layout: str, shape: tuple) -> FederatedDataset:
     rng = np.random.default_rng(7)
     n = sum(sizes)
     bounds = np.cumsum([0] + sizes)
+    rows = np.random.default_rng(13).permutation(n) if layout == "scattered" else np.arange(n)
     info = DatasetInfo(
         name=f"cohort-{layout}", num_classes=CLASSES, shape=shape, n_max_train=max(sizes),
         n_test_per_class=2, separation=1.0, noise=1.0,
@@ -68,7 +75,7 @@ def _dataset(layout: str, shape: tuple) -> FederatedDataset:
         y_train=rng.integers(0, CLASSES, size=n),
         x_test=rng.normal(size=(8,) + shape),
         y_test=rng.integers(0, CLASSES, size=8),
-        partitions=[np.arange(bounds[i], bounds[i + 1]) for i in range(len(sizes))],
+        partitions=[rows[bounds[i]:bounds[i + 1]] for i in range(len(sizes))],
         imbalance_factor=1.0, beta=1.0, partition_kind="explicit",
     )
 

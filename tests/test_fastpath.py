@@ -26,10 +26,10 @@ import pickle
 import numpy as np
 import pytest
 
+from _population import one_sample_population
 from _scalar_dispatch import ScalarAsyncPolicy
 from repro.algorithms import make_method
 from repro.data import load_federated_dataset
-from repro.data.registry import DatasetInfo, FederatedDataset
 from repro.experiments import run
 from repro.experiments.spec import DataSpec, ExperimentSpec, MethodSpec, RuntimeSpec
 from repro.nn import make_linear, make_mlp
@@ -273,24 +273,6 @@ class TestPushMany:
             VirtualClock().push_many([(-1.0, 0, {})])
 
 
-def _population(n: int) -> FederatedDataset:
-    """``n`` clients holding one linearly separable sample each."""
-    rng = np.random.default_rng(42)
-    w = rng.standard_normal(16)
-    x_train = rng.standard_normal((n, 16))
-    x_test = rng.standard_normal((128, 16))
-    info = DatasetInfo(
-        name=f"population-{n}", num_classes=2, shape=(16,), n_max_train=1,
-        n_test_per_class=64, separation=1.0, noise=0.0, default_model="linear",
-    )
-    return FederatedDataset(
-        info=info, x_train=x_train, y_train=(x_train @ w > 0).astype(np.int64),
-        x_test=x_test, y_test=(x_test @ w > 0).astype(np.int64),
-        partitions=[np.array([i]) for i in range(n)],
-        imbalance_factor=1.0, beta=1.0, partition_kind="balanced",
-    )
-
-
 class TestEngineEquivalence:
     """Production planner histories are bit-identical to the scalar oracle's."""
 
@@ -319,7 +301,7 @@ class TestEngineEquivalence:
     def test_two_thousand_client_population(self, monkeypatch):
         """The control-plane bench's population: 2k one-sample clients,
         256 in flight, 1000 fedasync updates."""
-        ds = _population(2_000)
+        ds = one_sample_population(2_000)
 
         def run_once():
             sim = AsyncFederatedSimulation(

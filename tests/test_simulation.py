@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.algorithms import FedAvg, FedCM
+from _population import one_sample_population
+from repro.algorithms import FedAvg, FedCM, FedWCM, make_method
 from repro.data import load_federated_dataset
-from repro.nn import make_mlp, make_resnet_lite
+from repro.data import registry as registry_mod
+from repro.data.registry import FederatedDataset
+from repro.nn import make_linear, make_mlp, make_resnet_lite
+from repro.runtime import AsyncFederatedSimulation, LognormalLatency
 from repro.simulation import FLConfig, FederatedSimulation, History, RoundRecord
+from repro.simulation import context as context_mod
 from repro.simulation.context import SimulationContext
 
 
@@ -76,11 +83,14 @@ class TestContext:
         model = make_mlp(32, 10, seed=0)
         return SimulationContext(model, ds, FLConfig(seed=1, participation=0.5))
 
-    def test_client_xy_cached(self, ds):
+    def test_client_xy_is_client_data(self, ds):
         ctx = self._ctx(ds)
-        x1, y1 = ctx.client_xy(0)
-        x2, y2 = ctx.client_xy(0)
-        assert x1 is x2
+        for k in range(ds.num_clients):
+            want_x, want_y = ds.client_data(k)
+            x, y = ctx.client_xy(k)
+            np.testing.assert_array_equal(x, want_x)
+            np.testing.assert_array_equal(y, want_y)
+            np.testing.assert_array_equal(y, ds.y_train[ds.client_rows(k)])
 
     def test_sample_clients_deterministic(self, ds):
         ctx = self._ctx(ds)
@@ -121,6 +131,97 @@ class TestContext:
         n_avg = len(ds.y_train) // 6
         per_epoch = int(np.ceil(n_avg / ctx.config.batch_size))
         assert ctx.nominal_batches() == per_epoch * ctx.config.local_epochs
+
+
+def _fedasync(population: FederatedDataset, updates: int) -> AsyncFederatedSimulation:
+    return AsyncFederatedSimulation(
+        make_method("fedasync").algorithm, make_linear(16, 2, seed=0), population,
+        FLConfig(rounds=1, participation=0.1, local_epochs=1, batch_size=10,
+                 max_batches_per_round=1, eval_every=8, seed=0),
+        latency_model=LognormalLatency(sigma=0.5, jitter=0.0),
+        concurrency=256, max_updates=updates, backend="serial",
+    )
+
+
+class TestClientRows:
+    """A client is its rows of the dataset: local SGD gathers its batches
+    through them, and the context keeps nothing per client."""
+
+    def _ctx(self, ds, layout):
+        if layout == "one-sample":
+            return SimulationContext(make_linear(16, 2, seed=0), one_sample_population(8),
+                                     FLConfig(seed=1))
+        return SimulationContext(make_mlp(32, 10, seed=0), ds, FLConfig(seed=1))
+
+    @pytest.mark.parametrize("layout", ["one-sample", "multi-sample"])
+    @pytest.mark.parametrize("outside", ["-1", "N"])
+    def test_ids_outside_the_population_are_refused(self, ds, layout, outside):
+        # -1 used to train the last client's data under id -1, and N to
+        # fail on a bare list index
+        ctx = self._ctx(ds, layout)
+        n = ctx.num_clients
+        k = n if outside == "N" else -1
+        match = f"client id {k} out of range for {n} clients"
+        with pytest.raises(IndexError, match=match):
+            FedAvg().client_update(ctx, 0, k, ctx.x0)
+        with pytest.raises(IndexError, match=match):
+            ctx.client_xy(k)
+        with pytest.raises(IndexError, match=match):
+            ctx.sampler_for(k)
+
+    @pytest.mark.parametrize("layout", ["one-sample", "multi-sample"])
+    def test_numpy_integer_ids_are_accepted(self, ds, layout):
+        ctx = self._ctx(ds, layout)
+        want = FedAvg().client_update(ctx, 0, 3, ctx.x0)
+        for k in (np.int64(3), np.int32(3), np.uint8(3)):
+            got = FedAvg().client_update(ctx, 0, k, ctx.x0)
+            np.testing.assert_array_equal(got.displacement, want.displacement)
+            assert got.n_samples == want.n_samples == len(ctx.dataset.partitions[3])
+
+    def test_local_sgd_never_copies_a_client(self, ds, monkeypatch):
+        """Neither a fedasync run nor a sync FedWCM run reads a client's
+        arrays whole."""
+        calls = []
+        client_data, client_xy = FederatedDataset.client_data, SimulationContext.client_xy
+
+        def spy(real):
+            def wrapped(self, k):
+                calls.append((real.__name__, k))
+                return real(self, k)
+            return wrapped
+
+        monkeypatch.setattr(FederatedDataset, "client_data", spy(client_data))
+        monkeypatch.setattr(SimulationContext, "client_xy", spy(client_xy))
+        assert _fedasync(one_sample_population(64), 200).run().records
+        cfg = FLConfig(rounds=2, participation=0.5, local_epochs=1, seed=0,
+                       max_batches_per_round=3)
+        assert FederatedSimulation(FedWCM(), make_mlp(32, 10, seed=0), ds, cfg).run().records
+        assert calls == []
+        ctx = self._ctx(ds, "multi-sample")
+        ctx.client_xy(2)  # the spies do see a whole-array read
+        assert calls == [("client_xy", 2), ("client_data", 2)]
+
+    def test_a_run_keeps_nothing_per_client(self):
+        """Nothing the context or the dataset allocates during a 2k-client
+        one-sample fedasync run survives it: no client copies, samplers,
+        losses or dicts of them."""
+        sim = _fedasync(one_sample_population(2_000), 1_000)
+        tracemalloc.start()
+        try:
+            history = sim.run()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        assert len({k for r in history.records for k in r.selected}) > 500
+        kept = snapshot.filter_traces([
+            tracemalloc.Filter(True, context_mod.__file__),
+            tracemalloc.Filter(True, registry_mod.__file__),
+        ]).statistics("lineno")
+        # a freed tuple parked in an interpreter free list stays traced at
+        # the line that first allocated it, so allow a few such bytes; a
+        # cache keyed by client holds a block for each of the ~1,000
+        # clients trained, or one dict of tens of KiB
+        assert sum(s.count for s in kept) < 8 and sum(s.size for s in kept) < 1024, kept
 
 
 class TestHistory:

@@ -4,6 +4,7 @@ schema, and the serial baseline ``bench_clients_per_sec.py`` gates against."""
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import re
 
@@ -13,6 +14,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = {"sync-mlp", "sync-conv", "async-100k", "fedbuff-pool-rec"}
 ENTRY_KEYS = {"pr", "commit", "parent", "host", "back_filled", "fingerprint", "workloads"}
 SHA = re.compile(r"[0-9a-f]{7,40}")
+with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+    END_TO_END = {m["name"] for m in json.load(f)["end_to_end"]}
 
 
 def _bench_module(name: str):
@@ -53,12 +56,18 @@ def test_entries_follow_the_schema(trajectory):
 
 
 def check_row(r: dict) -> None:
-    """One workload-and-seed row of an entry."""
+    """One workload-and-seed row of an entry: ``updates_per_s`` and its
+    pairs won, and any other end-to-end metric of ``BENCHMARK.json`` under
+    its own name, in the same quartile shape with its own ``won``."""
     assert 0 <= r["won"] <= r["pairs"]
     assert re.fullmatch(r"[0-9a-f]{12}", r["digest"])
-    for side in ("parent", "change"):
-        q = r["updates_per_s"][side]
-        assert 0 < q["q1"] <= q["median"] <= q["q3"], (r, side)
+    assert "updates_per_s" in r and r.keys() <= {"seed", "pairs", "won", "digest"} | END_TO_END
+    for name in END_TO_END & r.keys():
+        won = r["won"] if name == "updates_per_s" else r[name]["won"]
+        assert 0 <= won <= r["pairs"], (r, name)
+        for side in ("parent", "change"):
+            q = r[name][side]
+            assert 0 < q["q1"] <= q["median"] <= q["q3"], (r, name, side)
 
 
 def test_serial_baseline(trajectory):
@@ -96,7 +105,14 @@ def test_perf_pairs_summary():
     row = summary["row"]
     assert row["seed"] == 3 and row["pairs"] == 4 and row["won"] == 3
     assert row["digest"] == "70d262fe9971"
+    assert row["peak_rss_mb"] == {"parent": {"median": 87.4, "q1": 87.4, "q3": 87.4},
+                                  "change": {"median": 87.4, "q1": 87.38, "q3": 87.43},
+                                  "won": 1}
     check_row(row)
+    with pytest.raises(AssertionError):
+        check_row({**row, "peak_rss_mb": {**row["peak_rss_mb"], "won": 5}})
+    with pytest.raises(AssertionError):
+        check_row({**row, "rss": row["peak_rss_mb"]})  # not a BENCHMARK.json metric
     text = pairs_mod.format_summary(summary, "async-100k", 3)
     assert "change won 3/4" in text and "digests: agree" in text
 
