@@ -51,23 +51,17 @@ class BalanceFL(FederatedAlgorithm):
         self.distill_weight = distill_weight
 
     def setup(self, ctx: SimulationContext) -> None:
-        # balanced samplers per client (overrides the default uniform sampler)
-        self._samplers = {}
         self._absent = {}
         counts = ctx.dataset.client_counts
         for k in range(ctx.num_clients):
             self._absent[k] = np.flatnonzero(counts[k] == 0)
 
-    def _sampler(self, ctx, k: int) -> BalancedBatchSampler:
-        if k not in self._samplers:
-            _, y = ctx.client_xy(k)
-            self._samplers[k] = BalancedBatchSampler(y, ctx.config.batch_size)
-        return self._samplers[k]
-
     def client_update(self, ctx, round_idx, client_id, x_global) -> ClientUpdate:
         cfg = ctx.config
         xs, ys = ctx.client_xy(client_id)
-        sampler = self._sampler(ctx, client_id)
+        # balanced batches (overrides the default uniform sampler): a pure
+        # function of the client's labels, so it is built per update
+        sampler = BalancedBatchSampler(ys, cfg.batch_size)
         loss = ctx.loss_for(client_id)
         rng = ctx.client_rng(round_idx, client_id)
         absent = self._absent[client_id]

@@ -53,9 +53,10 @@ kinds, batch and streaming):
 * :class:`SerialBackend` — in-process against the engine's live context and
   algorithm; the default, and the reference semantics.  ``submit_many``
   executes eagerly (there is nothing to overlap with in one process).
-* :class:`ProcessPoolBackend` — a fork-based process pool whose workers
-  accept and return packed state and buffer dicts; ``submit_many`` is a
-  true asynchronous hand-off (``Pool.apply_async``).
+* :class:`ProcessPoolBackend` — forked worker processes that accept and
+  return packed state and buffer dicts; ``submit_many`` is a true
+  asynchronous hand-off (pickled tasks, each written to a worker's pipe
+  once that worker has room).
 * :class:`ThreadBackend` — per-thread replicas; no fork, cheap to spin up —
   meant for smoke/CI runs and platforms without ``fork``; ``submit_many``
   hands each worker a live future.
@@ -75,11 +76,15 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import pickle
+import queue
 import threading
 import time
+import traceback
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import wait
 from typing import Callable, Sequence
 
 import numpy as np
@@ -90,8 +95,14 @@ from repro.simulation.context import SimulationContext
 from repro.utils.validation import positive_count
 
 #: seconds :meth:`ProcessPoolBackend.close` waits for in-flight pool tasks
-#: before it gives up on draining and terminates the pool
+#: before it gives up on draining and kills the workers still busy
 _CLOSE_DRAIN_S = 5.0
+#: seconds a pool worker with nothing outstanding gets to exit once stopped
+#: (or once its pipe closed) before it is killed
+_STOP_JOIN_S = 1.0
+#: tasks a pool worker holds at once: the one it runs and the next, in hand
+#: when that one ends; the rest wait in the parent for the first free worker
+_WORKER_TASKS = 2
 
 __all__ = [
     "ClientJob",
@@ -578,10 +589,10 @@ def _pool_worker_init(model_builder, dataset, config, loss_builder,
 def _pool_worker_run_payload(payload: bytes) -> list[ClientResult]:
     """Run one pre-pickled chunk of jobs; the pool task granularity.
 
-    The parent pickles the chunk itself (``Pool`` then only re-pickles a
-    ``bytes`` object — effectively a memcpy), so the serialized size is
-    known on both sides without any extra ``pickle.dumps``: each job's
-    ``pickle_bytes`` is its share of the chunk payload.
+    The parent pickles the chunk itself and writes those bytes to the
+    worker's pipe as they are, so the serialized size is known on both
+    sides without any extra ``pickle.dumps``: each job's ``pickle_bytes``
+    is its share of the chunk payload.
     """
     jobs = pickle.loads(payload)
     share = len(payload) // max(len(jobs), 1)
@@ -591,21 +602,104 @@ def _pool_worker_run_payload(payload: bytes) -> list[ClientResult]:
     )
 
 
+def _pool_worker_reply(payload: bytes) -> bytes:
+    """The pickled reply to one task: ``(True, results)``, or ``(False,
+    exception)`` with the worker's traceback as a note.  An exception that
+    does not survive pickling comes back as a ``RuntimeError`` carrying
+    its repr."""
+    try:
+        return pickle.dumps((True, _pool_worker_run_payload(payload)),
+                            pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        # what exc.add_note does, on Python 3.10 too (shown from 3.11 on)
+        exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                         f"in process-pool worker {os.getpid()}:\n{traceback.format_exc()}"]
+        try:
+            reply = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            pickle.loads(reply)
+            return reply
+        except Exception:
+            return pickle.dumps((False, RuntimeError(repr(exc))),
+                                pickle.HIGHEST_PROTOCOL)
+
+
+def _pool_worker_main(conn, inherited, builders) -> None:
+    """A forked pool worker: build the replica, then answer tasks in order
+    until an empty stop payload or EOF.
+
+    ``inherited`` are the parent's pipe ends the fork copied in (this
+    worker's and every earlier one's); closing them is what makes the
+    parent's exit reach every worker as EOF.  A reader thread takes each
+    task off the pipe as it arrives, so the parent's write never waits for
+    the task before it to finish, and the loop writing a large reply never
+    stops the parent writing: neither side can block writing while the
+    other blocks writing back.
+    """
+    for end in inherited:
+        end.close()
+    tasks: queue.SimpleQueue = queue.SimpleQueue()
+
+    def read() -> None:
+        try:
+            while payload := conn.recv_bytes():
+                tasks.put(payload)
+        except (EOFError, OSError):
+            pass  # the parent is gone
+        tasks.put(None)
+
+    threading.Thread(target=read, daemon=True).start()
+    _pool_worker_init(*builders)
+    for payload in iter(tasks.get, None):
+        try:
+            conn.send_bytes(_pool_worker_reply(payload))
+        except OSError:  # the parent is gone
+            return
+
+
+class _PoolTask:
+    """One chunk in flight; ``reply`` is ``(ok, results or exception)`` once
+    its worker answered."""
+
+    __slots__ = ("reply",)
+
+    def __init__(self) -> None:
+        self.reply: tuple | None = None
+
+
+class _PoolWorker:
+    """A forked worker, the parent's end of its pipe, and its outstanding
+    tasks, oldest first (a worker answers in the order it was sent)."""
+
+    __slots__ = ("process", "conn", "pending")
+
+    def __init__(self, process, conn) -> None:
+        self.process = process
+        self.conn = conn
+        self.pending: deque[_PoolTask] = deque()
+
+
 class ProcessPoolBackend(ExecutionBackend):
     """Fork-based process pool speaking the full job contract.
 
     Workers accept and return packed state and buffer dicts, so stateful
     methods (SCAFFOLD, FedDyn) and BatchNorm buffer tracking run under the
     pool with results bit-identical to the serial backend.
-    ``submit_many`` is an asynchronous hand-off (``Pool.apply_async`` per
-    chunk).
+    :meth:`bind` forks ``workers`` daemonic processes, each joined to the
+    parent by one duplex pipe.  ``submit_many`` pickles each chunk into a
+    backlog and returns; a worker holds at most ``_WORKER_TASKS`` tasks,
+    and is handed the next from the backlog when a reply of its comes
+    back, so a free worker takes the next task however uneven the jobs.
+    ``collect`` waits on the pipes and matches each reply to its worker's
+    oldest outstanding task.  The parent runs no helper thread: the event
+    loop itself is the pool's only reader and writer.  A worker that dies
+    shows up as EOF on its pipe, and its tasks raise at ``collect``.
 
     Two transport optimizations, both off by default and both identity-
     preserving (jobs are stamped from dispatch-time state before they reach
     the backend, and results are applied in virtual-time order):
 
     * ``job_batch=k`` — :meth:`submit_many` groups k jobs per pool task,
-      amortizing one pickle + one IPC round-trip across the group.
+      amortizing one pickle + one pipe round-trip across the group.
     * ``shared_memory=True`` — broadcast arrays (``x_ref``, round-stable
       ``broadcast_state`` entries) are published once per version into a
       :class:`~repro.parallel.shm.BroadcastStore` and jobs ship tiny
@@ -629,10 +723,12 @@ class ProcessPoolBackend(ExecutionBackend):
             positive_count(job_batch, "job_batch") if job_batch is not None else None
         )
         self.shared_memory = bool(shared_memory)
-        self._pool = None
+        self._pool: list[_PoolWorker] | None = None
+        # pickled tasks no worker has room for yet, oldest first
+        self._backlog: deque[tuple[_PoolTask, bytes]] = deque()
         self._store: BroadcastStore | None = None
-        # handle -> (chunk AsyncResult, index into the chunk's result list)
-        self._inflight: dict[JobHandle, tuple[mp.pool.AsyncResult, int]] = {}
+        # handle -> (chunk task, index into the chunk's result list)
+        self._inflight: dict[JobHandle, tuple[_PoolTask, int]] = {}
         # shm refs acquired per handle, released at collect
         self._handle_refs: dict[JobHandle, tuple] = {}
         self._jobs_submitted = 0
@@ -650,21 +746,32 @@ class ProcessPoolBackend(ExecutionBackend):
         self.close()
         if self.shared_memory:
             self._store = BroadcastStore()
-        self._pool = mp.get_context("fork").Pool(
-            processes=self.workers,
-            initializer=_pool_worker_init,
-            initargs=(model_builder, ctx.dataset, ctx.config,
-                      loss_builder, sampler_builder, algo_builder),
-        )
+        builders = (model_builder, ctx.dataset, ctx.config,
+                    loss_builder, sampler_builder, algo_builder)
+        fork = mp.get_context("fork")
+        self._pool = []
+        for _ in range(self.workers):
+            ours, theirs = fork.Pipe()
+            inherited = [w.conn for w in self._pool] + [ours]
+            process = fork.Process(target=_pool_worker_main,
+                                   args=(theirs, inherited, builders), daemon=True)
+            process.start()
+            theirs.close()
+            self._pool.append(_PoolWorker(process, ours))
         return self
 
     def submit_many(self, jobs: Sequence[ClientJob]) -> list[JobHandle]:
-        """Chunk by ``job_batch`` and ship each chunk as one pool task."""
+        """Chunk by ``job_batch`` and queue each chunk, pickled, as one
+        task; a worker with room gets it at once."""
         if self._pool is None:
             raise RuntimeError("ProcessPoolBackend.submit_many before bind()")
         chunk = self.job_batch or 1
         handles: list[JobHandle] = []
         for start in range(0, len(jobs), chunk):
+            if not self._pool:  # the last one exited, here or earlier
+                raise RuntimeError(
+                    "ProcessPoolBackend.submit_many after every worker exited"
+                )
             group = [self._stamp(j) for j in jobs[start:start + chunk]]
             if self._store is not None:
                 packed = [self._store.pack_job(j) for j in group]
@@ -673,39 +780,111 @@ class ProcessPoolBackend(ExecutionBackend):
             else:
                 ship, refs = group, [()] * len(group)
             payload = pickle.dumps(tuple(ship), pickle.HIGHEST_PROTOCOL)
-            async_res = self._pool.apply_async(
-                _pool_worker_run_payload, (payload,)
-            )
+            task = _PoolTask()
             self._tasks_submitted += 1
             for idx, (job_s, job_refs) in enumerate(zip(group, refs)):
                 handle = self._make_handle(job_s)
-                self._inflight[handle] = (async_res, idx)
+                self._inflight[handle] = (task, idx)
                 if job_refs:
                     self._handle_refs[handle] = job_refs
                 handles.append(handle)
             self._jobs_submitted += len(group)
+            self._backlog.append((task, payload))
+            self._feed()
         return handles
 
+    def _feed(self) -> None:
+        """Write backlog tasks, oldest first, to the least-loaded workers
+        while one has room."""
+        while self._backlog and self._pool:
+            worker = min(self._pool, key=lambda w: len(w.pending))
+            if len(worker.pending) >= _WORKER_TASKS:
+                return
+            task, payload = self._backlog.popleft()
+            worker.pending.append(task)
+            try:
+                worker.conn.send_bytes(payload)
+            except OSError:
+                self._retire(worker)  # it exited; the task fails at collect
+            except BaseException:
+                # interrupted mid-write: the worker would read the rest of
+                # this task as the next one
+                self._retire(worker, kill=True)
+                raise
+
+    def _receive(self, timeout: float | None) -> None:
+        """Read every reply that is ready, waiting up to ``timeout`` (None:
+        for good) for the first, into each worker's oldest pending task;
+        then refill the workers from the backlog."""
+        busy = {w.conn: w for w in self._pool if w.pending}
+        for conn in wait(list(busy), timeout):
+            worker = busy[conn]
+            try:
+                while worker.pending:
+                    reply = pickle.loads(conn.recv_bytes())
+                    worker.pending.popleft().reply = reply
+                    if not conn.poll():
+                        break
+            except (EOFError, OSError):
+                self._retire(worker)
+            except BaseException:
+                # interrupted mid-read: the rest of this reply would be
+                # read as the next one's header
+                self._retire(worker, kill=True)
+                raise
+        self._feed()
+
+    def _retire(self, worker: _PoolWorker, kill: bool = False) -> None:
+        """Take a worker out of the pool: one whose pipe broke (it exited),
+        or with ``kill`` one whose pipe was left mid-message.  It is reaped,
+        killed first if it still runs; its outstanding tasks, and the
+        backlog once no worker is left, fail with an error naming its pid
+        and exit code."""
+        process = worker.process
+        if not kill:
+            process.join(_STOP_JOIN_S)  # its pipe closed as it exited
+        if process.exitcode is None:
+            process.kill()
+            process.join()
+        error = RuntimeError(
+            f"process-pool worker pid {process.pid} exited with code "
+            f"{process.exitcode} with {len(worker.pending)} task(s) outstanding"
+        )
+        self._pool.remove(worker)
+        worker.conn.close()
+        stranded = list(worker.pending)
+        worker.pending.clear()
+        if not self._pool:
+            stranded += [task for task, _ in self._backlog]
+            self._backlog.clear()
+        for task in stranded:
+            task.reply = (False, error)
+
     def collect(self, handles=None, block=True):
+        if self._pool:
+            self._receive(0.0)
         out = []
         for h in list(self._inflight) if handles is None else handles:
             try:
-                async_res, idx = self._inflight[h]
+                task, idx = self._inflight[h]
             except KeyError:
                 if block:
                     raise KeyError(
                         f"unknown or already-collected handle {h!r}"
                     ) from None
                 continue
-            if not block and not async_res.ready():
-                continue
-            # AsyncResult caches its value, so sibling handles of the same
-            # chunk each .get() cheaply and index their own slot
-            results = async_res.get()  # re-raises a worker exception here
+            if task.reply is None:
+                if not block:
+                    continue
+                while task.reply is None:
+                    self._receive(None)
+            ok, value = task.reply
+            if not ok:
+                raise value  # the worker's exception, or its death
             del self._inflight[h]
             for ref in self._handle_refs.pop(h, ()):
                 self._store.release(ref)
-            out.append((h, results[idx]))
+            out.append((h, value[idx]))
         return out
 
     def transport_stats(self) -> dict:
@@ -730,29 +909,53 @@ class ProcessPoolBackend(ExecutionBackend):
         return parallel_map(fn, items, workers=self.workers)
 
     def close(self) -> None:
-        if self._pool is not None:
-            # a run that died with work in flight drains it first: killing a
-            # worker while it writes a result can leave Pool.terminate()
-            # blocked for good on the result pipe's lock; only a task still
-            # running past the bound is terminated
-            deadline = time.monotonic() + _CLOSE_DRAIN_S
-            for async_res, _ in self._inflight.values():
-                async_res.wait(max(0.0, deadline - time.monotonic()))
-            if all(async_res.ready() for async_res, _ in self._inflight.values()):
-                self._pool.close()
-            else:
-                self._pool.terminate()
-            self._pool.join()
+        try:
+            if self._pool is not None:
+                self._stop_workers()
+        finally:
             self._pool = None
-        if self._store is not None:
-            # snapshot counters first: the journal's end record reads
-            # transport_stats after the engine closed the backend
-            self._last_shm_stats = self._store.stats()
-            # after the pool is gone: no worker still maps the segments
-            self._store.close()
-            self._store = None
-        self._inflight = {}
-        self._handle_refs = {}
+            if self._store is not None:
+                # snapshot counters first: the journal's end record reads
+                # transport_stats after the engine closed the backend
+                self._last_shm_stats = self._store.stats()
+                # after the workers are gone: none still maps the segments
+                self._store.close()
+                self._store = None
+            self._inflight = {}
+            self._handle_refs = {}
+
+    def _stop_workers(self) -> None:
+        """Stop and reap every worker.
+
+        Each gets the empty stop payload at once and answers the tasks it
+        holds first; a run that died with work in flight lets that finish
+        for up to ``_CLOSE_DRAIN_S``, reading the replies so no worker
+        stays blocked writing one.  A worker with nothing outstanding then
+        gets at least ``_STOP_JOIN_S`` to exit; only one still busy past
+        the bound, or still running after its own, is killed.  The reaping
+        runs even if the drain raises.
+        """
+        self._backlog.clear()
+        deadline = time.monotonic() + _CLOSE_DRAIN_S
+        try:
+            for w in self._pool:
+                try:
+                    w.conn.send_bytes(b"")
+                except OSError:
+                    pass  # it exited already; the join below reaps it
+            while any(w.pending for w in self._pool):
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                self._receive(left)
+        finally:
+            for w in self._pool:
+                left = deadline - time.monotonic()
+                w.process.join(max(left, 0.0 if w.pending else _STOP_JOIN_S))
+                if w.process.exitcode is None:
+                    w.process.kill()
+                    w.process.join()
+                w.conn.close()
 
 
 class ThreadBackend(ExecutionBackend):

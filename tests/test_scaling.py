@@ -12,19 +12,35 @@ Covers the transport optimizations behind the clients-per-second bench:
   materializes on first dispatch only, so memory is O(active clients);
 * the pinned legacy ``collect(block=False)`` semantics — never starts
   work, never raises;
-* ``submit_many`` chunking and transport accounting on the pool backend.
+* ``submit_many`` chunking and transport accounting on the pool backend;
+* the pool's forked workers — a job's exception and a worker killed
+  mid-job both raise at ``collect``, a free worker takes the next task,
+  large replies never deadlock a parent still submitting, an interrupted
+  pipe transfer retires only its worker, ``close`` reaps everything even
+  when its drain raises and kills no idle worker, and a parent's exit
+  takes its workers with it.
 """
 
 from __future__ import annotations
+
+import functools
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from test_backends import _spec, assert_history_equal
 
 from repro.algorithms import make_method
+from repro.algorithms.fedavg import FedAvg
 from repro.data import load_federated_dataset
 from repro.experiments import resume_run, run
 from repro.nn import make_mlp
+from repro.parallel import backend as backend_module
 from repro.parallel import (
     ArrayRef,
     BroadcastStore,
@@ -39,6 +55,7 @@ from repro.runtime.events import ClientStateStore
 from repro.simulation import FLConfig
 
 KINDS = ("sync", "semisync", "fedasync", "fedbuff")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +310,11 @@ class TestCollectContract:
             shared_memory.SharedMemory(name=packed_ref.name)
         assert isinstance(ref, np.ndarray)  # journal path untouched by shm
 
-    def test_close_drains_short_inflight_jobs(self, tiny_runtime, monkeypatch):
-        """close() with short jobs in flight waits for them and closes the
-        pool; it never terminates it.  Terminating a pool whose worker is
-        writing a result can block ``Pool.terminate()`` forever, so here
-        terminate raises.  The workers are reaped and the shared-memory
-        segments unlinked."""
-        from multiprocessing import pool as mp_pool
+    def test_close_drains_short_inflight_jobs(self, tiny_runtime):
+        """close() with short jobs in flight waits for them, then stops
+        every worker with the stop payload: none is killed (every exit code
+        is 0), all are reaped, and the shared-memory segments are
+        unlinked."""
         from multiprocessing import shared_memory
 
         ds, cfg = tiny_runtime
@@ -309,23 +324,318 @@ class TestCollectContract:
         )
         backend = ProcessPoolBackend(workers=2, shared_memory=True)
         backend.bind(ctx, algo, model_builder=lambda: make_mlp(32, 10, seed=0))
-        workers = list(backend._pool._pool)
-
-        def refuse(pool):
-            raise AssertionError("close() terminated a pool with short jobs in flight")
-
-        monkeypatch.setattr(mp_pool.Pool, "terminate", refuse)
+        workers = [w.process for w in backend._pool]
         backend.submit_many(_jobs(ctx, algo, 4))
         names = {r.name for refs in backend._handle_refs.values() for r in refs}
-        try:
-            backend.close()  # never collected
-        finally:
-            monkeypatch.undo()
-            backend.close()  # reaps what a failed close left behind
-        assert names and all(p.exitcode is not None for p in workers)
+        backend.close()  # never collected
+        assert names and [p.exitcode for p in workers] == [0, 0]
+        assert not any(p.is_alive() for p in workers)
         for name in names:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
+
+
+# ---------------------------------------------------------------------------
+# the pool's own workers: death, back-pressure, orphaning
+# ---------------------------------------------------------------------------
+class _Stuck(FedAvg):
+    """A method whose client work never returns on its own."""
+
+    def client_updates(self, ctx, jobs):
+        threading.Event().wait()
+
+
+class _StuckOnZero(FedAvg):
+    """A method whose work for client 0 never returns on its own."""
+
+    def client_updates(self, ctx, jobs):
+        if any(k == 0 for _, k, _ in jobs):
+            threading.Event().wait()
+        return super().client_updates(ctx, jobs)
+
+
+class _Interrupt(BaseException):
+    """Stands in for a KeyboardInterrupt landing inside a pipe transfer."""
+
+
+def _interrupting(monkeypatch, method: str) -> None:
+    """Make the parent's next ``Connection.<method>`` raise ``_Interrupt``
+    once, as a Ctrl-C in the middle of a transfer would."""
+    from multiprocessing.connection import Connection
+
+    original = getattr(Connection, method)
+    calls = []
+
+    def interrupted(self, *args, **kwargs):
+        calls.append(method)
+        if len(calls) == 1:
+            raise _Interrupt
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Connection, method, interrupted)
+
+
+def _within(seconds: float, fn):
+    """``fn()``'s value, or a test failure once ``seconds`` have passed
+    (the call keeps running in a daemon thread instead of hanging the
+    suite)."""
+    box: dict = {}
+
+    def call():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # re-raised in the test's thread
+            box["error"] = exc
+
+    thread = threading.Thread(target=call, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        pytest.fail(f"still blocked after {seconds} s")
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs (a zombie nobody reaped has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+_ORPHAN_HELPER = """
+import os
+from repro.algorithms import make_method
+from repro.data import load_federated_dataset
+from repro.nn import make_mlp
+from repro.parallel import ProcessPoolBackend, build_job_runtime
+from repro.simulation import FLConfig
+
+ds = load_federated_dataset("fashion-mnist-lite", imbalance_factor=0.3,
+                            beta=0.3, num_clients=6, seed=0, scale=0.3)
+cfg = FLConfig(rounds=1, participation=0.5, local_epochs=1, seed=0)
+ctx, algo = build_job_runtime(lambda: make_mlp(32, 10, seed=0), ds, cfg,
+                              algo_builder=lambda: make_method("fedavg").algorithm)
+backend = ProcessPoolBackend(workers=2)
+backend.bind(ctx, algo, model_builder=lambda: make_mlp(32, 10, seed=0))
+print(*(w.process.pid for w in backend._pool), flush=True)
+os._exit(0)
+"""
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("refuses to pickle")
+
+
+class _NeedsTwo(Exception):
+    """Pickles, but unpickling calls ``_NeedsTwo(a)`` and fails."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
+class TestPoolWorkers:
+    @pytest.mark.parametrize("error, raised, match", [
+        (ValueError("bad client"), ValueError, "bad client"),
+        (_Unpicklable("x"), RuntimeError, r"_Unpicklable\('x'\)"),
+        (_NeedsTwo("x", "y"), RuntimeError, r"_NeedsTwo\('x'\)"),
+    ])
+    def test_worker_exception_reraises_at_collect(self, tiny_runtime, error, raised,
+                                                  match):
+        """A job that raises comes back as its exception, carrying the
+        worker's traceback as a note, or as a RuntimeError with its repr
+        when it does not pickle; the worker lives on."""
+
+        class Raises(FedAvg):
+            def client_updates(self, ctx, jobs):
+                raise error
+
+        ds, cfg = tiny_runtime
+        ctx, algo = build_job_runtime(
+            lambda: make_mlp(32, 10, seed=0), ds, cfg,
+            algo_builder=lambda: make_method("fedavg").algorithm,
+        )
+        backend = ProcessPoolBackend(workers=1)
+        try:
+            backend.bind(ctx, algo, model_builder=lambda: make_mlp(32, 10, seed=0),
+                         algo_builder=Raises)
+            handles = backend.submit_many(_jobs(ctx, algo, 1))
+            with pytest.raises(raised, match=match) as info:
+                _within(60.0, lambda: backend.collect(handles, block=True))
+            if raised is ValueError:
+                assert "in process-pool worker" in info.value.__notes__[-1]
+            assert [w.process.is_alive() for w in backend._pool] == [True]
+        finally:
+            backend.close()
+
+    def test_worker_killed_mid_job_raises_at_collect(self, tiny_runtime):
+        """SIGKILL on the only worker while its job runs: ``collect`` raises
+        an error naming the worker's pid and exit code instead of waiting
+        for a reply that never comes."""
+        ds, cfg = tiny_runtime
+        ctx, algo = build_job_runtime(
+            lambda: make_mlp(32, 10, seed=0), ds, cfg,
+            algo_builder=lambda: make_method("fedavg").algorithm,
+        )
+        backend = ProcessPoolBackend(workers=1)
+        try:
+            backend.bind(ctx, algo, model_builder=lambda: make_mlp(32, 10, seed=0),
+                         algo_builder=_Stuck)
+            handles = backend.submit_many(_jobs(ctx, algo, 1))
+            (worker,) = backend._pool
+            pid = worker.process.pid
+            os.kill(pid, signal.SIGKILL)
+            with pytest.raises(RuntimeError, match=rf"pid {pid} exited with code -9"):
+                _within(60.0, lambda: backend.collect(handles, block=True))
+            with pytest.raises(RuntimeError, match="after every worker exited"):
+                backend.submit_many(_jobs(ctx, algo, 1))
+        finally:
+            backend.close()
+        assert backend._pool is None and not worker.process.is_alive()
+
+    def test_a_free_worker_takes_the_next_task(self, tiny_runtime, monkeypatch):
+        """One worker stuck on a job while six one-job tasks wait: only the
+        task it already holds waits behind it, the free worker runs every
+        other one, and ``close`` kills the stuck worker alone once the
+        drain bound passes (the idle one exits with code 0)."""
+        monkeypatch.setattr(backend_module, "_CLOSE_DRAIN_S", 0.5)
+        ds, cfg = tiny_runtime
+        ctx, algo = build_job_runtime(
+            lambda: make_mlp(32, 10, seed=0), ds, cfg,
+            algo_builder=lambda: make_method("fedavg").algorithm,
+        )
+        backend = ProcessPoolBackend(workers=2)
+        try:
+            backend.bind(ctx, algo, model_builder=lambda: make_mlp(32, 10, seed=0),
+                         algo_builder=_StuckOnZero)
+            workers = [w.process for w in backend._pool]
+            jobs = [ClientJob(round_idx=0, client_id=k, x_ref=ctx.x0)
+                    for k in (0, 1, 2, 1, 2, 1)]
+            handles = backend.submit_many(jobs)
+            # the stuck worker got tasks 0 and 2; the free one runs the rest
+            free = [handles[i] for i in (1, 3, 4, 5)]
+            pairs = _within(60.0, lambda: backend.collect(free, block=True))
+            assert [h for h, _ in pairs] == free
+            assert backend.collect([handles[0], handles[2]], block=False) == []
+        finally:
+            backend.close()
+        assert [p.exitcode for p in workers] == [-signal.SIGKILL, 0]
+
+    def test_an_interrupted_write_retires_only_its_worker(self, tiny_runtime,
+                                                          monkeypatch):
+        """An interrupt inside ``submit_many``'s pipe write leaves that
+        worker's stream out of frame: it is killed and reaped at once, its
+        task fails at ``collect``, and the other worker runs on."""
+        ds, cfg = tiny_runtime
+        ctx, algo = build_job_runtime(
+            lambda: make_mlp(32, 10, seed=0), ds, cfg,
+            algo_builder=lambda: make_method("fedavg").algorithm,
+        )
+        backend = ProcessPoolBackend(workers=2)
+        try:
+            backend.bind(ctx, algo, model_builder=lambda: make_mlp(32, 10, seed=0))
+            first, second = (w.process for w in backend._pool)
+            _interrupting(monkeypatch, "send_bytes")
+            with pytest.raises(_Interrupt):
+                backend.submit_many(_jobs(ctx, algo, 1))
+            (lost,) = backend._inflight
+            assert first.exitcode == -signal.SIGKILL
+            assert [w.process for w in backend._pool] == [second]
+            with pytest.raises(RuntimeError, match=rf"pid {first.pid} exited with code -9"):
+                backend.collect([lost], block=True)
+            handles = backend.submit_many(_jobs(ctx, algo, 3))
+            assert len(_within(60.0, lambda: backend.collect(handles))) == 3
+        finally:
+            backend.close()
+        assert second.exitcode == 0
+
+    def test_close_reaps_everything_when_its_drain_raises(self, tiny_runtime,
+                                                         monkeypatch):
+        """An interrupt inside the reply read of ``close``'s drain still
+        leaves every worker reaped and every shared-memory segment
+        unlinked."""
+        from multiprocessing import shared_memory
+
+        ds, cfg = tiny_runtime
+        ctx, algo = build_job_runtime(
+            lambda: make_mlp(32, 10, seed=0), ds, cfg,
+            algo_builder=lambda: make_method("fedavg").algorithm,
+        )
+        backend = ProcessPoolBackend(workers=2, shared_memory=True)
+        backend.bind(ctx, algo, model_builder=lambda: make_mlp(32, 10, seed=0))
+        workers = [w.process for w in backend._pool]
+        backend.submit_many(_jobs(ctx, algo, 4))
+        names = {r.name for refs in backend._handle_refs.values() for r in refs}
+        _interrupting(monkeypatch, "recv_bytes")
+        with pytest.raises(_Interrupt):
+            backend.close()  # never collected: the drain reads the replies
+        assert backend._pool is None and names
+        assert not any(p.is_alive() for p in workers)
+        assert all(p.exitcode is not None for p in workers)
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+    def test_large_replies_while_submitting_do_not_deadlock(self, tiny_runtime):
+        """12 one-job tasks of 2.28 MB vectors over 2 workers, no shared
+        memory: the parent writes tasks to busy workers while their large
+        replies wait unread, and the results still equal in-process
+        execution."""
+        from repro.parallel import execute_jobs
+
+        ds, cfg = tiny_runtime
+        builder = functools.partial(make_mlp, 32, 10, hidden=(512, 512), seed=0)
+        ctx, algo = build_job_runtime(
+            builder, ds, cfg, algo_builder=lambda: make_method("fedavg").algorithm,
+        )
+        assert ctx.x0.nbytes > 2_000_000
+        jobs = [ClientJob(round_idx=0, client_id=k % ds.num_clients, x_ref=ctx.x0 + k)
+                for k in range(12)]
+        backend = ProcessPoolBackend(workers=2, job_batch=1)
+        backend.bind(ctx, algo, model_builder=builder)
+        workers = [w.process for w in backend._pool]
+        try:
+            pairs = _within(60.0, lambda: backend.collect(
+                backend.submit_many(jobs), block=True))
+        except BaseException:
+            for p in workers:  # the blocked thread then gets EPIPE and ends
+                p.kill()
+                p.join()
+            raise
+        backend.close()
+        assert [h.job.client_id for h, _ in pairs] == [j.client_id for j in jobs]
+        for (_, res), job in zip(pairs, jobs):
+            (want,) = execute_jobs(ctx, algo, [job])
+            np.testing.assert_array_equal(res.update.displacement,
+                                          want.update.displacement)
+
+    def test_workers_exit_when_the_parent_dies(self):
+        """A parent that exits without closing its pool leaves no worker
+        behind: each one sees EOF on its pipe and exits."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen([sys.executable, "-c", _ORPHAN_HELPER],
+                                stdout=subprocess.PIPE, env=env, text=True)
+        pids: list[int] = []
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert proc.wait(timeout=60) == 0 and len(pids) == 2
+            deadline = time.monotonic() + 30.0
+            while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(_alive(pid) for pid in pids)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            for pid in pids:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 # ---------------------------------------------------------------------------
