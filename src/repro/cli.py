@@ -22,8 +22,8 @@ Commands:
                  (``--summary``) or live follow mode (``-f``).
 * ``compare``  — race several methods on one problem (a spec sweep over
                  ``method.name``), ASCII plot + table.
-* ``sweep``    — run a grid of dotted-path overrides (optionally across an
-                 execution backend), report mean/std over ``config.seed``;
+* ``sweep``    — run a grid of dotted-path overrides (optionally on a
+                 process pool), report mean/std over ``config.seed``;
                  ``--out`` dumps the full result losslessly.
 * ``spec``     — ``dump`` a spec as JSON, or ``validate`` spec files.
 * ``methods``  — list available algorithms.
@@ -73,7 +73,7 @@ from repro.experiments import (
 )
 from repro.experiments import run as run_spec
 from repro.nn.models import MODEL_REGISTRY
-from repro.parallel import BACKENDS
+from repro.parallel import BACKENDS, resolve_backend, resolve_workers
 from repro.runtime import LATENCY_MODELS, SAMPLERS
 from repro.simulation import FLConfig, save_checkpoint, save_history
 from repro.viz import ascii_barchart, history_plot
@@ -97,8 +97,10 @@ _SPEC_DEFAULTS = {
 
 
 def _seconds(text: str) -> float:
-    """argparse type of ``repro serve``'s timing flags: argparse names the
-    flag in its error and exits 2, before the aggregator listens."""
+    """argparse type of the flags that take seconds (``repro serve``'s
+    timing flags, ``repro watch --poll``): argparse names the flag in its
+    error and exits 2, before the aggregator listens or the journal is
+    read."""
     from repro.net.service import positive_seconds
 
     try:
@@ -212,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend for client compute (default: auto "
                             "— REPRO_BACKEND, or process when --workers > 1)")
         p.add_argument("--workers", type=int, default=_SUPPRESS,
-                       help="worker count for the process/thread backends")
+                       help="worker count for the process backend")
         p.add_argument("--job-batch", type=int, default=_SUPPRESS,
                        help="jobs per pool task / wire frame for the "
                             "process and remote backends (default: per-job "
@@ -337,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch_p.add_argument("-f", "--follow", action="store_true",
                          help="follow the live journal, printing rounds and "
                               "warnings as they land; summary on end/Ctrl-C")
-    watch_p.add_argument("--poll", type=float, default=0.5, metavar="SECONDS",
+    watch_p.add_argument("--poll", type=_seconds, default=0.5, metavar="SECONDS",
                          help="follow-mode poll interval (default: 0.5)")
 
     spec_p = sub.add_parser("spec", help="dump or validate experiment specs")
@@ -562,8 +564,25 @@ def _assemble(args) -> ExperimentSpec | None:
         return None
 
 
+def _env_ok(spec: ExperimentSpec) -> bool:
+    """Read ``REPRO_BACKEND`` and ``REPRO_MAX_WORKERS`` as the facade's
+    ``build`` will, so a bad value is a clean CLI error before any dataset
+    loads."""
+    rt = spec.runtime
+    try:
+        if resolve_backend(rt.backend, rt.workers, env=True) == "process":
+            resolve_workers(rt.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def _execute(args, spec: ExperimentSpec, verbose: bool = True) -> int:
-    """Shared body of ``run`` and ``runtime``: spec -> facade -> reports."""
+    """Shared body of ``run``, ``runtime`` and ``serve``: spec -> facade ->
+    reports."""
+    if not _env_ok(spec):
+        return 2
     result = run_spec(
         spec, verbose=verbose,
         stop_after_rounds=getattr(args, "stop_after_rounds", None),
@@ -702,7 +721,7 @@ def cmd_compare(args) -> int:
         print(f"unknown methods: {unknown}; see `python -m repro methods`", file=sys.stderr)
         return 2
     base = _assemble(args)
-    if base is None:
+    if base is None or not _env_ok(base):
         return 2
     try:
         specs = expand(base, {"method.name": methods})

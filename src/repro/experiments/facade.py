@@ -249,7 +249,7 @@ def build(spec: ExperimentSpec):
             **rt.latency_kwargs,
         )
 
-    # worker replicas (pool, thread, remote) and the engine's live instance
+    # worker replicas (pool, remote) and the engine's live instance
     # are constructed the same way — replica_builders is the single source
     algo_builder, loss_builder, sampler_builder = replica_builders(spec)
     problem = (algo_builder(), model_builder(), ds, cfg)

@@ -211,10 +211,10 @@ class RuntimeSpec:
         staleness_budget: AIMD concurrency control target (None = fixed).
         max_updates: async total client updates (None = rounds x cohort).
         backend: execution backend for client compute, any engine kind —
-            ``"serial"``, ``"process"`` (fork pool), ``"thread"``,
-            ``"remote"`` (the :mod:`repro.net` federation service: this
-            process listens on ``backend_address`` and jobs execute on
-            ``repro worker`` processes over TCP), or ``"auto"`` (default):
+            ``"serial"``, ``"process"`` (fork pool), ``"remote"`` (the
+            :mod:`repro.net` federation service: this process listens on
+            ``backend_address`` and jobs execute on ``repro worker``
+            processes over TCP), or ``"auto"`` (default):
             the ``REPRO_BACKEND`` environment variable if set, else
             ``"process"`` when ``workers`` asks for more than one, else
             ``"serial"``.  Stateful methods and BatchNorm buffers run
@@ -236,7 +236,7 @@ class RuntimeSpec:
             (default) ships one job per unit.  Histories are bit-identical
             at any value (jobs are stamped at dispatch and results applied
             in virtual-time order).
-            Transport-only, so serial/thread backends reject it.
+            Transport-only, so the serial backend rejects it.
         shared_memory: ``backend="process"`` only — publish the broadcast
             vector (and round-stable broadcast arrays) into POSIX shared
             memory once per version; jobs carry small descriptors and pool
@@ -347,9 +347,9 @@ class RuntimeSpec:
         if self.backend == "serial" and (self.workers or 1) > 1:
             raise ValueError(
                 f"backend='serial' contradicts workers={self.workers}; "
-                "use backend='process' or 'thread' for parallel client compute"
+                "use backend='process' for parallel client compute"
             )
-        if self.job_batch is not None and self.backend in ("serial", "thread"):
+        if self.job_batch is not None and self.backend == "serial":
             raise ValueError(
                 f"job_batch={self.job_batch} only applies to transport "
                 f"backends ('process', 'remote'), got backend={self.backend!r}"

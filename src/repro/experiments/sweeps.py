@@ -5,10 +5,10 @@ returns the cartesian product as fully validated specs — the declarative
 replacement for hand-written benchmark grids (``python -m repro compare`` is
 one ``expand`` over ``method.name``).
 
-``run_sweep`` executes the grid — serially, or through any
-:class:`~repro.parallel.backend.ExecutionBackend` (each grid point is one
-coarse-grained job; every run is a pure function of its spec, so parallel
-and serial sweeps produce identical results) — and returns a
+``run_sweep`` executes the grid — in this process, or with each grid point
+one :func:`~repro.parallel.parallel_map` task on a fork pool (every run is
+a pure function of its spec, so parallel and serial sweeps produce
+identical results) — and returns a
 :class:`SweepResult`: the per-point :class:`~repro.experiments.RunResult`
 list plus dotted-path grouping with mean/std aggregation over
 ``config.seed`` (the multi-seed bookkeeping that used to live in
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.experiments.facade import RunResult, run
 from repro.experiments.spec import ExperimentSpec
-from repro.parallel import ExecutionBackend, make_backend, resolve_backend
+from repro.parallel import parallel_map, resolve_backend
 from repro.simulation import history_from_dict, history_to_dict
 
 __all__ = ["expand", "run_sweep", "run_point", "SweepResult", "SEED_AXIS"]
@@ -240,7 +240,7 @@ def run_point(spec: ExperimentSpec) -> RunResult:
 def run_sweep(
     spec: ExperimentSpec,
     grid: Mapping[str, Sequence],
-    backend: ExecutionBackend | str | None = None,
+    backend: str | None = None,
     workers: int | None = None,
     verbose: bool = False,
     keep_engines: bool = False,
@@ -249,14 +249,14 @@ def run_sweep(
     :class:`SweepResult`.
 
     Args:
-        backend: where grid points execute — an
-            :class:`~repro.parallel.backend.ExecutionBackend` instance, a
-            registry name, or None to resolve from ``workers`` /
-            ``REPRO_BACKEND`` (serial by default).  Each point is one
-            coarse-grained ``backend.map`` job; since a run is a pure
-            function of its spec, parallel sweeps return the same
+        backend: where grid points execute — a backend registry name, or
+            None to resolve from ``workers`` / ``REPRO_BACKEND`` (serial by
+            default).  ``"process"`` runs each point as one
+            :func:`~repro.parallel.parallel_map` task; any other name runs
+            the points one after another in this process.  Since a run is a
+            pure function of its spec, parallel sweeps return the same
             ``SweepResult`` as serial ones.
-        workers: worker count for pool backends.
+        workers: worker count for the process pool.
         keep_engines: keep each result's engine (serial backend only —
             engines hold loaded datasets and cannot cross processes).
 
@@ -270,19 +270,14 @@ def run_sweep(
         dict(zip(axes, combo))
         for combo in itertools.product(*axes.values())
     ]
-    if isinstance(backend, ExecutionBackend):
-        exec_backend = backend
-    else:
-        exec_backend = make_backend(
-            resolve_backend(backend, workers, env=True), workers=workers
+    name = resolve_backend(backend, workers, env=True)
+    if keep_engines and name != "serial":
+        raise ValueError(
+            "keep_engines requires the serial backend: engines pin "
+            "loaded datasets and cannot cross workers"
         )
-    if exec_backend.name != "serial":
-        if keep_engines:
-            raise ValueError(
-                "keep_engines requires the serial backend: engines pin "
-                "loaded datasets and cannot cross workers"
-            )
-        results = exec_backend.map(run_point, specs)
+    if name == "process":
+        results = parallel_map(run_point, specs, workers=workers)
     else:
         results = []
         for s in specs:

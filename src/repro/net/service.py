@@ -772,10 +772,6 @@ class RemoteBackend(ExecutionBackend):
             self._last_stats = self._service.stats()
         return dict(self._last_stats)
 
-    def map(self, fn, items):
-        # sweeps dispatch whole grid points; those don't cross this wire
-        return [fn(item) for item in items]
-
     def close(self) -> None:
         if self._service is not None:
             self._last_stats = self._service.stats()

@@ -4,7 +4,7 @@ Three pieces, one artifact directory (``run_dir``):
 
 * :mod:`repro.observe.journal` — :class:`RunRecorder` hooks into the event
   core and appends one record per typed event to ``journal.jsonl``, plus
-  periodic full-state snapshots under ``snapshots/``.
+  a full-state snapshot per closed round under ``snapshots/``.
 * :mod:`repro.observe.metrics` — :class:`JournalTailer` follows a live or
   finished journal; :class:`MetricsStore` keeps rolling aggregates
   (throughput, staleness quantiles, drop rate, accuracy, controller

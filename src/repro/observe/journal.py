@@ -28,8 +28,8 @@ and turns a run into an operable artifact under ``<run_dir>/``:
   the backend reports wire-level stats (the remote backend: bytes
   sent/received, workers seen/lost, requeued jobs).
 
-* ``snapshots/round_NNNN.pkl`` — periodic full-state snapshots
-  (:mod:`repro.observe.snapshot`) enabling ``repro run --resume``.
+* ``snapshots/round_NNNN.pkl`` — a full-state snapshot at every round
+  boundary (:mod:`repro.observe.snapshot`) enabling ``repro run --resume``.
 
 Records are buffered in memory and flushed at every round boundary (plus
 ``begin``/``stop``/``end``), so the journal on disk is always consistent at
@@ -99,28 +99,19 @@ class _JournalLogHandler(logging.Handler):
 
 
 class RunRecorder:
-    """Append run events to ``<run_dir>/journal.jsonl`` + periodic snapshots.
+    """Append run events to ``<run_dir>/journal.jsonl``, snapshot every
+    closed round, and journal ``repro.*`` warnings while the run records.
 
     Args:
         run_dir: directory owning the journal (created if missing); resumed
             runs append to the existing journal.
-        snapshot_every: write a full-state snapshot every N closed rounds
-            (default 1: every round boundary is resumable).
-        capture_logs: attach a handler to the ``repro`` logger while the run
-            records, persisting warnings as ``warning`` records.
     """
 
-    def __init__(
-        self, run_dir: str, snapshot_every: int = 1, capture_logs: bool = True
-    ) -> None:
-        if snapshot_every < 1:
-            raise ValueError(f"snapshot_every must be >= 1, got {snapshot_every}")
+    def __init__(self, run_dir: str) -> None:
         self.run_dir = run_dir
         os.makedirs(run_dir, exist_ok=True)
         self.path = journal_path(run_dir)
         self.snapshot_dir = os.path.join(run_dir, "snapshots")
-        self.snapshot_every = snapshot_every
-        self.capture_logs = capture_logs
         # a crashed writer can leave a torn final line; appending straight
         # onto it would corrupt the first new record too, so close the tear
         # with a newline (the tailer skips the invalid line either way)
@@ -133,10 +124,7 @@ class RunRecorder:
         if torn:
             self._fh.write("\n")
         self._buf: list[str] = []
-        self._rounds_since_snapshot = 0
         self._handler: _JournalLogHandler | None = None
-        self.n_records = 0
-        self.last_snapshot_path: str | None = None
         #: cumulative wall seconds spent inside the event-core hooks — the
         #: recorder's own overhead accounting (reported on stop/end records)
         self.hook_seconds = 0.0
@@ -145,7 +133,6 @@ class RunRecorder:
     def emit(self, type_: str, **fields) -> None:
         """Buffer one journal record (written at the next flush point)."""
         self._buf.append(json.dumps({"type": type_, **fields}))
-        self.n_records += 1
 
     def flush(self) -> None:
         if self._buf:
@@ -165,7 +152,7 @@ class RunRecorder:
         self.close()
 
     def _attach_logs(self) -> None:
-        if self.capture_logs and self._handler is None:
+        if self._handler is None:
             self._handler = _JournalLogHandler(self)
             logging.getLogger("repro").addHandler(self._handler)
 
@@ -247,20 +234,16 @@ class RunRecorder:
 
     @_timed_hook
     def on_round(self, core) -> None:
-        """A round record just closed: journal it, maybe snapshot, flush."""
+        """A round record just closed: journal it, snapshot, flush."""
         rec = core.history.records[-1]
         self.emit("round", t=core.clock.now, **round_record_to_dict(rec))
-        self._rounds_since_snapshot += 1
-        if self._rounds_since_snapshot >= self.snapshot_every:
-            self._rounds_since_snapshot = 0
-            self.write_snapshot(core)
+        self.write_snapshot(core)
         self.flush()
 
     def write_snapshot(self, core) -> str:
         snap = snapshot_core(core)
         path = os.path.join(self.snapshot_dir, f"round_{snap['rounds']:04d}.pkl")
         save_snapshot(path, snap)
-        self.last_snapshot_path = path
         self.emit(
             "snapshot",
             t=core.clock.now,

@@ -18,7 +18,6 @@ from repro.parallel.backend import (
     JobHandle,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     build_job_runtime,
     execute_job,
     execute_jobs,
@@ -36,7 +35,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ThreadBackend",
     "BACKENDS",
     "ArrayRef",
     "BroadcastStore",

@@ -40,15 +40,16 @@ compute with its own event processing::
 Every backend implements exactly these two calls; one ``submit_many`` lets
 a transport that pays per call amortize it across the batch.
 
-Whatever holds a job list — the serial backend, a pool task, a thread
-replica, a remote worker's ``JOB_BATCH`` — runs it with one
-:func:`execute_jobs` call, which trains consecutive runs of jobs as one
-stacked cohort (:meth:`~repro.algorithms.base.FederatedAlgorithm.client_updates`).
+Whatever holds a job list — the serial backend, a pool task, a remote
+worker's ``JOB_BATCH`` — runs it with one :func:`execute_jobs` call,
+which trains consecutive runs of jobs as one stacked cohort
+(:meth:`~repro.algorithms.base.FederatedAlgorithm.client_updates`).
 A job's result does not depend on the jobs it is stacked with.
 
-Because jobs are pure, the three implementations are interchangeable and
-bit-identical (``tests/test_backends.py`` pins this across all four engine
-kinds, batch and streaming):
+Because jobs are pure, the backends are interchangeable and bit-identical
+(``tests/test_backends.py`` pins serial == process across all four engine
+kinds, batch and streaming; ``tests/test_net.py`` pins :mod:`repro.net`'s
+remote backend):
 
 * :class:`SerialBackend` — in-process against the engine's live context and
   algorithm; the default, and the reference semantics.  ``submit_many``
@@ -57,18 +58,13 @@ kinds, batch and streaming):
   return packed state and buffer dicts; ``submit_many`` is a true
   asynchronous hand-off (pickled tasks, each written to a worker's pipe
   once that worker has room).
-* :class:`ThreadBackend` — per-thread replicas; no fork, cheap to spin up —
-  meant for smoke/CI runs and platforms without ``fork``; ``submit_many``
-  hands each worker a live future.
 
 Backends have an explicit lifecycle — ``bind`` → submit_many/collect →
 ``close()`` — and double as context managers.  An engine builds or takes
 one backend at construction and closes it at the end of every ``run()``,
 whether the run raises or not, so a failed run still reaps its worker
 pool; a closed backend binds again, so the next run re-uses the same
-instance.  Backends also double as coarse-grained parallel mappers
-(:meth:`ExecutionBackend.map`) so :func:`repro.experiments.run_sweep` can
-dispatch whole grid points through the same abstraction.
+instance.
 """
 
 from __future__ import annotations
@@ -82,14 +78,13 @@ import time
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from multiprocessing.connection import wait
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.parallel.pool import parallel_map, resolve_workers
+from repro.parallel.pool import resolve_workers
 from repro.parallel.shm import BroadcastStore, resolve_job_refs
 from repro.simulation.context import SimulationContext
 from repro.utils.validation import positive_count
@@ -111,7 +106,6 @@ __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "ThreadBackend",
     "BACKENDS",
     "make_backend",
     "resolve_backend",
@@ -282,8 +276,8 @@ def execute_jobs(
     """Run a job list against ``(ctx, algorithm)``; results in job order.
 
     *The* worker-side compute path, shared by every executor — the serial
-    backend, pool tasks, thread replicas, and :mod:`repro.net`'s remote
-    worker processes — so every execution path computes and reports alike.
+    backend, pool tasks, and :mod:`repro.net`'s remote worker processes —
+    so every execution path computes and reports alike.
     The list runs as consecutive stacked cohorts (:func:`execute_job`).
     Jobs that ask for timing (``collect_timing``) get ``queue_wait_s``
     (submission to the start of their cohort; ``time.monotonic`` is
@@ -369,13 +363,12 @@ def warn_on_replica_config_mismatch(algorithm) -> None:
 
 
 class ExecutionBackend:
-    """Where client jobs (and sweep grid points) execute.
+    """Where client jobs execute.
 
     Life cycle: construct (cheap, picks a worker count), :meth:`bind` to a
     problem (the engine's context plus replica builders — this is where
     pools spin up), :meth:`submit_many` / :meth:`collect` any number of
     times, :meth:`close` (or use the backend as a context manager).
-    :meth:`map` needs no binding and is usable stand-alone for sweeps.
 
     Subclasses implement :meth:`submit_many` and :meth:`collect`.
 
@@ -469,10 +462,6 @@ class ExecutionBackend:
                 raise KeyError(f"unknown or already-collected handle {h!r}")
         return out
 
-    def map(self, fn: Callable, items: list) -> list:
-        """Order-preserving parallel map over coarse-grained items."""
-        raise NotImplementedError
-
     def transport_stats(self) -> dict:
         """Cumulative transport counters for observability (may be empty).
 
@@ -549,17 +538,14 @@ class SerialBackend(ExecutionBackend):
     def close(self) -> None:
         self._done = {}
 
-    def map(self, fn: Callable, items: list) -> list:
-        return [fn(item) for item in items]
-
 
 def build_job_runtime(model_builder, dataset, config, loss_builder=None,
                       sampler_builder=None, algo_builder=None):
     """Build one worker replica: the ``(ctx, algorithm)`` jobs execute against.
 
     The single construction path for every out-of-process executor — pool
-    workers (via fork-shipped builders), thread replicas, and
-    :mod:`repro.net` remote workers (via builders rebuilt from the shipped
+    workers (via fork-shipped builders) and :mod:`repro.net` remote
+    workers (via builders rebuilt from the shipped
     :class:`~repro.experiments.ExperimentSpec`) — so a replica is always
     assembled the same way and stays bit-identical to the serial reference.
     """
@@ -904,10 +890,6 @@ class ProcessPoolBackend(ExecutionBackend):
             stats.update(self._last_shm_stats)  # survives the store's close
         return stats
 
-    def map(self, fn: Callable, items: list) -> list:
-        # coarse-grained sweep map: a transient pool, independent of bind()
-        return parallel_map(fn, items, workers=self.workers)
-
     def close(self) -> None:
         try:
             if self._pool is not None:
@@ -958,109 +940,12 @@ class ProcessPoolBackend(ExecutionBackend):
                 w.conn.close()
 
 
-class ThreadBackend(ExecutionBackend):
-    """Thread pool with per-thread replicas — no fork, cheap start-up.
-
-    Each worker thread lazily builds its own context and algorithm from the
-    bound builders (models are mutable and must not be shared), then runs
-    its share of a batch through one :func:`execute_jobs` call:
-    :meth:`submit_many` cuts the batch into one contiguous chunk per worker.
-    Meant for smoke/CI runs and platforms without ``fork``; NumPy holds the
-    GIL for most of a job, so speed-ups are modest.
-    """
-
-    name = "thread"
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = resolve_workers(workers)
-        self._local = threading.local()
-        self._builders = None
-        self._executor: ThreadPoolExecutor | None = None
-        # handle -> (chunk future, index into the chunk's result list)
-        self._inflight: dict[JobHandle, tuple[object, int]] = {}
-
-    def bind(self, ctx, algorithm, model_builder=None, algo_builder=None,
-             loss_builder=None, sampler_builder=None) -> "ThreadBackend":
-        if model_builder is None:
-            raise ValueError(
-                f"backend {self.name!r} needs a model_builder for worker replicas"
-            )
-        if algo_builder is None:
-            warn_on_replica_config_mismatch(algorithm)
-            algo_builder = type(algorithm)
-        self.close()
-        self._builders = (model_builder, ctx.dataset, ctx.config,
-                          loss_builder, sampler_builder, algo_builder)
-        self._local = threading.local()
-        self._executor = ThreadPoolExecutor(max_workers=self.workers)
-        return self
-
-    def _replica(self):
-        if not hasattr(self._local, "ctx"):
-            model_builder, dataset, config, loss_b, sampler_b, algo_b = self._builders
-            self._local.ctx, self._local.algo = build_job_runtime(
-                model_builder, dataset, config,
-                loss_builder=loss_b, sampler_builder=sampler_b,
-                algo_builder=algo_b,
-            )
-        return self._local.ctx, self._local.algo
-
-    def _run_chunk(self, jobs: list[ClientJob]) -> list[ClientResult]:
-        ctx, algo = self._replica()
-        return execute_jobs(ctx, algo, jobs)
-
-    def submit_many(self, jobs: Sequence[ClientJob]) -> list[JobHandle]:
-        if self._executor is None:
-            raise RuntimeError("ThreadBackend.submit_many before bind()")
-        handles = [self._make_handle(self._stamp(job)) for job in jobs]
-        size = max(1, -(-len(handles) // self.workers))
-        for start in range(0, len(handles), size):
-            chunk = handles[start:start + size]
-            fut = self._executor.submit(self._run_chunk, [h.job for h in chunk])
-            self._inflight.update((h, (fut, i)) for i, h in enumerate(chunk))
-        return handles
-
-    def collect(self, handles=None, block=True):
-        out = []
-        for h in list(self._inflight) if handles is None else handles:
-            try:
-                fut, idx = self._inflight[h]
-            except KeyError:
-                if block:
-                    raise KeyError(
-                        f"unknown or already-collected handle {h!r}"
-                    ) from None
-                continue
-            if not block and not fut.done():
-                continue
-            results = fut.result()  # re-raises a worker exception here
-            del self._inflight[h]
-            out.append((h, results[idx]))
-        return out
-
-    def map(self, fn: Callable, items: list) -> list:
-        # usable unbound (sweeps): a transient executor preserves order
-        if self.workers <= 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        with ThreadPoolExecutor(max_workers=min(self.workers, len(items))) as ex:
-            return list(ex.map(fn, items))
-
-    def close(self) -> None:
-        if self._executor is not None:
-            # cancel whatever never started so close() after a failed run
-            # does not sit draining a queue nobody will collect
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-        self._inflight = {}
-
-
 # "remote" registers lazily (module path string resolved at first use):
 # repro.net imports the job contract from here, so a class reference would
 # be a circular import — and the socket layer should not load unless used
 BACKENDS: dict[str, "type | str"] = {
     "serial": SerialBackend,
     "process": ProcessPoolBackend,
-    "thread": ThreadBackend,
     "remote": "repro.net.service:RemoteBackend",
 }
 

@@ -33,7 +33,7 @@ Client *compute* is delegated to a pluggable
 :class:`~repro.parallel.backend.ExecutionBackend`: every policy describes
 work as :class:`~repro.parallel.backend.ClientJob` values (broadcast
 params + packed client state + buffers + broadcast state) and the backend
-— serial, process pool, threads, or remote workers over TCP
+— serial, process pool, or remote workers over TCP
 (:mod:`repro.net`) — executes them with identical semantics, so stateful
 methods and BatchNorm buffer tracking work on every backend and the
 histories are bit-identical across them (``tests/test_backends.py``,

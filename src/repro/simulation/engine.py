@@ -236,13 +236,13 @@ class FederatedSimulation(EngineShell):
             :class:`SimulationContext`).
         backend / workers / model_builder / algo_builder: execution backend
             for client updates (:mod:`repro.parallel.backend`) — a backend
-            instance, a registry name (``"serial"`` / ``"process"`` /
-            ``"thread"``), or None to derive one from ``workers`` (> 1
-            selects the process pool).  ``workers`` sizes a pool backend
-            built here (None: ``REPRO_MAX_WORKERS`` or the capped CPU
-            count).  Non-serial backends need a ``model_builder`` for worker
-            replicas; ``algo_builder`` defaults to the algorithm's class
-            called with no arguments.  The job contract ships packed client
+            instance, a registry name (``"serial"`` / ``"process"``), or
+            None to derive one from ``workers`` (> 1 selects the process
+            pool).  ``workers`` sizes a pool backend built here (None:
+            ``REPRO_MAX_WORKERS`` or the capped CPU count).  Non-serial
+            backends need a ``model_builder`` for worker replicas;
+            ``algo_builder`` defaults to the algorithm's class called with
+            no arguments.  The job contract ships packed client
             state, buffers and broadcast state, so results stay
             bit-identical to serial execution.
         metric_hooks: callables invoked after each evaluation with

@@ -1,10 +1,10 @@
 """Execution-backend layer: job contract, backend equivalence, sweeps.
 
 The PR-4 equivalence suite (old-vs-new event core) extended one axis: every
-engine kind must produce *bit-identical* histories on the serial,
-process-pool and thread backends — including stateful methods (SCAFFOLD
-under FedBuff) and BatchNorm buffer tracking, the two workloads the old
-worker-pool path could not run at all.
+engine kind must produce *bit-identical* histories on the serial and
+process-pool backends — including stateful methods (SCAFFOLD under FedBuff)
+and BatchNorm buffer tracking, the two workloads the old worker-pool path
+could not run at all.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.parallel import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadBackend,
     make_backend,
     resolve_backend,
     resolve_streaming,
@@ -50,7 +49,7 @@ from repro.runtime import (
 from repro.simulation import FederatedSimulation, FLConfig
 
 KINDS = ("sync", "semisync", "fedasync", "fedbuff")
-BACKEND_NAMES = ("serial", "process", "thread")
+BACKEND_NAMES = ("serial", "process")
 
 # small enough that the full kind x backend matrix stays CI-sized
 _TINY = dict(
@@ -96,10 +95,10 @@ def assert_history_equal(new, old):
 
 
 class TestBackendEquivalence:
-    """Serial vs process vs thread, across all four engine kinds."""
+    """Serial vs process, across all four engine kinds."""
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("backend", ("process", "thread"))
+    @pytest.mark.parametrize("backend", ("process",))
     def test_bit_identical_plain_method(self, kind, backend):
         serial = run(_spec(kind))
         parallel = run(_spec(kind, backend=backend))
@@ -113,7 +112,7 @@ class TestBackendEquivalence:
         ("fedbuff", "scaffold"),    # the PR-4 serial-only flagship case
         ("fedasync", "feddyn"),     # stateful duals under immediate mixing
     ])
-    @pytest.mark.parametrize("backend", ("process", "thread"))
+    @pytest.mark.parametrize("backend", ("process",))
     def test_bit_identical_stateful_and_broadcast(self, kind, method, backend):
         kwargs = {"buffer_size": 3} if kind == "fedbuff" else None
         serial = run(_spec(kind, method=method, method_kwargs=kwargs))
@@ -173,8 +172,8 @@ class TestJobContract:
             )
 
     def test_execute_client_job_is_the_shared_compute_path(self):
-        """Every executor (serial, pool worker, thread replica, remote
-        worker) funnels through ``execute_jobs`` (which replaced the per-job
+        """Every executor (serial, pool worker, remote worker) funnels
+        through ``execute_jobs`` (which replaced the per-job
         ``execute_client_job``) on a replica from ``build_job_runtime`` — the
         same job gives the same result, and timing stamps appear exactly
         when the job asks for them."""
@@ -210,10 +209,9 @@ class TestJobContract:
         )
 
     def test_make_backend_registry(self):
-        assert set(BACKENDS) == {"serial", "process", "thread", "remote"}
+        assert set(BACKENDS) == {"serial", "process", "remote"}
         assert isinstance(make_backend("serial"), SerialBackend)
         assert isinstance(make_backend("process", workers=2), ProcessPoolBackend)
-        assert isinstance(make_backend("thread", workers=2), ThreadBackend)
         with pytest.raises(KeyError):
             make_backend("gpu")
 
@@ -221,12 +219,12 @@ class TestJobContract:
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert resolve_backend(None, None) == "serial"
         assert resolve_backend(None, 4) == "process"
-        assert resolve_backend("thread", 4) == "thread"
+        assert resolve_backend("remote", 4) == "remote"
         assert resolve_backend("auto", None) == "serial"
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_BACKEND", "remote")
         # env applies only to opted-in (spec/sweep) resolution ...
         assert resolve_backend(None, None) == "serial"
-        assert resolve_backend(None, None, env=True) == "thread"
+        assert resolve_backend(None, None, env=True) == "remote"
         # ... and an explicit name always wins
         assert resolve_backend("process", None, env=True) == "process"
         monkeypatch.setenv("REPRO_BACKEND", "quantum")
@@ -257,7 +255,7 @@ class TestJobContract:
         )
         assert sim.backend.name == "serial"
 
-    @pytest.mark.parametrize("backend", ("process", "thread"))
+    @pytest.mark.parametrize("backend", ("process",))
     def test_fedgrab_balancers_cross_backends(self, backend):
         """FedGraB's per-client balancer accumulators ride the pack/unpack
         client-state contract, so pool runs reproduce the serial trajectory
@@ -369,9 +367,9 @@ class TestStreamingEquivalence:
         """Round policies dispatch whole cohorts (submit+collect is already
         eager there): the ambient REPRO_STREAMING default must be a no-op."""
         monkeypatch.setenv("REPRO_STREAMING", "1")
-        on = run(_spec(kind, backend="thread"))
+        on = run(_spec(kind, backend="process"))
         monkeypatch.setenv("REPRO_STREAMING", "0")
-        off = run(_spec(kind, backend="thread"))
+        off = run(_spec(kind, backend="process"))
         assert_history_equal(on.history, off.history)
         np.testing.assert_array_equal(on.final_params, off.final_params)
 
@@ -586,9 +584,6 @@ class TestBackendLifecycle:
         backend = make_backend("process", workers=2)
         backend.close()  # never bound
         backend.close()
-        thread = make_backend("thread", workers=2)
-        thread.close()
-        thread.close()
 
     @staticmethod
     def _engine(kind, problem, backend, metric_hooks=()):
@@ -770,10 +765,13 @@ class TestParallelSweeps:
         assert all(np.isfinite(r["final_mean"]) for r in rows)
         assert all(r["final_std"] >= 0.0 for r in rows)
 
-    @pytest.mark.parametrize("backend", ("process", "thread"))
+    @pytest.mark.parametrize("backend", ("process", "remote"))
     def test_parallel_sweep_matches_serial(self, backend):
         """Same grouping keys, same per-group mean/std on a 2-axis grid
-        including config.seed — the acceptance criterion."""
+        including config.seed — the acceptance criterion.  A process sweep
+        runs each point in a pool worker; any other backend name runs the
+        points in-process (remote: no socket opens, the grid points'
+        own runtime.backend stays auto)."""
         serial = run_sweep(self._base(), self.GRID)
         parallel = run_sweep(self._base(), self.GRID, backend=backend, workers=2)
         assert parallel.group_axes == serial.group_axes
@@ -815,6 +813,12 @@ class TestParallelSweeps:
         result = run_sweep(self._base(), {}, backend="serial", keep_engines=True)
         assert result.results[0].engine is not None
 
+    def test_keep_engines_refused_for_in_process_remote_sweep(self):
+        """A remote-named sweep runs its points in this process, yet the
+        refusal still names every backend but serial."""
+        with pytest.raises(ValueError, match="keep_engines"):
+            run_sweep(self._base(), {}, backend="remote", keep_engines=True)
+
     def test_explicit_process_backend_refused_inside_process_sweep(self):
         """A grid point asking for its own process pool inside a sweep's
         pool worker gets a ValueError naming the fix, not a traceback from
@@ -840,7 +844,7 @@ class TestParallelSweeps:
             "sweep", "--clients", "6", "--rounds", "2", "--scale", "0.3",
             "--max-batches", "2", "--eval-every", "1",
             "--grid", "method.name=fedavg,fedcm", "--grid", "config.seed=0,1",
-            "--backend", "thread", "--workers", "2",
+            "--backend", "process", "--workers", "2",
         ])
         assert rc == 0
         out = capsys.readouterr().out

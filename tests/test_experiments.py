@@ -134,7 +134,7 @@ class TestSpecValidation:
             RuntimeSpec(kind="fedasync", buffer_ema="adaptive")
         with pytest.raises(ValueError, match="no effect"):
             RuntimeSpec(kind="semisync", buffer_ema="staleness")
-        RuntimeSpec(kind="fedbuff", backend="thread", workers=2)  # fine
+        RuntimeSpec(kind="fedbuff", backend="process", workers=2)  # fine
         RuntimeSpec(kind="fedasync", buffer_ema="staleness")  # fine
 
     def test_aggregate_broadcast_methods_rejected_under_async(self):

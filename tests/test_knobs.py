@@ -13,6 +13,7 @@ import pytest
 
 from repro.cli import build_parser
 from repro.cli import main as cli_main
+from repro.experiments import facade
 from repro.net.service import AggregatorService, RemoteBackend, env_inflight, env_seconds
 from repro.parallel import ProcessPoolBackend
 
@@ -144,3 +145,47 @@ class TestNetTimingKnobs:
                 rc = cli_main(["serve", "--address", "127.0.0.1:0", "--clients", "6"])
             assert rc == 2
             assert name in capsys.readouterr().err
+
+
+class TestBackendKnobs:
+    @pytest.mark.parametrize("env", (
+        {"REPRO_BACKEND": "thread"},
+        {"REPRO_BACKEND": "quantum"},
+        {"REPRO_BACKEND": "process", "REPRO_MAX_WORKERS": "abc"},
+    ), ids=("thread", "quantum", "max-workers-abc"))
+    @pytest.mark.parametrize("command", ("run", "runtime", "compare", "sweep"))
+    def test_runs_exit_2_on_a_bad_environment_value(self, monkeypatch, capsys,
+                                                     command, env):
+        def load(*args, **kwargs):
+            raise AssertionError("a dataset loaded")
+
+        monkeypatch.setattr(facade, "load_federated_dataset", load)
+        for name, raw in env.items():
+            monkeypatch.setenv(name, raw)
+        grid = ["--grid", "config.seed=0,1"] if command == "sweep" else []
+        rc = cli_main([command, "--clients", "6", "--rounds", "1", "--scale", "0.3",
+                       *grid])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert list(env)[-1] in err
+
+    @pytest.mark.parametrize("argv, needle", (
+        (["runtime", "--backend", "thread"], "--backend"),
+        (["sweep", "--grid", "config.seed=0,1", "--backend", "thread"], "--backend"),
+        (["run", "--set", "runtime.backend=thread"], "unknown backend 'thread'"),
+    ), ids=("runtime-flag", "sweep-flag", "run-set"))
+    def test_thread_backend_name_is_refused(self, monkeypatch, capsys, argv, needle):
+        """The removed thread backend's name fails through the errors that
+        already guard the backend registry: argparse's choices for the
+        flags, spec validation for a dotted override."""
+        def load(*args, **kwargs):
+            raise AssertionError("a dataset loaded")
+
+        monkeypatch.setattr(facade, "load_federated_dataset", load)
+        try:
+            rc = cli_main([*argv, "--clients", "6", "--rounds", "1", "--scale", "0.3"])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == 2
+        assert needle in capsys.readouterr().err

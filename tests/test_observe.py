@@ -21,6 +21,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.cli import build_parser
 from repro.cli import main as cli_main
 from repro.experiments import (
     DataSpec,
@@ -98,7 +99,7 @@ class TestJournal:
         # cohort of 3 (6 clients, participation 0.5), one dispatch each
         assert sum(r["type"] == "dispatch" for r in recs) == 9
         assert sum(r["type"] == "completion" for r in recs) == 9
-        # every closed round snapshotted (snapshot_every=1)
+        # every closed round snapshotted
         assert sum(r["type"] == "snapshot" for r in recs) == 3
         snap = load_snapshot(latest_snapshot(str(tmp_path / "run")))
         assert snap["rounds"] == 3
@@ -353,6 +354,16 @@ class TestCLI:
 
     def test_watch_missing_journal(self, tmp_path, capsys):
         assert cli_main(["watch", str(tmp_path), "--summary"]) == 2
+
+    @pytest.mark.parametrize("raw", ("-1", "0", "nan", "inf"))
+    def test_watch_poll_refused_by_argparse(self, capsys, raw):
+        parser = build_parser()
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["watch", "RUN_DIR", "-f", "--poll", raw])
+        assert exc.value.code == 2
+        assert "--poll" in capsys.readouterr().err
+        args = parser.parse_args(["watch", "RUN_DIR", "-f", "--poll", "0.5"])
+        assert args.poll == 0.5
 
     def test_sweep_out_round_trip(self, tmp_path):
         sweep = run_sweep(_spec("sync"), {"config.seed": [0, 1]})

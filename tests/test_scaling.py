@@ -225,7 +225,7 @@ def _jobs(ctx, algo, n: int) -> list[ClientJob]:
 
 
 class TestCollectContract:
-    @pytest.mark.parametrize("name", ("serial", "thread", "process"))
+    @pytest.mark.parametrize("name", ("serial", "process"))
     def test_pool_nonblocking_collect_never_raises(self, tiny_runtime, name):
         ds, cfg = tiny_runtime
         ctx, algo = build_job_runtime(
@@ -646,8 +646,10 @@ class TestKnobResolution:
         with pytest.raises(ValueError, match="job_batch"):
             _spec("fedasync", job_batch=0)
         with pytest.raises(ValueError, match="transport backends"):
-            _spec("fedasync", backend="thread", job_batch=2)
-        with pytest.raises(ValueError, match="shared_memory"):
-            _spec("fedasync", backend="thread", shared_memory=True)
+            _spec("fedasync", backend="serial", job_batch=2)
+        for backend in ("serial", "remote"):
+            with pytest.raises(ValueError, match="shared_memory"):
+                _spec("fedasync", backend=backend, shared_memory=True)
         # valid combinations construct fine
         _spec("fedasync", backend="process", job_batch=2, shared_memory=True)
+        _spec("fedasync", backend="remote", job_batch=2)
