@@ -211,19 +211,20 @@ class LocalSGDMixin:
     def _client_results(ctx, jobs, x_local, n_batches, losses, extras=None) -> list[ClientUpdate]:
         """One :class:`ClientUpdate` per job: displacement ``x_global -
         x_local``, sample and step counts, the method's ``extras`` and the
-        client's mean training loss."""
+        client's mean training loss.
+
+        Each displacement is an array of its own: rows of one block would
+        keep the whole cohort's block alive while any one update waits to be
+        applied.  The sample counts read the partitions ``_local_sgd``
+        already checked.
+        """
+        parts = ctx.dataset.partitions
         out = []
         for i, (_, k, x_global) in enumerate(jobs):
             ex = dict(extras[i]) if extras is not None else {}
             if losses[i] is not None:
                 ex["train_loss"] = losses[i]
-            out.append(ClientUpdate(
-                client_id=k,
-                displacement=x_global - x_local[i],
-                n_samples=len(ctx.dataset.client_rows(k)),
-                n_batches=n_batches[i],
-                extras=ex,
-            ))
+            out.append(ClientUpdate(k, x_global - x_local[i], len(parts[k]), n_batches[i], ex))
         return out
 
     def _local_sgd(
@@ -280,11 +281,15 @@ class LocalSGDMixin:
         shared = losses[0] if all(f is losses[0] for f in losses) else None
 
         # every client's batch schedule in dataset rows, drawn up front: its
-        # sampler is the only reader of its stream, so lockstep order cannot move a draw
+        # sampler is the only reader of its stream, so lockstep order cannot
+        # move a draw.  A client's rows are looked up once, and its sampler
+        # is ctx.sampler_for's, built over those rows' labels
+        xs, ys = ctx.dataset.x_train, ctx.dataset.y_train
+        client_rows, build, size = ctx.dataset.client_rows, ctx.sampler_builder, cfg.batch_size
         schedules = []
         for r, k, _ in jobs:
-            rows = ctx.dataset.client_rows(k)
-            sampler = ctx.sampler_for(k)
+            rows = client_rows(k)
+            sampler = build(ys[rows], size)
             rng = None if sampler.fixed_order else ctx.client_rng(r, k)
             batches = []
             for _ in range(epochs):
@@ -302,7 +307,6 @@ class LocalSGDMixin:
         # every batch's dataset rows in step-major order, so a lockstep
         # step's batches are one contiguous slice; plan[t] lists (client,
         # batch size) of step t
-        xs, ys = ctx.dataset.x_train, ctx.dataset.y_train
         plan, order = [], []
         for t in range(steps):
             row = [(i, len(batches[t])) for i, batches in enumerate(schedules) if t < len(batches)]
@@ -316,7 +320,7 @@ class LocalSGDMixin:
             x, grads = ctx.arena
             x[0] = jobs[0][2]
         else:
-            x = np.stack([xg for _, _, xg in jobs])
+            x = np.array([xg for _, _, xg in jobs])  # np.stack's, at a third of its cost
             grads = np.zeros_like(x)
         loss_sum = np.zeros(n_jobs)
         loss_count = np.zeros(n_jobs, dtype=np.int64)
@@ -397,9 +401,11 @@ class LocalSGDMixin:
         # each client's mean training loss of its local pass, for loss-aware
         # samplers (Oort statistical utility); the grad_eval trace above keeps
         # SAM-family methods reporting instead of falling back to the prior
+        # (Python floats divide as the float64 scalars did, bit for bit,
+        # without a NumPy cast buffer per cohort)
         train_losses = [
-            float(loss_sum[i] / loss_count[i]) if loss_count[i] else None
-            for i in range(n_jobs)
+            total / count if count else None
+            for total, count in zip(loss_sum.tolist(), loss_count.tolist())
         ]
         return x, n_batches, train_losses
 

@@ -73,7 +73,7 @@ from repro.experiments import (
 )
 from repro.experiments import run as run_spec
 from repro.nn.models import MODEL_REGISTRY
-from repro.parallel import BACKENDS, resolve_backend, resolve_workers
+from repro.parallel import BACKENDS, resolve_backend, resolve_streaming, resolve_workers
 from repro.runtime import LATENCY_MODELS, SAMPLERS
 from repro.simulation import FLConfig, save_checkpoint, save_history
 from repro.viz import ascii_barchart, history_plot
@@ -565,13 +565,15 @@ def _assemble(args) -> ExperimentSpec | None:
 
 
 def _env_ok(spec: ExperimentSpec) -> bool:
-    """Read ``REPRO_BACKEND`` and ``REPRO_MAX_WORKERS`` as the facade's
-    ``build`` will, so a bad value is a clean CLI error before any dataset
-    loads."""
+    """Read ``REPRO_BACKEND``, ``REPRO_MAX_WORKERS`` and, for the async
+    kinds, ``REPRO_STREAMING`` as the facade's ``build`` will, so a bad value
+    is a clean CLI error before any dataset loads."""
     rt = spec.runtime
     try:
         if resolve_backend(rt.backend, rt.workers, env=True) == "process":
             resolve_workers(rt.workers)
+        if rt.kind in ("fedasync", "fedbuff"):
+            resolve_streaming(rt.streaming, env=True)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return False

@@ -71,8 +71,9 @@ __all__ = [
 PROTOCOL_VERSION = 2
 #: bumped on any change to the ClientJob/ClientResult dataclasses — a field
 #: added to the job contract must not be silently dropped by an old worker
-#: (v2: x_ref may arrive as an XRefToken resolved from the batch inline dict)
-JOB_SCHEMA_VERSION = 2
+#: (v2: x_ref may arrive as an XRefToken resolved from the batch inline dict;
+#: v3: both records are slotted and pickle their slots, not a ``__dict__``)
+JOB_SCHEMA_VERSION = 3
 
 _HEADER = struct.Struct(">IB")
 

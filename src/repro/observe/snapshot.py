@@ -50,7 +50,20 @@ __all__ = [
 #: 5: ``IdleTracker`` keeps a sorted busy list and a dict of counts, where
 #: schema 4 pickled a Fenwick ``_tree`` and an ndarray ``_count``; in-flight
 #: jobs ride the image in ``_queue`` with ``_handles`` empty
-SNAPSHOT_SCHEMA_VERSION = 5
+#: 6: the event records (``Dispatch``, ``Completion``, ``Event``,
+#: ``ClientJob``, ``ClientResult``) are slotted and pickle their slots, where
+#: schema 5 pickled each record's ``__dict__``
+SNAPSHOT_SCHEMA_VERSION = 6
+
+#: where the slotted records live: an image older than schema 6 holds them
+#: with a ``__dict__`` state that their classes cannot take
+_SLOTTED_RECORDS = frozenset({
+    ("repro.runtime.events", "Dispatch"),
+    ("repro.runtime.events", "Completion"),
+    ("repro.runtime.clock", "Event"),
+    ("repro.parallel.backend", "ClientJob"),
+    ("repro.parallel.backend", "ClientResult"),
+})
 
 # plain functions/methods never carry run state and often don't pickle
 # (lambdas, closures over builders); callable *objects* — samplers,
@@ -182,10 +195,37 @@ def _check_schema(snap: dict) -> None:
         )
 
 
+class _AnyRecord:
+    """Stand-in for a slotted record: takes whatever state an image holds."""
+
+    def __setstate__(self, state) -> None:
+        pass
+
+
+class _OlderRecords(pickle.Unpickler):
+    """Loads the slotted records as :class:`_AnyRecord`, so that an image
+    older than schema 6 reads far enough to show its schema."""
+
+    def find_class(self, module: str, name: str):
+        if (module, name) in _SLOTTED_RECORDS:
+            return _AnyRecord
+        return super().find_class(module, name)
+
+
 def load_snapshot(path: str) -> dict:
-    """Read a snapshot, refusing one from another schema version."""
+    """Read a snapshot, refusing one from another schema version.
+
+    An image older than schema 6 fails to unpickle at its first record; it
+    is read again with stand-in records only to be refused by its schema.
+    """
     with open(path, "rb") as f:
-        snap = pickle.load(f)
+        try:
+            snap = pickle.load(f)
+        except AttributeError:
+            f.seek(0)
+            snap = _OlderRecords(f).load()
+            if snap.get("schema") == SNAPSHOT_SCHEMA_VERSION:
+                raise
     _check_schema(snap)
     return snap
 

@@ -117,7 +117,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientJob:
     """One unit of client work, self-contained and order-independent.
 
@@ -144,6 +144,10 @@ class ClientJob:
         submitted_at: the queue-wait anchor, ``time.monotonic()`` where the
             event core built the job (or, unset, where a backend accepted
             it); monotonic is cross-process comparable on Linux.
+
+    Slotted and immutable by contract, as
+    :class:`~repro.runtime.events.Dispatch` is: a transport that rewrites a
+    field ships a ``dataclasses.replace`` copy.
     """
 
     round_idx: int
@@ -156,7 +160,7 @@ class ClientJob:
     submitted_at: float | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientResult:
     """What one :class:`ClientJob` produced.
 
@@ -170,6 +174,8 @@ class ClientResult:
         timing: per-job timing dict (``queue_wait_s``, ``compute_s``, and —
             under the process pool — ``pickle_bytes``), present only when
             the job asked for it via ``collect_timing``.
+
+    Slotted and immutable by contract, as :class:`ClientJob` is.
     """
 
     update: object = field(repr=False)
@@ -217,18 +223,16 @@ def execute_job(ctx: SimulationContext, algorithm, *jobs: ClientJob) -> list[Cli
     updates = algorithm.client_updates(
         ctx, [(job.round_idx, job.client_id, job.x_ref) for job in jobs]
     )
+    model, pack = ctx.model, algorithm.pack_client_state
     results = []
     for job, update in zip(jobs, updates):
         loss = update.extras.get("train_loss")
+        # (update, new_state, buffers, train_loss)
         results.append(ClientResult(
-            update=update,
-            new_state=(
-                algorithm.pack_client_state(job.client_id)
-                if job.client_state is not None
-                else None
-            ),
-            buffers=ctx.model.get_buffers(copy=True) if job.buffers is not None else None,
-            train_loss=float(loss) if loss is not None else None,
+            update,
+            None if job.client_state is None else pack(job.client_id),
+            None if job.buffers is None else model.get_buffers(copy=True),
+            None if loss is None else float(loss),
         ))
     return results
 
@@ -254,19 +258,18 @@ def _cohorts(ctx: SimulationContext, jobs: Sequence[ClientJob]) -> list[list[Cli
     those models train one job at a time).
     """
     cohorts: list[list[ClientJob]] = []
+    run: list[ClientJob] = []  # the open run, its client ids and broadcast state
     ids: set[int] = set()
+    head = None
     alone = bool(ctx.model.buffers)
     for job in jobs:
-        run = cohorts[-1] if cohorts else None
-        if (
-            run is None or alone or job.client_id in ids
-            or not _same_broadcast(job.broadcast_state, run[0].broadcast_state)
-        ):
-            cohorts.append([job])
-            ids = {job.client_id}
-        else:
+        k, bstate = job.client_id, job.broadcast_state
+        if run and not alone and k not in ids and _same_broadcast(bstate, head):
             run.append(job)
-            ids.add(job.client_id)
+            ids.add(k)
+        else:
+            run, ids, head = [job], {k}, bstate
+            cohorts.append(run)
     return cohorts
 
 

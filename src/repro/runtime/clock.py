@@ -54,9 +54,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Event:
-    """A scheduled completion: ``client_id`` finishes at virtual ``time``."""
+    """A scheduled completion: ``client_id`` finishes at virtual ``time``.
+
+    Slotted and immutable by contract, as
+    :class:`~repro.runtime.events.Dispatch` is.
+    """
 
     time: float
     seq: int

@@ -92,7 +92,7 @@ LATE_POLICIES = ("downweight", "trickle")
 BUFFER_EMA_MODES = ("fixed", "staleness")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Dispatch:
     """One unit of client work issued by a policy.
 
@@ -110,6 +110,13 @@ class Dispatch:
         state_version: the store's per-client version at snapshot time; the
             commit compares against it so oversubscribed stateful dispatch
             (two dispatches of one client in flight) is observable.
+
+    The records of an update (this one, :class:`Completion`,
+    :class:`~repro.runtime.clock.Event`, ``ClientJob`` and ``ClientResult``)
+    are slotted, not frozen: building one then sets no field through
+    ``object.__setattr__``.  They are immutable by contract, a changed record
+    being a ``dataclasses.replace`` copy; the test suite refuses any write
+    to a field that already holds a value.
     """
 
     seq: int
@@ -124,7 +131,7 @@ class Dispatch:
     state_version: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Completion:
     """A dispatch finishing at its priced virtual time.
 
@@ -133,7 +140,8 @@ class Completion:
     keeps buffer averaging and aggregation sums bit-identical to the
     synchronous loops); the async policy resolves updates through the
     backend at completion time — submitted eagerly under streaming
-    dispatch, or as a lazy batch.
+    dispatch, or as a lazy batch.  Immutable by contract, as
+    :class:`Dispatch` is.
     """
 
     dispatch: Dispatch

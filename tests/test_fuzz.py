@@ -31,7 +31,7 @@ from repro.observe.metrics import JournalTailer, read_journal
 
 # frames shaped like the real conversation's, arrays included
 FRAMES = [
-    encode_frame(MsgType.REGISTER, {"protocol": 2, "job_schema": 2, "pid": 7, "host": "h"}),
+    encode_frame(MsgType.REGISTER, {"protocol": 2, "job_schema": 3, "pid": 7, "host": "h"}),
     encode_frame(MsgType.HEARTBEAT),
     encode_frame(MsgType.JOB_BATCH, ([(0, {"x_ref": XRefToken(3)})], {3: np.arange(6.0)})),
     encode_frame(MsgType.RESULT, (5, {"update": np.linspace(0.0, 1.0, 4)}, None)),

@@ -170,6 +170,26 @@ class TestBackendKnobs:
         assert err.startswith("error: ")
         assert list(env)[-1] in err
 
+    @pytest.mark.parametrize("argv", (
+        ["runtime"],
+        ["run", "--method", "fedavg", "--set", "runtime.kind=fedasync"],
+        ["run", "--method", "fedbuff", "--set", "runtime.kind=fedbuff"],
+    ), ids=("runtime", "run-fedasync", "run-fedbuff"))
+    def test_async_runs_exit_2_on_a_bad_streaming_value(self, monkeypatch, capsys,
+                                                       argv):
+        """The async kinds' build reads ``REPRO_STREAMING``, so a bad value
+        is refused with the other environment knobs, before any dataset
+        loads."""
+        def load(*args, **kwargs):
+            raise AssertionError("a dataset loaded")
+
+        monkeypatch.setattr(facade, "load_federated_dataset", load)
+        monkeypatch.setenv("REPRO_STREAMING", "maybe")
+        rc = cli_main([*argv, "--clients", "6", "--rounds", "1", "--scale", "0.3"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "REPRO_STREAMING" in err
+
     @pytest.mark.parametrize("argv, needle", (
         (["runtime", "--backend", "thread"], "--backend"),
         (["sweep", "--grid", "config.seed=0,1", "--backend", "thread"], "--backend"),

@@ -365,6 +365,17 @@ class TestAggregatorService:
         assert recv_frame(w.sock) is None  # aggregator closed the link
         assert service.stats()["workers_seen"] == 0
 
+    def test_job_schema_2_worker_rejected(self, service):
+        """Job schema 2 pickled frozen records with a ``__dict__`` state; a
+        worker still on it is refused at REGISTER, before any job ships."""
+        assert JOB_SCHEMA_VERSION == 3
+        w = _ScriptedWorker(service.address, schema=2)
+        msg_type, payload = w.welcome
+        assert msg_type is MsgType.ERROR and "version mismatch" in payload
+        assert "job schema 3" in payload and f"{PROTOCOL_VERSION} / 2" in payload
+        assert recv_frame(w.sock) is None  # aggregator closed the link
+        assert service.stats()["workers_seen"] == 0
+
     def test_requeue_on_disconnect(self, service):
         w0 = _ScriptedWorker(service.address)
         service.submit_many([(0, _job(0))])

@@ -14,6 +14,8 @@ The PR-6 suite pins three contracts:
 
 from __future__ import annotations
 
+import copyreg
+import dataclasses
 import json
 import os
 import pickle
@@ -45,12 +47,28 @@ from repro.observe import (
     save_snapshot,
 )
 from repro.observe.journal import RunRecorder
-from repro.parallel import ProcessPoolBackend
+from repro.parallel import ClientJob, ClientResult, ProcessPoolBackend
 from repro.runtime import IdleTracker
+from repro.runtime.clock import Event
+from repro.runtime.events import Completion, Dispatch
 from repro.simulation import FLConfig
 from test_backends import assert_history_equal
 
 KINDS = ("sync", "semisync", "fedasync", "fedbuff")
+
+
+class _Schema5Pickler(pickle.Pickler):
+    """Pickles the records schema 6 made slotted as schema 5 did, frozen
+    dataclasses with a ``__dict__``: ``copyreg.__newobj__`` and the fields
+    as a dict state."""
+
+    records = (Dispatch, Completion, Event, ClientJob, ClientResult)
+
+    def reducer_override(self, obj):
+        if type(obj) in self.records:
+            state = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+            return copyreg.__newobj__, (type(obj),), state
+        return NotImplemented
 
 _TINY = dict(
     data=DataSpec(clients=6, scale=0.3, beta=0.3, imbalance_factor=0.3),
@@ -299,11 +317,15 @@ class TestResume:
             n=n, n_idle=n, _count=np.zeros(n, dtype=np.int64),
             _tree=[0] + [i & -i for i in range(1, n + 1)],
             _idle_cache=None, _dirty=True)
+        # schema 5 pickled the event records with a __dict__ state, which
+        # their slotted classes cannot take: a plain unpickle fails at the
+        # first one
         layouts = {
             1: (json.dumps(data), snap["policy"]),
             2: (spec_text, policy_2),
             3: (spec_text, snap["policy"]),
             4: (spec_text, dict(snap["policy"], _tracker=tracker_4)),
+            5: (spec_text, snap["policy"]),
         }
         # a torn tail, which opening a recorder would heal with a newline
         with open(journal_path(rdir), "a") as f:
@@ -314,7 +336,16 @@ class TestResume:
         monkeypatch.setattr(ProcessPoolBackend, "bind",
                             lambda self, *a, **kw: bound.append(self))
         for schema, (spec_json, policy) in layouts.items():
-            save_snapshot(snap_path, snap | {"schema": schema, "policy": policy})
+            image = snap | {"schema": schema, "policy": policy}
+            if schema == 5:
+                with open(snap_path, "wb") as f:
+                    _Schema5Pickler(f, protocol=pickle.HIGHEST_PROTOCOL).dump(image)
+                with open(snap_path, "rb") as f, pytest.raises(
+                    AttributeError, match="__dict__"
+                ):
+                    pickle.load(f)
+            else:
+                save_snapshot(snap_path, image)
             with open(spec_path, "w") as f:
                 f.write(spec_json)
             message = f"snapshot schema {schema} != {SNAPSHOT_SCHEMA_VERSION}"

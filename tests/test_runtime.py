@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.algorithms import FedAsync, FedAvg, FedBuff, FedCM, make_method
+from repro.algorithms.base import ClientUpdate
 from repro.cli import main as cli_main
 from repro.data import load_federated_dataset
 from repro.nn import make_mlp
-from repro.parallel import resolve_workers
+from repro.parallel import ClientJob, ClientResult, resolve_workers
 from repro.runtime import (
     AsyncFederatedSimulation,
     ConstantLatency,
@@ -31,6 +34,8 @@ from repro.simulation import (
     load_history,
     save_history,
 )
+from repro.runtime.clock import Event
+from repro.runtime.events import Completion, Dispatch
 from repro.simulation.context import SimulationContext
 
 
@@ -85,6 +90,86 @@ class TestVirtualClock:
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             VirtualClock().pop()
+
+
+def _record(name: str):
+    """One populated record of each slotted class, every field set."""
+    x = np.arange(3.0)
+    dispatch = Dispatch(seq=4, client_id=2, round_idx=4, issued_at=1.5, version=3,
+                        cohort_pos=1, late=True, x_ref=x, state={"c": x},
+                        state_version=1)
+    update = ClientUpdate(client_id=2, displacement=x, n_samples=5, n_batches=1,
+                          extras={"train_loss": 0.5})
+    return {
+        "Dispatch": dispatch,
+        "Completion": Completion(dispatch, 0.25, update=update),
+        "Event": Event(time=1.75, seq=9, client_id=2, data={"event": "done"}),
+        "ClientJob": ClientJob(round_idx=4, client_id=2, x_ref=x,
+                               client_state={"c": x}, buffers={"bn": x},
+                               broadcast_state={"c": x}, collect_timing=True,
+                               submitted_at=2.0),
+        "ClientResult": ClientResult(update=update, new_state={"c": x},
+                                     buffers={"bn": x}, train_loss=0.5,
+                                     timing={"compute_s": 0.1}),
+    }[name]
+
+
+def _assert_same(a, b) -> None:
+    """Field by field, arrays by value, compare=False fields included."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys()
+        for k in a:
+            _assert_same(a[k], b[k])
+    elif isinstance(a, np.ndarray):
+        np.testing.assert_array_equal(a, b)
+    else:
+        assert a == b
+
+
+RECORDS = ("Dispatch", "Completion", "Event", "ClientJob", "ClientResult")
+
+
+@pytest.mark.parametrize("name", RECORDS)
+class TestRecords:
+    """The five records every async update builds are slotted dataclasses,
+    immutable by contract; the suite's conftest refuses re-assignment."""
+
+    def test_slotted_without_dict(self, name):
+        rec = _record(name)
+        assert not hasattr(rec, "__dict__")
+        assert type(rec).__slots__ == tuple(f.name for f in dataclasses.fields(rec))
+
+    def test_replace_keeps_the_class(self, name):
+        rec = _record(name)
+        field, value = {
+            "Dispatch": ("seq", 5), "Completion": ("latency", 0.5),
+            "Event": ("time", 2.0), "ClientJob": ("submitted_at", 3.0),
+            "ClientResult": ("timing", None),
+        }[name]
+        new = dataclasses.replace(rec, **{field: value})
+        assert type(new) is type(rec) and getattr(new, field) == value
+        for f in dataclasses.fields(rec):
+            if f.name != field:
+                assert getattr(new, f.name) is getattr(rec, f.name)
+
+    def test_pickle_round_trip(self, name):
+        rec = _record(name)
+        back = pickle.loads(pickle.dumps(rec, protocol=pickle.HIGHEST_PROTOCOL))
+        _assert_same(back, rec)
+
+    def test_reassignment_refused(self, name):
+        rec = _record(name)
+        for f in dataclasses.fields(rec):
+            before = getattr(rec, f.name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rec, f.name)
+            assert getattr(rec, f.name) is before
 
 
 class TestLatencyModels:
