@@ -1,4 +1,4 @@
-"""Ablations of FedWCM's design decisions (DESIGN.md section 4).
+"""Ablations of FedWCM's design decisions.
 
 Not a paper table — these benches justify the reproduction's engineering
 choices and isolate each FedWCM mechanism:

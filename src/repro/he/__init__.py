@@ -1,8 +1,8 @@
 """Homomorphic-encryption substrate (paper section 5.5 and appendix C).
 
 From-scratch Paillier and toy-BFV additive HE plus the BatchCrypt-style
-class-distribution aggregation protocol.  Replaces the paper's TenSEAL
-dependency (see DESIGN.md section 1).
+class-distribution aggregation protocol (:mod:`repro.he.protocol`).
+Replaces the paper's TenSEAL dependency.
 """
 
 from repro.he.primes import is_probable_prime, random_prime, find_ntt_prime

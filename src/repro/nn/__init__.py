@@ -1,6 +1,6 @@
 """Pure-NumPy neural-network engine with manual backprop.
 
-Substitutes for the paper's PyTorch substrate (see DESIGN.md).  Public
+Substitutes for the paper's PyTorch substrate.  Public
 surface: modules/layers, the model zoo, losses and training helpers.  The
 local update rules live with the federated algorithms, which step the
 model's ``(C, dim)`` parameter blocks directly.

@@ -10,7 +10,7 @@ The "lite" ResNets keep the residual/stage structure of ResNet-18/34 but with
 narrow channels so a full federated run finishes in seconds on a CPU.  The
 momentum phenomena the paper studies (client drift, direction distortion,
 minority collapse) are driven by the loss geometry of the long-tailed data,
-not by model width — see DESIGN.md section 1.
+not by model width.
 """
 
 from __future__ import annotations

@@ -29,7 +29,9 @@ and turns a run into an operable artifact under ``<run_dir>/``:
   sent/received, workers seen/lost, requeued jobs).
 
 * ``snapshots/round_NNNN.pkl`` — a full-state snapshot at every round
-  boundary (:mod:`repro.observe.snapshot`) enabling ``repro run --resume``.
+  boundary (:mod:`repro.observe.snapshot`) enabling ``repro run --resume``;
+  each is written whole or not at all, so a crash mid-write resumes from
+  the round before.
 
 Records are buffered in memory and flushed at every round boundary (plus
 ``begin``/``stop``/``end``), so the journal on disk is always consistent at
@@ -109,9 +111,10 @@ class RunRecorder:
 
     def __init__(self, run_dir: str) -> None:
         self.run_dir = run_dir
-        os.makedirs(run_dir, exist_ok=True)
         self.path = journal_path(run_dir)
         self.snapshot_dir = os.path.join(run_dir, "snapshots")
+        # made once here, so a snapshot write is one file and one rename
+        os.makedirs(self.snapshot_dir, exist_ok=True)
         # a crashed writer can leave a torn final line; appending straight
         # onto it would corrupt the first new record too, so close the tear
         # with a newline (the tailer skips the invalid line either way)
@@ -173,7 +176,7 @@ class RunRecorder:
                 wall=time.time(),
             )
         else:
-            # streaming is an async-policy property; round policies are batch
+            # streaming is an async-policy property; the round policy is batch
             streaming_active = getattr(core.policy, "_streaming_active", None)
             self.emit(
                 "meta",
@@ -234,11 +237,17 @@ class RunRecorder:
 
     @_timed_hook
     def on_round(self, core) -> None:
-        """A round record just closed: journal it, snapshot, flush."""
+        """A round record just closed: journal it, flush, snapshot.
+
+        The round is on disk before its snapshot is, so a crash between the
+        two leaves the journal ahead, never behind: a resume from the older
+        snapshot replays the round.  The ``snapshot`` record goes out with
+        the next flush.
+        """
         rec = core.history.records[-1]
         self.emit("round", t=core.clock.now, **round_record_to_dict(rec))
-        self.write_snapshot(core)
         self.flush()
+        self.write_snapshot(core)
 
     def write_snapshot(self, core) -> str:
         snap = snapshot_core(core)

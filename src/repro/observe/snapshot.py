@@ -181,9 +181,13 @@ def restore_core(core, snap: dict) -> None:
 
 
 def save_snapshot(path: str, snap: dict) -> None:
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "wb") as f:
+    """Write ``snap`` to ``path`` (whose directory must exist) whole or not
+    at all: it is pickled under a name :func:`latest_snapshot` skips, then
+    renamed into place, so a crash mid-write leaves no torn snapshot."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
         pickle.dump(snap, f, protocol=pickle.HIGHEST_PROTOCOL)
+    os.replace(tmp, path)
 
 
 def _check_schema(snap: dict) -> None:

@@ -123,7 +123,7 @@ class ClientJob:
 
     Attributes:
         round_idx: RNG round key for ``client_updates`` (the round for
-            barrier/deadline engines, the dispatch sequence for async).
+            the round engines, the dispatch sequence for async).
         client_id: which client trains.
         x_ref: the broadcast parameter vector trained from.  In transit a
             transport may substitute a descriptor (a shared-memory

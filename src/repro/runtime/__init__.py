@@ -2,11 +2,11 @@
 
 * :mod:`repro.runtime.events` — the single :class:`EventCore` loop (typed
   :class:`Dispatch` / :class:`Completion` / :class:`DeadlineTick` events, a
-  per-client :class:`ClientStateStore`) and the dispatch policies that turn
-  it into each engine kind: :class:`BarrierPolicy` (synchronous rounds),
-  :class:`DeadlinePolicy` (semi-sync deadlines with ``downweight`` or true
-  ``trickle`` late handling), :class:`AsyncPolicy` (continuous
-  staleness-aware dispatch).
+  per-client :class:`ClientStateStore`) and the two dispatch policies that
+  turn it into each engine kind: :class:`DeadlinePolicy` (rounds: untimed
+  synchronous ones without a latency model, semi-sync deadlines with
+  ``downweight`` or true ``trickle`` late handling with one) and
+  :class:`AsyncPolicy` (continuous staleness-aware dispatch).
 * :mod:`repro.runtime.clock` — deterministic virtual clock and pluggable
   client latency models (constant / lognormal / Pareto / dropout-retry).
 * :mod:`repro.runtime.async_engine` — :class:`AsyncFederatedSimulation`,
@@ -30,7 +30,6 @@ works unchanged — plus time-to-accuracy via ``History.time_to_accuracy``.
 from repro.runtime.events import (
     BUFFER_EMA_MODES,
     AsyncPolicy,
-    BarrierPolicy,
     ClientStateStore,
     Completion,
     DeadlinePolicy,
@@ -72,7 +71,6 @@ __all__ = [
     "Completion",
     "DeadlineTick",
     "ClientStateStore",
-    "BarrierPolicy",
     "DeadlinePolicy",
     "AsyncPolicy",
     "LATE_POLICIES",

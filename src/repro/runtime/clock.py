@@ -105,8 +105,8 @@ class VirtualClock:
         entries receive consecutive ``seq`` numbers in list order and heap
         order is fully determined by ``(time, seq)``, so how the tuples
         *entered* the heap is unobservable.  That freedom pays for the
-        speed: large bursts (the async policy's begin() prime, a barrier
-        round's cohort) are appended and re-heapified in O(n + k) instead
+        speed: large bursts (the async policy's begin() prime, a round's
+        cohort) are appended and re-heapified in O(n + k) instead
         of k O(log n) pushes, while small refill bursts keep the cheaper
         per-item push.
         """
@@ -154,7 +154,7 @@ class VirtualClock:
     def clear(self) -> int:
         """Drop all pending events without advancing ``now``.
 
-        Used by round policies at the end of a run to abandon in-flight
+        Used by the round policy at the end of a run to abandon in-flight
         trickle completions the stopped server can no longer merge; returns
         the number of events dropped.
         """

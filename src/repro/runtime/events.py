@@ -7,19 +7,19 @@ event loop (:class:`repro.runtime.AsyncFederatedSimulation`) — each
 re-implementing dispatch, completion handling, sampler binding and history
 recording.  They are now all *policies* over one :class:`EventCore`:
 
-* :class:`BarrierPolicy` — synchronous rounds: every cohort member is
-  dispatched at once, completions land immediately, the round closes when
-  the barrier (a :class:`DeadlineTick`) pops.  No latency, plain
-  :class:`~repro.simulation.RoundRecord` history.
-* :class:`DeadlinePolicy` — semi-synchronous rounds on the virtual clock:
-  cohort completions are priced by a latency model, a ``DeadlineTick``
-  closes the round, and late clients follow one of two late policies —
-  ``"downweight"`` (the historical same-round approximation: late
-  displacements are scaled by ``late_weight`` — or dropped at 0 — and merged
-  *before they arrive*, which is exactly why it cannot be expressed as
-  honest events and bypasses the queue) or ``"trickle"`` (the honest event
-  path: the late completion stays in the queue and merges into the round
-  that is open when it actually arrives).
+* :class:`DeadlinePolicy` — rounds: the whole cohort is dispatched at once
+  and a ``DeadlineTick`` closes the round.  Without a latency model these
+  are synchronous rounds: completions land at delay 0, virtual time stays
+  0, and the history is plain :class:`~repro.simulation.RoundRecord`\\ s.
+  With one they are semi-synchronous rounds on the virtual clock: cohort
+  completions are priced, a deadline may close the round early, and late
+  clients follow one of two late policies — ``"downweight"`` (the
+  historical same-round approximation: late displacements are scaled by
+  ``late_weight`` — or dropped at 0 — and merged *before they arrive*,
+  which is exactly why it cannot be expressed as honest events and bypasses
+  the queue) or ``"trickle"`` (the honest event path: the late completion
+  stays in the queue and merges into the round that is open when it
+  actually arrives).
 * :class:`AsyncPolicy` — continuous dispatch: a bounded number of clients
   in flight, each completion immediately applied through the algorithm's
   ``server_apply`` and replaced, with FedAsync/FedBuff semantics living in
@@ -38,18 +38,18 @@ params + packed client state + buffers + broadcast state) and the backend
 methods and BatchNorm buffer tracking work on every backend and the
 histories are bit-identical across them (``tests/test_backends.py``,
 ``tests/test_net.py``).  Jobs reach the backend through ``submit_many``
-and return through :meth:`EventCore.collect_jobs`: round policies run whole
-cohorts at once, and the async policy hands each dispatch burst over as it
-is issued when streaming (overlapping worker compute with event
+and return through :meth:`EventCore.collect_jobs`: the round policy runs
+whole cohorts at once, and the async policy hands each dispatch burst over
+as it is issued when streaming (overlapping worker compute with event
 processing), else queues jobs until a completion first needs one.
 
 Events are typed (:class:`Dispatch`, :class:`Completion`,
 :class:`DeadlineTick`) and ride the deterministic
 :class:`~repro.runtime.clock.VirtualClock`; ties pop in schedule order, so
 every run remains a pure function of its seed.  For the pre-existing knob
-space, all three policies reproduce the retired loops' histories
-bit-for-bit (``tests/test_engine_equivalence.py`` pins this against frozen
-copies of the old code).
+space, both policies reproduce the retired loops' histories bit-for-bit
+(``tests/test_engine_equivalence.py`` pins this against frozen copies of
+the old code).
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ __all__ = [
     "DeadlineTick",
     "ClientStateStore",
     "EventCore",
-    "BarrierPolicy",
     "DeadlinePolicy",
     "AsyncPolicy",
     "LATE_POLICIES",
@@ -100,7 +99,7 @@ class Dispatch:
         seq: global dispatch counter (unique per run).
         client_id: which client trains.
         round_idx: RNG round key handed to ``client_update`` (the round for
-            barrier/deadline policies, the dispatch sequence for async).
+            the round policy, the dispatch sequence for async).
         issued_at: virtual time the dispatch was issued.
         version: server model version at dispatch (async staleness anchor).
         cohort_pos: position inside the round's cohort (-1 for async).
@@ -135,7 +134,7 @@ class Dispatch:
 class Completion:
     """A dispatch finishing at its priced virtual time.
 
-    Round policies precompute ``update`` when the dispatch is issued (their
+    The round policy precomputes ``update`` when the dispatch is issued (its
     compute order is the cohort order, not the arrival order — that is what
     keeps buffer averaging and aggregation sums bit-identical to the
     synchronous loops); the async policy resolves updates through the
@@ -336,7 +335,7 @@ class EventCore:
     def run_backend_jobs(self, jobs: list[ClientJob]) -> list:
         """Run a job batch: one ``submit_many``, collected in job order.
 
-        Round policies (whole-cohort compute) and the async policy's lazy
+        The round policy (whole-cohort compute) and the async policy's lazy
         hand-over go through here, so a batch costs one transport
         round-trip on batching backends.  Backends offering
         ``run_jobs_inline`` (the serial reference) skip the handle
@@ -355,8 +354,8 @@ class EventCore:
 
         Returns the :class:`~repro.parallel.backend.ClientResult` list.
         Client state commits at *compute* time in cohort order — exactly the
-        mutation order of serial in-process execution, which keeps round
-        policies bit-identical across backends.  Model buffers follow the
+        mutation order of serial in-process execution, which keeps the round
+        policy bit-identical across backends.  Model buffers follow the
         FedAvg-with-BN treatment: every job starts from the model's current
         buffers and the server commits their post-training mean (same
         accumulation order and arithmetic as the serial path).  A profiler
@@ -448,7 +447,7 @@ class EventCore:
         self.history = History(algorithm=getattr(algo, "name", type(algo).__name__))
         self.clock = VirtualClock()
         self._seq = 0
-        # round policies keep state inside the live algorithm when the
+        # the round policy keeps state inside the live algorithm when the
         # backend shares it; any remote backend needs the store to ship
         # per-client state through the job contract
         self.state_store = ClientStateStore(
@@ -501,7 +500,6 @@ class EventCore:
                         recorder.on_stop(self)
                     self.clock.clear()
                     break
-        self.policy.finish(self)
         if profiler is not None:
             # close before recorder.finish so the journaled profile record
             # carries the final wall total and the recorder's own overhead
@@ -514,105 +512,25 @@ class EventCore:
         return self.history
 
 
-class _RoundPolicy:
-    """Skeleton shared by the barrier and deadline policies.
+class DeadlinePolicy:
+    """Round policy: synchronous rounds, with or without virtual time.
 
     A round is two ticks: ``open`` samples the cohort, computes its updates
     in cohort order and schedules their completions plus the ``close`` tick;
     completions popped in between stash; ``close`` merges the stash (current
     round sorted back to cohort order, trickled arrivals appended in arrival
     order), aggregates, records and opens the next round.
-    """
 
-    uses_state_store = False
-
-    def begin(self, core: EventCore) -> None:
-        self._stash: list[Completion] = []
-        self._late_stash: list[tuple[int, object]] = []
-        self._pending_late = 0
-        self.reset_scheduling(core)
-        core.post(0.0, DeadlineTick(0, "open"))
-
-    def reset_scheduling(self, core: EventCore) -> None:
-        """Forget adapted scheduling state so re-runs reproduce run one."""
-        if core.client_sampler is not None and hasattr(core.client_sampler, "reset"):
-            core.client_sampler.reset()
-
-    def on_completion(self, core: EventCore, comp: Completion, now: float) -> None:
-        self._stash.append(comp)
-        if comp.dispatch.late:
-            self._pending_late -= 1
-
-    def on_deadline(self, core: EventCore, tick: DeadlineTick) -> None:
-        if tick.phase == "open":
-            self.open_round(core, tick.round_idx)
-        else:
-            self.close_round(core, tick.round_idx)
-
-    def finish(self, core: EventCore) -> None:
-        pass
-
-    # subclasses implement
-    def open_round(self, core: EventCore, r: int) -> None:
-        raise NotImplementedError
-
-    def close_round(self, core: EventCore, r: int) -> None:
-        raise NotImplementedError
-
-
-class BarrierPolicy(_RoundPolicy):
-    """Lock-step synchronous rounds (the classic FedAvg loop).
-
-    Every cohort member is dispatched at virtual delay 0, so completions pop
-    in cohort order before the barrier tick; no latency model, no timing
-    fields — histories are plain :class:`RoundRecord` sequences, bit-equal
-    to the retired ``FederatedSimulation`` loop.
-    """
-
-    def open_round(self, core: EventCore, r: int) -> None:
-        self._t0 = time.perf_counter()
-        selected = core.select_cohort(r)
-        self._selected = selected
-        results = core.run_cohort(r, selected)
-        # the cohort's zero-delay completions enter the clock as one batch
-        # (heapify instead of per-event pushes); pop order is unchanged —
-        # (time, seq) keys are identical to sequential core.post calls, and
-        # each dispatch is journaled before its event is queued, as before
-        rec = core.recorder
-        entries = []
-        for i, (k, res) in enumerate(zip(selected, results)):
-            d = Dispatch(
-                seq=core.next_seq(), client_id=int(k), round_idx=r,
-                issued_at=core.clock.now, cohort_pos=i, x_ref=core.x,
-            )
-            comp = Completion(d, 0.0, update=res.update)
-            if rec is not None:
-                rec.on_dispatch(core, d, 0.0)
-            entries.append((0.0, d.client_id, {"event": comp}))
-        core.clock.push_many(entries)
-        core.post(0.0, DeadlineTick(r, "close"))
-
-    def close_round(self, core: EventCore, r: int) -> None:
-        cfg = core.ctx.config
-        updates = [c.update for c in self._stash]  # pop order == cohort order
-        self._stash = []
-        core.aggregate(r, self._selected, updates)
-        rec = RoundRecord(
-            round=r, selected=self._selected, wall_time=time.perf_counter() - self._t0
-        )
-        do_eval = (r % cfg.eval_every == 0) or (r == cfg.rounds - 1)
-        core.record(rec, do_eval, r)
-        if core.verbose and not np.isnan(rec.test_accuracy):
-            print(f"[{core.history.algorithm}] round {r:4d}  acc={rec.test_accuracy:.4f}")
-        if r + 1 < cfg.rounds:
-            core.post(0.0, DeadlineTick(r + 1, "open"))
-
-
-class DeadlinePolicy(_RoundPolicy):
-    """Deadline-based semi-synchronous rounds on the virtual clock.
+    Without a latency model (``kind="sync"``, the classic FedAvg loop) every
+    delay is zero: completions pop in cohort order before the close tick,
+    virtual time stays 0 and the history is plain :class:`RoundRecord`\\ s.
+    With one (``kind="semisync"``) the cohort is priced on the virtual clock,
+    a deadline may close the round early and late clients follow
+    ``late_policy``; histories are :class:`TimedRoundRecord`\\ s.
 
     Args:
-        latency_model: bound model pricing each sampled client's response.
+        latency_model: bound model pricing each sampled client's response,
+            or None for untimed rounds.
         deadline: fixed round deadline in virtual seconds, or None to wait
             for the slowest client (pure synchronous timing).
         deadline_controller: optional adaptive controller; wins over
@@ -626,9 +544,11 @@ class DeadlinePolicy(_RoundPolicy):
             abandoned and counted).
     """
 
+    uses_state_store = False
+
     def __init__(
         self,
-        latency_model,
+        latency_model=None,
         deadline: float | None = None,
         deadline_controller=None,
         late_weight: float = 0.0,
@@ -643,16 +563,35 @@ class DeadlinePolicy(_RoundPolicy):
                 "late_weight only applies to late_policy='downweight' "
                 "(trickled updates merge at full weight when they arrive)"
             )
+        if latency_model is None and (deadline is not None or deadline_controller is not None):
+            raise ValueError("a deadline needs a latency model to price the cohort")
         self.latency_model = latency_model
         self.deadline = deadline
         self.deadline_controller = deadline_controller
         self.late_weight = late_weight
         self.late_policy = late_policy
 
-    def reset_scheduling(self, core: EventCore) -> None:
-        super().reset_scheduling(core)
+    def begin(self, core: EventCore) -> None:
+        self._stash: list[Completion] = []
+        self._late_stash: list[tuple[int, object]] = []
+        self._pending_late = 0
+        # forget adapted scheduling state so re-runs reproduce run one
+        if core.client_sampler is not None and hasattr(core.client_sampler, "reset"):
+            core.client_sampler.reset()
         if self.deadline_controller is not None:
             self.deadline_controller.reset()
+        core.post(0.0, DeadlineTick(0, "open"))
+
+    def on_completion(self, core: EventCore, comp: Completion, now: float) -> None:
+        self._stash.append(comp)
+        if comp.dispatch.late:
+            self._pending_late -= 1
+
+    def on_deadline(self, core: EventCore, tick: DeadlineTick) -> None:
+        if tick.phase == "open":
+            self.open_round(core, tick.round_idx)
+        else:
+            self.close_round(core, tick.round_idx)
 
     def round_latencies(self, num_clients: int, round_idx: int, selected) -> np.ndarray:
         """Priced cohort response times (unique stream per (round, k)).
@@ -662,16 +601,18 @@ class DeadlinePolicy(_RoundPolicy):
         deadlines from it can never drift from what the rounds price.
         Draws batch through :meth:`~repro.runtime.clock.LatencyModel
         .sample_many` (bit-equal to the per-client loop it replaced).
+        Untimed rounds price every client at zero.
         """
         ids = np.asarray(selected, dtype=np.int64)
+        if self.latency_model is None:
+            return np.zeros(len(ids))
         return self.latency_model.sample_many(ids, round_idx * num_clients + ids)
 
     def open_round(self, core: EventCore, r: int) -> None:
-        ctx = core.ctx
         sampler = core.client_sampler
         self._t0 = time.perf_counter()
         selected = core.select_cohort(r)
-        latencies = self.round_latencies(ctx.num_clients, r, selected)
+        latencies = self.round_latencies(core.ctx.num_clients, r, selected)
         if self.deadline_controller is not None:
             deadline = self.deadline_controller.start(latencies)
         else:
@@ -706,45 +647,47 @@ class DeadlinePolicy(_RoundPolicy):
                 sampler.observe(int(k), float(latencies[i]))
 
         trickle = self.late_policy == "trickle"
-        if trickle:
-            include = np.ones(len(selected), dtype=bool)
-        elif self.late_weight == 0.0:
-            include = on_time
-        else:
-            include = np.ones(len(selected), dtype=bool)
+        dropping = not trickle and self.late_weight == 0.0
+        include = on_time if dropping else np.ones(len(selected), dtype=bool)
 
         # the shared busy-mask helper replaces the per-round index-list
         # comprehension (one flatnonzero over the include mask)
         positions = mask_positions(include)
         results = core.run_cohort(r, np.asarray(selected)[positions])
+        rec = core.recorder
+        entries = []
         for i, res in zip(positions, results):
-            k, u = int(selected[i]), res.update
-            if not on_time[i] and not trickle:
-                u.displacement = u.displacement * self.late_weight
+            k, u, lat = int(selected[i]), res.update, float(latencies[i])
             d = Dispatch(
                 seq=core.next_seq(), client_id=k, round_idx=r,
                 issued_at=core.clock.now, cohort_pos=i, late=not on_time[i],
                 x_ref=core.x,
             )
-            if on_time[i]:
-                core.post(latencies[i], Completion(d, float(latencies[i]), update=u),
-                          client_id=k)
-            elif trickle:
-                # the honest event path: the update arrives when it arrives
-                core.post(latencies[i], Completion(d, float(latencies[i]), update=u),
-                          client_id=k)
-                self._pending_late += 1
+            if on_time[i] or trickle:
+                # trickle is the honest event path: a late update arrives
+                # when it arrives, into whichever round is open then
+                if d.late:
+                    self._pending_late += 1
+                if rec is not None:
+                    rec.on_dispatch(core, d, lat)
+                entries.append((lat, k, {"event": Completion(d, lat, update=u)}))
             else:
                 # the same-round approximation merges an update *before* its
                 # arrival time — inexpressible as an event, hence no queue
+                u.displacement = u.displacement * self.late_weight
                 self._late_stash.append((i, u))
+        # the round's completions enter the clock as one batch, each
+        # journaled before it is queued; (time, seq) keys, hence pop order,
+        # are those of sequential core.post calls
+        core.clock.push_many(entries)
         core.post(round_time, DeadlineTick(r, "close"))
-        self._round_meta = (selected, on_time, deadline, round_time)
+        self._round_meta = (selected, on_time, deadline)
 
     def close_round(self, core: EventCore, r: int) -> None:
         cfg = core.ctx.config
         sampler = core.client_sampler
-        selected, on_time, deadline, round_time = self._round_meta
+        selected, on_time, deadline = self._round_meta
+        trickle = self.late_policy == "trickle"
 
         current = [c for c in self._stash if c.dispatch.round_idx == r and not c.dispatch.late]
         trickled = [c for c in self._stash if c.dispatch.late]
@@ -766,43 +709,44 @@ class DeadlinePolicy(_RoundPolicy):
                 if "train_loss" in u.extras:
                     sampler.observe_loss(int(u.client_id), float(u.extras["train_loss"]))
 
-        core.aggregate(r, np.asarray(included_ids, dtype=np.int64), updates)
-
-        n_late = int((~on_time).sum())
-        rec = TimedRoundRecord(
-            round=r,
-            selected=np.asarray(included_ids, dtype=np.int64),
-            wall_time=time.perf_counter() - self._t0,
-            virtual_time=core.clock.now,
-            staleness=float(n_late),
-            concurrency=float(len(selected)),
-            updates_applied=r + 1,
-        )
-        rec.extras["n_late"] = n_late
-        rec.extras["n_dropped"] = (
-            0 if self.late_policy == "trickle"
-            else int(len(selected) - len(included_ids))
-        )
-        if deadline is not None:
-            rec.extras["deadline"] = float(deadline)
-        if self.late_policy == "trickle":
-            rec.extras["n_trickled_in"] = len(trickled)
-            rec.extras["n_pending"] = self._pending_late
-            if r == cfg.rounds - 1 and self._pending_late:
-                # the server stops here; in-flight late updates are lost
-                rec.extras["n_abandoned"] = self._pending_late
-                logger.warning(
-                    "final round %d closed with %d trickled update(s) still "
-                    "in flight; they are abandoned",
-                    r, self._pending_late,
-                )
+        included = np.asarray(included_ids, dtype=np.int64)
+        core.aggregate(r, included, updates)
+        wall_time = time.perf_counter() - self._t0
+        if self.latency_model is None:
+            rec = RoundRecord(round=r, selected=included, wall_time=wall_time)
+        else:
+            n_late = int((~on_time).sum())
+            rec = TimedRoundRecord(
+                round=r,
+                selected=included,
+                wall_time=wall_time,
+                virtual_time=core.clock.now,
+                staleness=float(n_late),
+                concurrency=float(len(selected)),
+                updates_applied=r + 1,
+            )
+            rec.extras["n_late"] = n_late
+            rec.extras["n_dropped"] = 0 if trickle else int(len(selected) - len(included))
+            if deadline is not None:
+                rec.extras["deadline"] = float(deadline)
+            if trickle:
+                rec.extras["n_trickled_in"] = len(trickled)
+                rec.extras["n_pending"] = self._pending_late
+                if r == cfg.rounds - 1 and self._pending_late:
+                    # the server stops here; in-flight late updates are lost
+                    rec.extras["n_abandoned"] = self._pending_late
+                    logger.warning(
+                        "final round %d closed with %d trickled update(s) still "
+                        "in flight; they are abandoned",
+                        r, self._pending_late,
+                    )
         do_eval = (r % cfg.eval_every == 0) or (r == cfg.rounds - 1)
         core.record(rec, do_eval, r)
         if core.verbose and not np.isnan(rec.test_accuracy):
-            print(
-                f"[{core.history.algorithm}] round {r:4d}  t={core.clock.now:9.2f}s  "
-                f"acc={rec.test_accuracy:.4f}  late={n_late}"
-            )
+            status = f"acc={rec.test_accuracy:.4f}"
+            if self.latency_model is not None:
+                status = f"t={core.clock.now:9.2f}s  {status}  late={n_late}"
+            print(f"[{core.history.algorithm}] round {r:4d}  {status}")
         if r + 1 < cfg.rounds:
             core.post(0.0, DeadlineTick(r + 1, "open"))
         else:
@@ -908,9 +852,6 @@ class AsyncPolicy:
         self._tracker = IdleTracker(ctx.num_clients)
         self._t0 = time.perf_counter()
         self._dispatch_many(core, min(self.concurrency, self.max_updates))
-
-    def finish(self, core: EventCore) -> None:
-        pass
 
     def on_deadline(self, core: EventCore, tick) -> None:  # pragma: no cover
         raise TypeError("the async policy schedules no deadline ticks")

@@ -12,8 +12,8 @@ the incremental structures the planner uses instead:
   uniform rank draw maps to the same client an O(N) comprehension would
   pick (``tests/test_fastpath.py`` pins the async histories against such a
   scalar planner).
-* :func:`mask_positions` — the shared busy-mask/include-mask helper the
-  round policies (sync/semisync cohort paths) use instead of rebuilding
+* :func:`mask_positions` — the busy-mask/include-mask helper the
+  round policy (sync/semisync cohort paths) uses instead of rebuilding
   per-round index lists with Python comprehensions.
 
 The rank draw itself needs no generator either: a pick is the first
@@ -35,7 +35,7 @@ __all__ = ["IdleTracker", "mask_positions"]
 def mask_positions(mask: np.ndarray) -> list[int]:
     """Positions where a boolean cohort mask is True, as plain ints.
 
-    The shared replacement for the round policies' per-round
+    The replacement for the round policy's per-round
     ``[i for i in range(n) if mask[i]]`` comprehensions: one vectorized
     ``flatnonzero`` instead of O(cohort) Python-level predicate calls.
     Returns a list (not an array) because callers feed the positions into

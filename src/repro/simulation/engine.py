@@ -3,7 +3,8 @@
 Each engine is a policy over one :class:`repro.runtime.events.EventCore`.
 ``EngineShell`` builds an engine's context and backend and owns the only
 ``run()``; :class:`FederatedSimulation` is the synchronous engine (the
-barrier policy), and :mod:`repro.runtime` holds the timed ones.
+round policy without a latency model), and :mod:`repro.runtime` holds the
+timed ones.
 """
 
 from __future__ import annotations
@@ -253,11 +254,11 @@ class FederatedSimulation(EngineShell):
     """
 
     def _run_policy(self):
-        # synchronous rounds are the barrier policy: zero-latency dispatches,
-        # a barrier tick closing each round
-        from repro.runtime.events import BarrierPolicy
+        # synchronous rounds are untimed deadline rounds: zero-latency
+        # dispatches, a close tick ending each round
+        from repro.runtime.events import DeadlinePolicy
 
-        return BarrierPolicy()
+        return DeadlinePolicy()
 
 
 def evaluate_into_record(

@@ -46,6 +46,7 @@ from repro.observe import (
     read_journal,
     save_snapshot,
 )
+from repro.observe import journal as journal_module
 from repro.observe.journal import RunRecorder
 from repro.parallel import ClientJob, ClientResult, ProcessPoolBackend
 from repro.runtime import IdleTracker
@@ -276,6 +277,56 @@ class TestResume:
         # the resume healed the torn tail: its own records stayed intact
         assert store.resumes == 1
         assert store.ended and not store.stopped
+
+    def test_round_journaled_before_its_snapshot(self, tmp_path, monkeypatch):
+        """A round's record is on disk before its snapshot is written, so a
+        crash right after a snapshot lands cannot lose that round from the
+        journal (a resume from the snapshot would never replay it)."""
+        rdir = str(tmp_path / "run")
+        save = journal_module.save_snapshot
+        saved = []
+
+        def checked_save(path, snap):
+            on_disk = [r["round"] for r in read_journal(journal_path(rdir))
+                       if r["type"] == "round"]
+            assert snap["rounds"] - 1 in on_disk, (snap["rounds"], on_disk)
+            saved.append(snap["rounds"])
+            save(path, snap)
+
+        monkeypatch.setattr(journal_module, "save_snapshot", checked_save)
+        run(_spec("sync", run_dir=rdir))
+        assert saved == [1, 2, 3]
+
+    def test_torn_snapshot_write_resumes_from_round_before(
+        self, tmp_path, monkeypatch
+    ):
+        """A crash halfway through pickling round 2's snapshot leaves round
+        1's as the newest; the resume replays round 2 to the uninterrupted
+        history."""
+        full = run(_spec("sync"))
+        rdir = str(tmp_path / "run")
+        dump = pickle.dump
+
+        class Killed(Exception):
+            pass
+
+        def torn_dump(obj, f, protocol=None):
+            if isinstance(obj, dict) and obj.get("rounds") == 2:
+                data = pickle.dumps(obj, protocol=protocol)
+                f.write(data[: len(data) // 2])
+                raise Killed("process died mid-write")
+            dump(obj, f, protocol=protocol)
+
+        monkeypatch.setattr(pickle, "dump", torn_dump)
+        with pytest.raises(Killed):
+            run(_spec("sync", run_dir=rdir))
+        monkeypatch.undo()
+        assert os.path.basename(latest_snapshot(rdir)) == "round_0001.pkl"
+        resumed = resume_run(rdir)
+        assert_history_equal(resumed.history, full.history)
+        np.testing.assert_array_equal(resumed.final_params, full.final_params)
+        store = MetricsStore.from_journal(journal_path(rdir))
+        assert store.resumes == 1 and store.ended and store.n_rounds == 3
 
     def test_resume_without_snapshots_raises(self, tmp_path):
         rdir = tmp_path / "never_recorded"

@@ -35,7 +35,7 @@ from repro.simulation import (
     save_history,
 )
 from repro.runtime.clock import Event
-from repro.runtime.events import Completion, Dispatch
+from repro.runtime.events import Completion, DeadlinePolicy, Dispatch
 from repro.simulation.context import SimulationContext
 
 
@@ -479,23 +479,82 @@ class TestAcceptanceMiniature:
             assert asim.total_virtual_time < sync.total_virtual_time, algo.name
 
 
+#: the methods whose sync and no-deadline semisync runs must agree bit for bit
+SYNC_EQUIVALENCE_METHODS = (
+    "fedwcm", "fedavg", "scaffold", "fedcm", "balancefl", "fedgrab", "creff",
+    "feddyn", "fedsam",
+)
+
+
+def _assert_sync_equals_no_deadline_semisync(method, model_builder, ds, cfg,
+                                             latency_model):
+    """Run ``method`` as a sync engine and as a no-deadline semisync engine,
+    each with its bundle's loss and sampler builders: final parameters,
+    model buffers and accuracy series agree bit for bit; only the semisync
+    run advances virtual time.  Returns the sync engine."""
+    runs = []
+    for engine_cls, kw in (
+        (FederatedSimulation, {}),
+        (SemiSyncFederatedSimulation, {"latency_model": latency_model}),
+    ):
+        bundle = make_method(method)
+        engine = engine_cls(
+            bundle.algorithm, model_builder(), ds, cfg,
+            loss_builder=bundle.loss_builder,
+            sampler_builder=bundle.sampler_builder, **kw,
+        )
+        runs.append((engine, engine.run()))
+    (plain, hp), (semi, hs) = runs
+    np.testing.assert_array_equal(plain.final_params, semi.final_params)
+    np.testing.assert_array_equal(hp.accuracy, hs.accuracy)
+    for name, v in plain.ctx.model.buffers.items():
+        np.testing.assert_array_equal(v, semi.ctx.model.buffers[name])
+    assert plain.total_virtual_time == 0.0 < semi.total_virtual_time
+    return plain
+
+
 class TestSemiSync:
-    def test_no_deadline_matches_sync_engine_exactly(self, ds):
-        """deadline=None is the synchronous engine plus a virtual clock."""
-        for method in ("fedavg", "fedcm"):
-            cfg = _tiny_cfg()
-            plain = FederatedSimulation(
-                make_method(method).algorithm, _model_builder(), ds, cfg
+    @pytest.mark.parametrize(
+        "latency",
+        [ConstantLatency, lambda: LognormalLatency(sigma=1.0)],
+        ids=["constant", "lognormal"],
+    )
+    @pytest.mark.parametrize("method", SYNC_EQUIVALENCE_METHODS)
+    def test_no_deadline_matches_sync_engine_exactly(self, ds, method, latency):
+        """deadline=None is the synchronous engine plus a virtual clock: the
+        latency model changes the timing, never the training."""
+        _assert_sync_equals_no_deadline_semisync(
+            method, _model_builder, ds, _tiny_cfg(), latency()
+        )
+
+    def test_no_deadline_matches_sync_engine_on_batchnorm_resnet(self):
+        """The same on a BatchNorm ResNet, whose running statistics the
+        server averages every round."""
+        from repro.nn import build_model
+
+        ds = load_federated_dataset(
+            "cifar10-lite", imbalance_factor=0.3, beta=0.3, num_clients=6,
+            seed=0, scale=0.2,
+        )
+        shape = ds.info.shape
+
+        def mb():
+            return build_model(
+                "resnet-lite-18", in_channels=shape[0], image_size=shape[1],
+                num_classes=ds.num_classes, width=2, seed=0, norm="batch",
             )
-            hp = plain.run()
-            semi = SemiSyncFederatedSimulation(
-                make_method(method).algorithm, _model_builder(), ds, cfg,
-                latency_model=LognormalLatency(sigma=1.0),
-            )
-            hs = semi.run()
-            np.testing.assert_array_equal(plain.final_params, semi.final_params)
-            np.testing.assert_array_equal(hp.accuracy, hs.accuracy)
-            assert semi.total_virtual_time > 0
+
+        plain = _assert_sync_equals_no_deadline_semisync(
+            "fedwcm", mb, ds, _tiny_cfg(rounds=2, eval_every=1),
+            LognormalLatency(sigma=1.0),
+        )
+        assert plain.ctx.model.buffers  # the running statistics were compared
+
+    def test_deadline_without_latency_model_refused(self):
+        """Untimed rounds price every client at zero, so a deadline there
+        would be ignored silently."""
+        with pytest.raises(ValueError, match="needs a latency model"):
+            DeadlinePolicy(deadline=1.0)
 
     def test_deadline_drops_late_clients(self, ds):
         cfg = _tiny_cfg()
